@@ -6,8 +6,8 @@ version with both traces zero).  The dissection subtracts the explicit
 logarithmic kernels built from the anisotropic squared distance; the
 Hessian-structure residual pairs the scalar log singularity with the
 inverse coefficient matrix and measures what is left on dyadic annuli.
-Columns on one operator share a sparse LU factorization of its matrix,
-built by the first column and kept on the operator; every column solve
+Columns solve through linsolve.solve_spd, so all columns on one operator
+share the sparse LU factorization kept on its matrix; every column solve
 checks its true residual.  The report builders only read the columns.
 """
 
@@ -18,12 +18,13 @@ import numpy as np
 
 from .anisotropy import invert_spd2
 from .grid import EXTERIOR, ScalarField
+from .linsolve import solve_spd
 
 FIRST_ORDER = "first_order"
 BILAPLACIAN = "navier_bilaplacian"
 
 # bound on the true relative residual ||M x - b|| / ||b|| of every column
-# solve (the sparse LU solve itself has no tolerance).  columns feed second
+# solve, passed to solve_spd as its tol.  columns feed second
 # and third differences (error amplified by h^-2, h^-3) and reciprocity is
 # asserted at 1e-9 relative.  a backward-stable solve leaves a residual near
 # eps ||M|| ||x||; for the delta right-hand side ||M|| ||x|| / ||b|| is
@@ -82,35 +83,6 @@ def node_near(domain, x, y):
     return i, j
 
 
-def splu(matrix):
-    """SuperLU factors of a symmetric sparse matrix, with a fill-reducing
-    ordering on M + M^T and diagonal pivots preferred.  scipy.sparse.linalg
-    is imported here, at the first factorization, not at package import."""
-    from scipy.sparse.linalg import splu as superlu
-    return superlu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   options=dict(SymmetricMode=True))
-
-
-def _factors(op):
-    """The factorization of op.matrix, built on first use and kept on the
-    operator, so every column on it shares one and it is freed with it."""
-    lu = op.__dict__.get("_superlu")
-    if lu is None:
-        lu = splu(op.matrix)
-        op.__dict__["_superlu"] = lu   # frozen dataclass: bypass __setattr__
-    return lu
-
-
-def _tight_solve(op, rhs):
-    """Direct solve of op.matrix x = rhs; raises unless the true relative
-    residual is finite and at most _column_accept."""
-    x = _factors(op).solve(rhs)
-    res = np.linalg.norm(op.matrix @ x - rhs) / np.linalg.norm(rhs)
-    if not res <= _column_accept:   # false for NaN as well
-        raise RuntimeError("Green's column solve left relative residual %.3e" % res)
-    return x
-
-
 def _delta_rhs(domain, source_ij):
     k = domain.interior_map[source_ij]
     if k < 0:
@@ -127,7 +99,7 @@ def _as_field(domain, interior_vec):
 def greens_column_L(op, coeff, source_ij):
     """Column of the second-order Green's function, zero Dirichlet trace."""
     d = op.domain
-    g = _tight_solve(op, _delta_rhs(d, tuple(source_ij)))
+    g, _ = solve_spd(op.matrix, _delta_rhs(d, tuple(source_ij)), _column_accept)
     gmin = float(g.min())
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
@@ -139,8 +111,8 @@ def greens_column_L2(op, coeff, source_ij):
     """Column of the fourth-order Green's function with both traces zero;
     keeps the intermediate second-order column."""
     d = op.domain
-    w = _tight_solve(op, _delta_rhs(d, tuple(source_ij)))
-    g2 = _tight_solve(op, w)
+    w, _ = solve_spd(op.matrix, _delta_rhs(d, tuple(source_ij)), _column_accept)
+    g2, _ = solve_spd(op.matrix, w, _column_accept)
     src = np.array([d.xs[source_ij[0]], d.ys[source_ij[1]]])
     return GreensColumn(BILAPLACIAN, d, coeff, tuple(source_ij), src,
                         _as_field(d, g2), intermediate=_as_field(d, w))

@@ -246,8 +246,9 @@ def harmonic_extension(domain, coeff, u0, op=None):
 
 
 def _precond_solve(op, rhs):
-    x, _ = solve_spd(op.matrix, rhs, tol=_minimizer_solve_tol)
-    return x
+    """L^-1 rhs by the operator's sparse LU; raises when the relative
+    residual exceeds _minimizer_solve_tol."""
+    return solve_spd(op.matrix, rhs, tol=_minimizer_solve_tol)[0]
 
 
 def _direction(op, v, grad_measure_over_weight):

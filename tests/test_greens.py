@@ -19,7 +19,7 @@ from anisoplate import (
     node_near,
     singular_split,
 )
-from anisoplate import greens
+from anisoplate import greens, linsolve
 from anisoplate.greens import (
     GreensColumn,
     dyadic_annuli,
@@ -137,8 +137,8 @@ def test_columns_on_one_operator_share_one_factorization(monkeypatch):
         calls.append(matrix.shape)
         return real_splu(matrix)
 
-    real_splu = greens.splu
-    monkeypatch.setattr(greens, "splu", counting_splu)
+    real_splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", counting_splu)
     dom = build_domain(disk_shape(1.0), 65)
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
@@ -190,8 +190,8 @@ def test_inaccurate_or_nonfinite_solve_raises(monkeypatch, miss):
             x[len(x) // 2] += miss * np.abs(x).max()
             return x
 
-    real_splu = greens.splu
-    monkeypatch.setattr(greens, "splu", lambda matrix: Off(real_splu(matrix)))
+    real_splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", lambda matrix: Off(real_splu(matrix)))
     dom = build_domain(disk_shape(1.0), 33)
     fld = make_field("identity")
     op = assemble_operator(fld, dom)

@@ -1,9 +1,13 @@
-"""Conjugate gradient solver: exactness oracles and failure reporting."""
+"""Sparse direct solver: exactness oracles, the factorization kept on the
+matrix, and failure reporting."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from anisoplate import linsolve
+from anisoplate.anisotropy import user_field
+from anisoplate.grid import assemble_operator, build_domain, disk_shape
 from anisoplate.linsolve import SolveReport, solve_spd
 
 
@@ -93,9 +97,10 @@ def test_laplacian_31_squared_within_5n():
     eye = sparse.eye(n)
     mat = (sparse.kron(one, eye) + sparse.kron(eye, one)).tocsr()
     rhs = np.random.default_rng(11).standard_normal(n * n)
-    _, rep = solve_spd(mat, rhs, tol=1e-10)
-    assert rep.converged
-    assert rep.iterations <= 5 * n * n
+    x, rep = solve_spd(mat, rhs, tol=1e-10)
+    assert rep.converged and rep.iterations == 0
+    want = np.linalg.solve(mat.toarray(), rhs)
+    assert np.allclose(x, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
 
 
 def test_round_trip_idempotence():
@@ -109,40 +114,75 @@ def test_round_trip_idempotence():
     assert np.allclose(x2, x, atol=1e-9)
 
 
-def test_iteration_cap_reports_failure():
+def test_iteration_cap_reports_failure(monkeypatch):
+    # factors that solve slightly wrong (or return non-finite entries) are
+    # caught by the residual recomputed from the matrix
     n = 100
     mat = sparse.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
                        [-1, 0, 1], format="csr")
     rhs = np.ones(n)
-    x, rep = solve_spd(mat, rhs, tol=1e-13, max_iter=3)
-    assert not rep.converged
-    assert rep.iterations == 3
-    assert rep.final_residual > 0.0
+    real_splu = linsolve.splu
+    for miss in (1e-6, np.nan, np.inf):
+        class Off:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                x[n // 2] += miss * np.abs(x).max()
+                return x
+
+        monkeypatch.setattr(linsolve, "splu", lambda m: Off(real_splu(m)))
+        with pytest.raises(RuntimeError, match="residual"):
+            solve_spd(mat.copy(), rhs, tol=1e-10)
 
 
 def test_indefinite_operator_raises():
-    mat = np.diag([1.0, -1.0, 2.0])
-    with pytest.raises(RuntimeError):
-        solve_spd(mat, np.array([1.0, 1.0, 1.0]))
+    # the direct solve does not notice an indefinite operator, so assembly
+    # must refuse a coefficient that is not positive definite: a11 < 0 ...
+    def neg_a11(x):
+        out = np.zeros(np.asarray(x).shape[:-1] + (2, 2))
+        out[..., 0, 0] = -1.0
+        out[..., 1, 1] = 3.0
+        return out
+
+    # ... or a11 > 0 with a negative determinant
+    def neg_det(x):
+        out = np.ones(np.asarray(x).shape[:-1] + (2, 2))
+        out[..., 0, 1] = out[..., 1, 0] = 2.0
+        return out
+
+    dom = build_domain(disk_shape(1.0), 17)
+    for fn in (neg_a11, neg_det):
+        with pytest.raises(ValueError, match="positive definite"):
+            assemble_operator(user_field("indefinite", fn, lam=1.0, lam_upper=3.0), dom)
 
 
-def test_warm_start_exact_guess():
+def test_warm_start_exact_guess(monkeypatch):
+    # a second solve on the same matrix reuses its factorization
     n = 30
     mat = sparse.diags([np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0)],
                        [-1, 0, 1], format="csr")
+    calls = []
+    real_splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", lambda m: calls.append(1) or real_splu(m))
     want = np.sin(np.arange(n))
-    rhs = mat @ want
-    x, rep = solve_spd(mat, rhs, x0=want)
-    assert rep.converged and rep.iterations == 0
-    assert np.allclose(x, want)
+    x, rep = solve_spd(mat, mat @ want)
+    x2, rep2 = solve_spd(mat, mat @ (2.0 * want))
+    assert len(calls) == 1
+    assert rep.converged and rep2.converged
+    assert np.allclose(x, want) and np.allclose(x2, 2.0 * want)
+    solve_spd(mat.copy(), mat @ want)   # a new matrix gets its own
+    assert len(calls) == 2
 
 
 def test_cg_n_step_termination():
-    # exact arithmetic terminates in n steps; allow slack for roundoff
+    # dense SPD matrix: the direct solve agrees with dense elimination
     n = 40
     rng = np.random.default_rng(9)
     a = rng.standard_normal((n, n))
     mat = a @ a.T + n * np.eye(n)
     rhs = rng.standard_normal(n)
-    _, rep = solve_spd(mat, rhs, tol=1e-9)
-    assert rep.converged and rep.iterations <= 5 * n
+    x, rep = solve_spd(mat, rhs, tol=1e-9)
+    assert rep.converged and rep.iterations == 0
+    assert np.allclose(x, np.linalg.solve(mat, rhs), rtol=1e-10, atol=1e-12)

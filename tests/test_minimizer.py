@@ -12,6 +12,7 @@ from anisoplate import (
     default_schedule,
     disk_shape,
     harmonic_extension,
+    linsolve,
     make_field,
     minimize,
     rect_shape,
@@ -25,6 +26,7 @@ from anisoplate import (
 from anisoplate.grid import ScalarField, assemble_operator
 from anisoplate.minimizer import (
     MinimizerState,
+    _precond_solve,
     hessian_min_eig,
     smoothed_heaviside,
     smoothed_heaviside_prime,
@@ -209,6 +211,30 @@ def test_harmonic_extension_maximum_principle(dom65, iso, op65):
     inner = u.values[dom65.mask == 2]
     assert inner.min() >= 0.5 - 1e-10
     assert inner.max() <= 1.5 + 1e-10
+
+
+def test_descent_solve_above_bound_raises(monkeypatch, iso):
+    # factors whose solution is scaled by 1 + s leave relative residual s
+    # exactly: above the 1e-8 bound the descent solve raises, below it passes
+    real_splu = linsolve.splu
+
+    def scaled_splu(s):
+        class Scaled:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return (1.0 + s) * self.lu.solve(b)
+
+        return lambda m: Scaled(real_splu(m))
+
+    dom = build_domain(disk_shape(1.0), 33)
+    rhs = np.ones(dom.n_interior)
+    monkeypatch.setattr(linsolve, "splu", scaled_splu(1e-7))
+    with pytest.raises(RuntimeError, match="residual 1.000e-07"):
+        _precond_solve(assemble_operator(iso, dom), rhs)
+    monkeypatch.setattr(linsolve, "splu", scaled_splu(1e-9))
+    _precond_solve(assemble_operator(iso, dom), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,16 @@ import os
 import numpy as np
 import pytest
 
+from anisoplate import (
+    assemble_operator,
+    build_domain,
+    disk_shape,
+    greens_column_L,
+    greens_column_L2,
+    linsolve,
+    make_field,
+    minimize,
+)
 from anisoplate.runner import (
     ConfigError,
     RunConfig,
@@ -261,6 +271,29 @@ def test_deterministic_report():
     a.pop("timestamp")
     b.pop("timestamp")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_builtin_run_factorizes_once(tmp_path, monkeypatch):
+    # every solve of a run goes through the one operator's sparse LU
+    calls = []
+    real_splu = linsolve.splu
+    monkeypatch.setattr(linsolve, "splu", lambda m: calls.append(m) or real_splu(m))
+    cfg = load_config(_write(tmp_path, "a.ini", _cfg_text("iso_disk_small_c")),
+                      out_dir=str(tmp_path / "out"))
+    assert len(cfg.checks) == 5
+    assert run(cfg) == 0
+    assert len(calls) == 1
+    # the Dirichlet solve, the minimizer and both column kinds on one
+    # operator share its factorization
+    calls.clear()
+    dom = build_domain(disk_shape(1.0), 33)
+    fld = make_field("identity")
+    op = assemble_operator(fld, dom)
+    op.solve_dirichlet(np.ones(dom.n_interior), np.zeros(dom.n_boundary))
+    minimize(dom, fld, 0.05, op=op)
+    greens_column_L(op, fld, dom.center_ij)
+    greens_column_L2(op, fld, dom.center_ij)
+    assert len(calls) == 1 and calls[0] is op.matrix
 
 
 # ---------------------------------------------------------------------------
