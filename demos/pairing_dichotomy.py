@@ -24,7 +24,7 @@ def main():
     col = greens_column_L2(op, fld, dom.center_ij)
 
     for pairing in ("inverse", "trace_identity"):
-        rep = frehse_residual(col, fld, pairing=pairing)
+        rep = frehse_residual(col, pairing=pairing)
         order = np.argsort(rep.radii)[::-1]
         print("pairing = %s" % pairing)
         print("  annulus   sup singular   sup remainder   ratio")

@@ -125,8 +125,7 @@ def greens_column_L2(op, coeff, source_ij):
 def _psi_grid(col):
     """Anisotropic squared distance to the source at every node."""
     d = col.domain
-    gx, gy = np.meshgrid(d.xs, d.ys, indexing="ij")
-    pts = np.stack([gx, gy], axis=-1)
+    pts = np.stack([d.X, d.Y], axis=-1)
     z = pts - col.source_xy
     s = invert_spd2(col.coeff.matrix(pts))
     return np.einsum("...i,...ij,...j->...", z, s, z)
@@ -273,9 +272,11 @@ def _spectral_norm_sym2(mats):
     return np.maximum(np.abs(half_tr + root), np.abs(half_tr - root))
 
 
-def frehse_residual(col_l2, coeff, pairing="inverse"):
+def frehse_residual(col_l2, *, pairing="inverse"):
     """Split the Hessian of a fourth-order column into the scalar log
-    singularity times a matrix, plus a remainder, on dyadic annuli.
+    singularity times a matrix, plus a remainder, on dyadic annuli.  The
+    operator and the pairing matrix both come from the column's own
+    coefficient field, col_l2.coeff.
 
     pairing = "inverse" uses A(y)^-1 (the structural claim being tested);
     pairing = "trace_identity" uses the trace-matched multiple of the
@@ -288,6 +289,7 @@ def frehse_residual(col_l2, coeff, pairing="inverse"):
         raise ValueError("grid too coarse for annulus metrics: h = %g > 1/64" % d.h)
 
     from .grid import assemble_operator
+    coeff = col_l2.coeff
     op = assemble_operator(coeff, d)
     div_flux = -op.apply_field(col_l2.values)       # div(A grad G) = -L G
     div_grid = np.zeros_like(col_l2.values.values)
@@ -296,9 +298,7 @@ def frehse_residual(col_l2, coeff, pairing="inverse"):
 
     hess = grid_hessian(d, col_l2.values.values)
 
-    gx, gy = np.meshgrid(d.xs, d.ys, indexing="ij")
-    pts = np.stack([gx, gy], axis=-1)
-    s = invert_spd2(coeff.matrix(pts))
+    s = invert_spd2(coeff.matrix(np.stack([d.X, d.Y], axis=-1)))
     if pairing == "inverse":
         pair_mat = s
     elif pairing == "trace_identity":

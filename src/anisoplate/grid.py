@@ -10,6 +10,7 @@ factored once per operator, and the fourth-order solve is two nested
 second-order solves."""
 
 from dataclasses import dataclass
+from functools import cached_property
 import math
 
 import numpy as np
@@ -143,19 +144,25 @@ class DiscreteDomain:
         c = (self.resolution + 1) // 2
         return c, c
 
-    @property
+    @cached_property
     def X(self):
-        """Node x-coordinates on the full grid, ij indexing."""
-        return np.meshgrid(self.xs, self.ys, indexing="ij")[0]
+        """Node x-coordinates on the full grid, ij indexing; built once and
+        read-only, so no caller can change the cache in place."""
+        return _read_only(np.meshgrid(self.xs, self.ys, indexing="ij")[0])
 
-    @property
+    @cached_property
     def Y(self):
-        """Node y-coordinates on the full grid, ij indexing."""
-        return np.meshgrid(self.xs, self.ys, indexing="ij")[1]
+        """Node y-coordinates on the full grid, ij indexing; read-only."""
+        return _read_only(np.meshgrid(self.xs, self.ys, indexing="ij")[1])
 
     def interior_area(self):
         """Cell-counting area of the strictly-inside node set."""
         return self.n_interior * self.h ** 2
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
 
 
 def build_domain(shape, resolution):
@@ -265,18 +272,31 @@ class ScalarField:
     def copy(self):
         return ScalarField(self.domain, self.values.copy())
 
-    def csv_rows(self):
-        """(x, y, value) rows over non-exterior nodes, row-major in x then y."""
+    def write_csv(self, path, column="value"):
+        """CSV x,y,<column> over non-exterior nodes, row-major in x then y."""
         d = self.domain
-        keep = np.argwhere(d.mask != EXTERIOR)
-        for i, j in keep:
-            yield d.xs[i], d.ys[j], self.values[i, j]
+        i, j = np.nonzero(d.mask != EXTERIOR)
+        write_table(path, "x,y," + column, "%.17g,%.17g,%.17g",
+                    (d.xs[i], d.ys[j], self.values[i, j]))
 
-    def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("x,y,value\n")
-            for x, y, v in self.csv_rows():
-                fh.write("%.17g,%.17g,%.17g\n" % (x, y, v))
+
+def write_table(path, header, row_format, columns):
+    """Write a CSV: the header line, then one row_format line per row.
+
+    columns are equal-length sequences (arrays are taken as .tolist(), so
+    numpy scalars format exactly as Python's).  The whole table is
+    formatted at once: row_format repeated n times, % the columns
+    interleaved row by row into one flat tuple.  No columns, or empty
+    ones, give the header alone."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
+            for c in columns]
+    n = len(cols[0]) if cols else 0
+    flat = [None] * (n * len(cols))
+    for k, c in enumerate(cols):
+        flat[k::len(cols)] = c
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.write((row_format + "\n") * n % tuple(flat))
 
 
 def central_gradient(domain, values):

@@ -16,10 +16,8 @@ _default_tol = 1e-10
 
 @dataclass
 class SolveReport:
-    converged: bool
     iterations: int         # always 0: a direct solve
     final_residual: float   # relative, 2-norm
-    tol: float
 
 
 def splu(matrix):
@@ -58,10 +56,10 @@ def solve_spd(matrix, rhs, tol=_default_tol):
     rhs = np.asarray(rhs, dtype=float)
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
-        return np.zeros(rhs.shape[0]), SolveReport(True, 0, 0.0, tol)
+        return np.zeros(rhs.shape[0]), SolveReport(0, 0.0)
     x = _factors(matrix).solve(rhs)
     res = float(np.linalg.norm(matrix @ x - rhs)) / bnorm
     if not res <= tol:   # false for NaN as well
         raise RuntimeError("sparse LU solve left relative residual %.3e above %.1e"
                            % (res, tol))
-    return x, SolveReport(True, 0, res, tol)
+    return x, SolveReport(0, res)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .grid import ScalarField, assemble_operator
+from .grid import ScalarField, assemble_operator, write_table
 from .linsolve import solve_spd
 
 _minimizer_solve_tol = 1e-8
@@ -481,7 +481,5 @@ def strip_measure_ratio(state, eps_probe):
 
 def write_history(state, path):
     """Per-iteration CSV: stage,iter,E_eps,E_sharp,max_Lu."""
-    with open(path, "w") as f:
-        f.write("stage,iter,E_eps,E_sharp,max_Lu\n")
-        for stage, it, e_eps, e_sharp, max_lu in state.history:
-            f.write("%d,%d,%.17g,%.17g,%.17g\n" % (stage, it, e_eps, e_sharp, max_lu))
+    write_table(path, "stage,iter,E_eps,E_sharp,max_Lu",
+                "%d,%d,%.17g,%.17g,%.17g", list(zip(*state.history)))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import ScalarField
+from .grid import ScalarField, write_table
 
 _degenerate_grad = 1e-8
 _zero_reltol = 1e-8
@@ -60,13 +60,6 @@ class NodalSet:
         if not self.loops:
             return float("inf")
         return min(float(lp.grad_mag.min()) for lp in self.loops)
-
-    def iter_segments(self):
-        """Yield (p0, p1) over all closed polylines."""
-        for lp in self.loops:
-            pts = lp.vertices
-            for k in range(len(pts)):
-                yield pts[k], pts[(k + 1) % len(pts)]
 
 
 @dataclass(frozen=True)
@@ -219,21 +212,23 @@ def extract_nodal(u_field):
 def measure_density(u_field, nodal):
     """Quadrature of the stationarity measure: weight len/(2|grad u|) at
     each segment midpoint."""
+    if not nodal.loops:
+        return MeasureDensity(np.zeros((0, 2)), np.zeros(0))
     d = u_field.domain
     gx, gy = _grid_gradient(d, u_field.values)
-    mids = []
-    wts = []
-    for p0, p1 in nodal.iter_segments():
-        mid = 0.5 * (p0 + p1)
-        g = float(np.hypot(bilinear_sample(d, gx, mid)[0],
-                           bilinear_sample(d, gy, mid)[0]))
-        if g < _degenerate_grad:
-            raise RuntimeError("degenerate gradient %g on the zero set" % g)
-        mids.append(mid)
-        wts.append(float(np.linalg.norm(p1 - p0)) / (2.0 * g))
-    if not mids:
-        return MeasureDensity(np.zeros((0, 2)), np.zeros(0))
-    return MeasureDensity(np.asarray(mids), np.asarray(wts))
+    # segment k of a loop runs from vertex k to vertex k+1, wrapping round
+    p0 = np.concatenate([lp.vertices for lp in nodal.loops])
+    p1 = np.concatenate([np.roll(lp.vertices, -1, axis=0) for lp in nodal.loops])
+    mids = 0.5 * (p0 + p1)
+    g = np.hypot(bilinear_sample(d, gx, mids), bilinear_sample(d, gy, mids))
+    bad = np.flatnonzero(g < _degenerate_grad)
+    if bad.size:
+        raise RuntimeError("degenerate gradient %g on the zero set" % g[bad[0]])
+    # sqrt of each segment's own dot product: bit-identical to a
+    # per-segment np.linalg.norm, which norm(axis=1) and hypot are not
+    seg = p1 - p0
+    length = np.sqrt((seg[:, None, :] @ seg[:, :, None])[:, 0, 0])
+    return MeasureDensity(mids, length / (2.0 * g))
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +416,9 @@ def _radial_ring(center, halfwidth):
 
 def write_nodal_csv(nodal, path):
     """Dump loops as rows component,vertex_index,x,y,grad_mag."""
-    with open(path, "w") as f:
-        f.write("component,vertex_index,x,y,grad_mag\n")
-        for lp in nodal.loops:
-            for k, ((x, y), g) in enumerate(zip(lp.vertices, lp.grad_mag)):
-                f.write("%d,%d,%.17g,%.17g,%.17g\n" % (lp.component, k, x, y, g))
+    blocks = [(np.full(len(lp.vertices), lp.component),
+               np.arange(len(lp.vertices)), lp.vertices[:, 0],
+               lp.vertices[:, 1], lp.grad_mag) for lp in nodal.loops]
+    write_table(path, "component,vertex_index,x,y,grad_mag",
+                "%d,%d,%.17g,%.17g,%.17g",
+                [np.concatenate(c) for c in zip(*blocks)])

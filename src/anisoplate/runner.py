@@ -58,7 +58,7 @@ from .greens import (
     singular_split,
     third_diff_sup,
 )
-from .grid import assemble_operator, build_domain, parse_shape
+from .grid import assemble_operator, build_domain, parse_shape, write_table
 from .minimizer import (
     EnergyConfig,
     _measure_weights,
@@ -340,26 +340,6 @@ def _validate_specs(cfg):
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
-
-
-def _write_field_csv(path, domain, values, column):
-    sel = np.argwhere(domain.mask >= 1)
-    with open(path, "w") as f:
-        f.write("x,y,%s\n" % column)
-        for i, j in sel:
-            f.write("%.17g,%.17g,%.17g\n"
-                    % (domain.xs[i], domain.ys[j], values[i, j]))
-
-
-def _write_density_csv(path, density):
-    with open(path, "w") as f:
-        f.write("x,y,weight\n")
-        for (x, y), w in zip(density.vertices, density.weights):
-            f.write("%.17g,%.17g,%.17g\n" % (x, y, w))
-
-
-# ---------------------------------------------------------------------------
 # individual checks
 
 
@@ -431,14 +411,10 @@ def _check_greens(ctx, sec):
     sec["pass"] = bool(sym <= _symmetry_bound and min_gl >= _min_gl_bound)
     if ctx["write"]:
         fdir = ctx["fields_dir"]
-        _write_field_csv(os.path.join(fdir, "greens_L.csv"), dom,
-                         cols[0].values.values, "G")
-        _write_field_csv(os.path.join(fdir, "greens_L2.csv"), dom,
-                         col_l2.values.values, "G")
-        _write_field_csv(os.path.join(fdir, "split_f1.csv"), dom,
-                         f1.values, "f1")
-        _write_field_csv(os.path.join(fdir, "split_f2.csv"), dom,
-                         f2.values, "f2")
+        cols[0].values.write_csv(os.path.join(fdir, "greens_L.csv"), "G")
+        col_l2.values.write_csv(os.path.join(fdir, "greens_L2.csv"), "G")
+        f1.write_csv(os.path.join(fdir, "split_f1.csv"), "f1")
+        f2.write_csv(os.path.join(fdir, "split_f2.csv"), "f2")
 
 
 def _check_frehse(ctx, sec):
@@ -449,7 +425,7 @@ def _check_frehse(ctx, sec):
                        % ctx["domain"].h)
         return
     col_l2 = _center_column_l2(ctx)
-    rep = frehse_residual(col_l2, ctx["field"])
+    rep = frehse_residual(col_l2)
     ratios = rep.ratios()
     sec.update(
         radii=[float(r) for r in rep.radii],
@@ -526,10 +502,8 @@ def _check_minimize(ctx, sec):
     sec["pass"] = bool(ok)
     if ctx["write"]:
         fdir = ctx["fields_dir"]
-        _write_field_csv(os.path.join(fdir, "u.csv"), dom,
-                         state.u.values, "u")
-        _write_field_csv(os.path.join(fdir, "Lu.csv"), dom,
-                         state.v.values, "Lu")
+        state.u.write_csv(os.path.join(fdir, "u.csv"), "u")
+        state.v.write_csv(os.path.join(fdir, "Lu.csv"), "Lu")
         write_history(state, os.path.join(ctx["out_dir"], "history.csv"))
 
 
@@ -562,8 +536,11 @@ def _check_nodal(ctx, sec):
         ndir = ctx["nodal_dir"]
         write_nodal_csv(nod, os.path.join(ndir, "loops.csv"))
         if nonempty:
-            _write_density_csv(os.path.join(ndir, "density.csv"),
-                               ctx["density"])
+            dens = ctx["density"]
+            write_table(os.path.join(ndir, "density.csv"), "x,y,weight",
+                        "%.17g,%.17g,%.17g",
+                        (dens.vertices[:, 0], dens.vertices[:, 1],
+                         dens.weights))
 
 
 def _auto_centers(dom, nodal, count=_bank_size):
@@ -853,11 +830,9 @@ def convergence_study(config, levels):
                                  "ratio_" + key, met[key] / prev))
 
     os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "convergence.csv")
-    with open(path, "w") as f:
-        f.write("level,resolution,h,metric,value\n")
-        for lvl, res, h, key, val in rows:
-            f.write("%d,%d,%.17g,%s,%.17g\n" % (lvl, res, h, key, val))
+    write_table(os.path.join(config.out_dir, "convergence.csv"),
+                "level,resolution,h,metric,value", "%d,%d,%.17g,%s,%.17g",
+                list(zip(*rows)))
     return 1 if failures else 0
 
 

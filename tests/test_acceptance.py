@@ -199,8 +199,8 @@ def test_criterion_03_first_order_column_structure(criterion_report, iso, disk12
 # 4: isotropic annulus oracle for the Hessian split
 
 
-def test_criterion_04_isotropic_annulus_oracle(criterion_report, iso, colL2_257):
-    rep = frehse_residual(colL2_257, iso, pairing="inverse")
+def test_criterion_04_isotropic_annulus_oracle(criterion_report, colL2_257):
+    rep = frehse_residual(colL2_257, pairing="inverse")
     radii = np.asarray(rep.radii)
     order = np.argsort(radii)[::-1]          # coarse -> fine
     r_sorted = radii[order]
@@ -228,10 +228,10 @@ def test_criterion_04_isotropic_annulus_oracle(criterion_report, iso, colL2_257)
 # 5: pairing dichotomy for anisotropic fields
 
 
-def _annulus_ratio_pair(col, fld):
+def _annulus_ratio_pair(col):
     out = []
     for pairing in ("inverse", "trace_identity"):
-        rep = frehse_residual(col, fld, pairing=pairing)
+        rep = frehse_residual(col, pairing=pairing)
         radii = np.asarray(rep.radii)
         rr = np.asarray(rep.sup_remainder) / np.asarray(rep.sup_singular)
         out.append(float(rr[int(np.argmin(radii))] / rr[int(np.argmax(radii))]))
@@ -246,7 +246,7 @@ def test_criterion_05_anisotropic_dichotomy(criterion_report):
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
     results["diag(2,1)"] = _annulus_ratio_pair(
-        greens_column_L2(op, fld, dom.center_ij), fld)
+        greens_column_L2(op, fld, dom.center_ij))
 
     # the polynomial field is isotropic at the origin, so the source sits
     # where the coefficient is genuinely anisotropic; the radius-2 disk
@@ -255,7 +255,7 @@ def test_criterion_05_anisotropic_dichotomy(criterion_report):
     fld = make_field("poly(1)", box=2.1)
     op = assemble_operator(fld, dom)
     results["poly(1)"] = _annulus_ratio_pair(
-        greens_column_L2(op, fld, node_near(dom, 1.0, 0.0)), fld)
+        greens_column_L2(op, fld, node_near(dom, 1.0, 0.0)))
 
     elapsed = time.perf_counter() - t0
     ok = (all(inv <= 0.5 and ctrl > 0.5 for inv, ctrl in results.values())

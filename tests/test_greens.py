@@ -326,9 +326,8 @@ def test_split_refinement_keeps_regular_parts_tame(
 # Hessian splitting on annuli
 
 
-def test_remainder_annulus_band_and_growth_rates(iso257, center_col_L2_fine):
-    fld, _ = iso257
-    rep = frehse_residual(center_col_L2_fine, fld, pairing="inverse")
+def test_remainder_annulus_band_and_growth_rates(center_col_L2_fine):
+    rep = frehse_residual(center_col_L2_fine, pairing="inverse")
     radii = np.asarray(rep.radii)
     assert np.all(np.isfinite(rep.sup_remainder))
     assert np.all(np.isfinite(rep.sup_singular))
@@ -351,10 +350,10 @@ def test_remainder_annulus_band_and_growth_rates(iso257, center_col_L2_fine):
 
 
 def test_inverse_pairing_beats_trace_identity_control(disk257, diag257_col_L2):
-    fld, col = diag257_col_L2
+    _, col = diag257_col_L2
     ratios = {}
     for pairing in ("inverse", "trace_identity"):
-        rep = frehse_residual(col, fld, pairing=pairing)
+        rep = frehse_residual(col, pairing=pairing)
         radii = np.asarray(rep.radii)
         rr = np.asarray(rep.sup_remainder) / np.asarray(rep.sup_singular)
         ratios[pairing] = rr[int(np.argmin(radii))] / rr[int(np.argmax(radii))]
@@ -365,14 +364,21 @@ def test_inverse_pairing_beats_trace_identity_control(disk257, diag257_col_L2):
 def test_hessian_split_input_validation(disk129, center_col_L, center_col_L2, diag257_col_L2):
     fld = make_field("identity")
     with pytest.raises(ValueError):
-        frehse_residual(center_col_L, fld)            # wrong kind
+        frehse_residual(center_col_L)                 # wrong kind
     with pytest.raises(ValueError):
-        frehse_residual(center_col_L2, fld, pairing="transpose")
+        frehse_residual(center_col_L2, pairing="transpose")
     coarse = build_domain(disk_shape(1.0), 65)        # h = 1/32 too coarse
     op = assemble_operator(fld, coarse)
     col = greens_column_L2(op, fld, coarse.center_ij)
     with pytest.raises(ValueError):
-        frehse_residual(col, fld)
+        frehse_residual(col)
+
+
+def test_frehse_takes_operator_from_column(center_col_L2):
+    # the field is col.coeff; a second field can no longer be passed in and
+    # silently mixed with the column's own operator
+    with pytest.raises(TypeError):
+        frehse_residual(center_col_L2, make_field("diag(2,1)"))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from anisoplate.grid import (
     disk_shape,
     parse_shape,
     rect_shape,
+    write_table,
 )
 
 
@@ -112,6 +113,82 @@ def test_scalar_field_csv_roundtrip(tmp_path):
     assert len(lines) - 1 == int((d.mask != EXTERIOR).sum())
     arr = np.loadtxt(p, delimiter=",", skiprows=1)
     assert np.allclose(arr[:, 2], arr[:, 0] + 2 * arr[:, 1], atol=1e-14)
+
+
+def test_domain_coordinates_cached_read_only():
+    d = build_domain(disk_shape(1.0), 33)
+    gx, gy = np.meshgrid(d.xs, d.ys, indexing="ij")
+    assert d.X is d.X and d.Y is d.Y
+    assert np.array_equal(d.X, gx) and np.array_equal(d.Y, gy)
+    for arr in (d.X, d.Y):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def _per_row_reference(header, row_format, columns):
+    # the row-by-row writer that write_table replaced, kept as an oracle
+    lines = [header + "\n"]
+    for row in zip(*columns):
+        lines.append((row_format + "\n") % row)
+    return "".join(lines)
+
+
+_special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308,
+                     -1e308, 2.2250738585072014e-308, 0.1, 1.0 / 3.0,
+                     -7.0, 1e16, 123456789.0, 2.0 ** 53 + 2.0])
+
+
+@pytest.mark.parametrize("header,row_format,columns", [
+    ("x,y,value", "%.17g,%.17g,%.17g",
+     (_special, _special[::-1].copy(), np.roll(_special, 3))),
+    ("a,b", "%.17g,%.17g",
+     (np.arange(-5.0, 6.0), np.array([1e3 * k for k in range(11)]))),
+    ("component,vertex_index,x,y,grad_mag", "%d,%d,%.17g,%.17g,%.17g",
+     (np.full(4, 3, dtype=np.int64), np.arange(4, dtype=np.int32),
+      _special[:4], _special[4:8], _special[8:12])),
+    ("level,resolution,h,metric,value", "%d,%d,%.17g,%s,%.17g",
+     ((0, 1), (33, 65), (0.0625, 0.03125), ("min_GL", "ratio_min_GL"),
+      (np.float64(0.25), 1.0 / 3.0))),
+], ids=["special_floats", "integer_valued", "int_columns", "str_column"])
+def test_write_table_matches_per_row_format(tmp_path, header, row_format,
+                                            columns):
+    p = tmp_path / "t.csv"
+    write_table(p, header, row_format, columns)
+    want = _per_row_reference(header, row_format, columns)
+    assert p.read_bytes() == want.encode()
+    assert p.read_text().count("\n") == len(columns[0]) + 1
+
+
+def test_write_table_empty_is_header_only(tmp_path):
+    p = tmp_path / "t.csv"
+    write_table(p, "x,y,weight", "%.17g,%.17g,%.17g",
+                (np.zeros(0), np.zeros(0), np.zeros(0)))
+    assert p.read_bytes() == b"x,y,weight\n"
+    write_table(p, "stage,iter", "%d,%d", [])
+    assert p.read_bytes() == b"stage,iter\n"
+
+
+def test_write_table_rejects_ragged_columns(tmp_path):
+    with pytest.raises(ValueError):
+        write_table(tmp_path / "t.csv", "a,b", "%.17g,%.17g",
+                    (np.zeros(3), np.zeros(2)))
+
+
+def test_scalar_field_write_csv_masked_disk(tmp_path):
+    d = build_domain(disk_shape(1.0), 33)
+    f = ScalarField.from_function(d, lambda x, y: np.exp(x) * np.sin(3 * y))
+    f.values[d.center_ij] = -0.0
+    p = tmp_path / "u.csv"
+    f.write_csv(p, "u")
+    lines = ["x,y,u\n"]
+    for i in range(d.mask.shape[0]):
+        for j in range(d.mask.shape[1]):
+            if d.mask[i, j] >= 1:
+                lines.append("%.17g,%.17g,%.17g\n"
+                             % (d.xs[i], d.ys[j], f.values[i, j]))
+    assert p.read_bytes() == "".join(lines).encode()
+    # exterior nodes are left out: the disk does not fill its box
+    assert 1 < len(lines) - 1 < d.mask.size
 
 
 def test_central_gradient_exact_for_linear():

@@ -158,6 +158,26 @@ def test_min_grad_positive(nodal129):
 # measure quadrature
 
 
+def _per_segment_density(u_field, nodal):
+    # the per-segment loop that measure_density replaced, kept as an oracle;
+    # returns the midpoints, weights and gradients in segment order
+    d = u_field.domain
+    gx = np.gradient(u_field.values, d.h, axis=0, edge_order=1)
+    gy = np.gradient(u_field.values, d.h, axis=1, edge_order=1)
+    mids, wts, grads = [], [], []
+    for lp in nodal.loops:
+        pts = lp.vertices
+        for k in range(len(pts)):
+            p0, p1 = pts[k], pts[(k + 1) % len(pts)]
+            mid = 0.5 * (p0 + p1)
+            g = float(np.hypot(bilinear_sample(d, gx, mid)[0],
+                               bilinear_sample(d, gy, mid)[0]))
+            mids.append(mid)
+            grads.append(g)
+            wts.append(float(np.linalg.norm(p1 - p0)) / (2.0 * g))
+    return np.asarray(mids), np.asarray(wts), grads
+
+
 def test_measure_density_circle():
     dom, u = _circle_field(129)
     nod = extract_nodal(u)
@@ -173,8 +193,21 @@ def test_degenerate_gradient_guard():
     u = ScalarField(dom)
     u.values = 1e-12 * (dom.X ** 2 + dom.Y ** 2 - 0.25)
     nod = extract_nodal(u)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError) as err:
         measure_density(u, nod)
+    # the first offending segment is the one reported
+    first = _per_segment_density(u, nod)[2][0]
+    assert str(err.value) == "degenerate gradient %g on the zero set" % first
+
+
+def test_measure_density_matches_per_segment_loop(small129, nodal129):
+    circle = _circle_field(129)[1]
+    for u, nod in ((small129.u, nodal129), (circle, extract_nodal(circle))):
+        dens = measure_density(u, nod)
+        mids, wts, _ = _per_segment_density(u, nod)
+        assert len(wts) > 100
+        assert np.array_equal(dens.vertices, mids)
+        assert dens.weights.tobytes() == wts.tobytes()
 
 
 def test_strip_ratio_matches_curve_quadrature(small129, nodal129):
