@@ -27,7 +27,7 @@ def main():
     op = assemble_operator(fld, dom)
     print("unit disk, resolution %d (h = %g)" % (res, dom.h))
 
-    col = greens_column_L(op, fld, dom.center_ij)
+    col = greens_column_L(op, dom.center_ij)
     r = np.hypot(dom.X - col.source_xy[0], dom.Y - col.source_xy[1])
     band = (dom.mask == 2) & (r >= 0.2) & (r <= 0.5)
     design = np.vstack([-np.log(r[band]), np.ones(band.sum())]).T
@@ -42,7 +42,7 @@ def main():
     print("gradient sups: raw %.3f vs kernel-subtracted %.3f (x%.1f smaller)"
           % (raw_sup, tame_sup, raw_sup / tame_sup))
 
-    col4 = greens_column_L2(op, fld, dom.center_ij)
+    col4 = greens_column_L2(op, dom.center_ij)
     f2 = singular_split(col4, consts)
     print("fourth-order column: third-difference sup of the regular part "
           "%.3f" % third_diff_sup(col4, f2))

@@ -9,8 +9,8 @@
 
 import numpy as np
 
-from anisoplate import (build_domain, disk_shape, extract_nodal, make_field,
-                        measure_density, minimize)
+from anisoplate import (assemble_operator, build_domain, disk_shape,
+                        extract_nodal, make_field, measure_density, minimize)
 from anisoplate.minimizer import supersolution_check
 
 RES = 129
@@ -20,7 +20,7 @@ TRACE = 0.05
 def main():
     fld = make_field("identity")
     dom = build_domain(disk_shape(1.0), RES)
-    state = minimize(dom, fld, TRACE)
+    state = minimize(assemble_operator(fld, dom), TRACE)
 
     stages = sorted({row[0] for row in state.history})
     print("continuation ran %d stages, final width %.2e, converged %s"

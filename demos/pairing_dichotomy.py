@@ -21,7 +21,7 @@ def main():
     fld = make_field("diag(2,1)")
     dom = build_domain(disk_shape(1.0), 257)
     op = assemble_operator(fld, dom)
-    col = greens_column_L2(op, fld, dom.center_ij)
+    col = greens_column_L2(op, dom.center_ij)
 
     for pairing in ("inverse", "trace_identity"):
         rep = frehse_residual(col, pairing=pairing)

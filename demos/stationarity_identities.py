@@ -22,7 +22,7 @@ def main():
     fld = make_field("identity")
     dom = build_domain(disk_shape(1.0), RES)
     op = assemble_operator(fld, dom)
-    state = minimize(dom, fld, 0.05, op=op)
+    state = minimize(op, 0.05)
     nod = extract_nodal(state.u)
     print("resolution %d, zero curve length %.4f" % (RES, nod.length))
 

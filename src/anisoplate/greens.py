@@ -11,13 +11,13 @@ share the sparse LU factorization kept on its matrix; every column solve
 checks its true residual.  The report builders only read the columns.
 """
 
-from dataclasses import dataclass, field as dataclass_field
-import math
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .anisotropy import invert_spd2
-from .grid import EXTERIOR, ScalarField
+from .grid import EXTERIOR, ScalarField, central_gradient
 from .linsolve import solve_spd
 
 FIRST_ORDER = "first_order"
@@ -41,15 +41,35 @@ _metric_margin_cells = 2
 
 @dataclass(frozen=True)
 class GreensColumn:
-    """One Green's function column with its source bookkeeping."""
+    """One Green's function column with its source bookkeeping; its domain
+    and coefficient field are those of the operator it was solved on."""
 
     kind: str
-    domain: object
-    coeff: object
+    op: object
     source_ij: tuple
     source_xy: np.ndarray
     values: ScalarField
     intermediate: ScalarField = None
+
+    @property
+    def domain(self):
+        return self.op.domain
+
+    @property
+    def coeff(self):
+        return self.op.field
+
+    @cached_property
+    def psi(self):
+        """Anisotropic squared distance to the source at every node; built
+        once and read-only."""
+        d = self.domain
+        pts = np.stack([d.X, d.Y], axis=-1)
+        z = pts - self.source_xy
+        s = invert_spd2(self.coeff.matrix(pts))
+        psi = np.einsum("...i,...ij,...j->...", z, s, z)
+        psi.flags.writeable = False
+        return psi
 
 
 @dataclass(frozen=True)
@@ -96,7 +116,7 @@ def _as_field(domain, interior_vec):
     return ScalarField(domain).replace_interior(interior_vec)
 
 
-def greens_column_L(op, coeff, source_ij):
+def greens_column_L(op, source_ij):
     """Column of the second-order Green's function, zero Dirichlet trace."""
     d = op.domain
     g, _ = solve_spd(op.matrix, _delta_rhs(d, tuple(source_ij)), _column_accept)
@@ -104,31 +124,22 @@ def greens_column_L(op, coeff, source_ij):
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
     src = np.array([d.xs[source_ij[0]], d.ys[source_ij[1]]])
-    return GreensColumn(FIRST_ORDER, d, coeff, tuple(source_ij), src, _as_field(d, g))
+    return GreensColumn(FIRST_ORDER, op, tuple(source_ij), src, _as_field(d, g))
 
 
-def greens_column_L2(op, coeff, source_ij):
+def greens_column_L2(op, source_ij):
     """Column of the fourth-order Green's function with both traces zero;
     keeps the intermediate second-order column."""
     d = op.domain
     w, _ = solve_spd(op.matrix, _delta_rhs(d, tuple(source_ij)), _column_accept)
     g2, _ = solve_spd(op.matrix, w, _column_accept)
     src = np.array([d.xs[source_ij[0]], d.ys[source_ij[1]]])
-    return GreensColumn(BILAPLACIAN, d, coeff, tuple(source_ij), src,
+    return GreensColumn(BILAPLACIAN, op, tuple(source_ij), src,
                         _as_field(d, g2), intermediate=_as_field(d, w))
 
 
 # ---------------------------------------------------------------------------
 # logarithmic dissection
-
-
-def _psi_grid(col):
-    """Anisotropic squared distance to the source at every node."""
-    d = col.domain
-    pts = np.stack([d.X, d.Y], axis=-1)
-    z = pts - col.source_xy
-    s = invert_spd2(col.coeff.matrix(pts))
-    return np.einsum("...i,...ij,...j->...", z, s, z)
 
 
 def singular_split(col, consts):
@@ -140,7 +151,7 @@ def singular_split(col, consts):
     metric helpers exclude it by radius either way.
     """
     d = col.domain
-    psi = _psi_grid(col)
+    psi = col.psi.copy()
     si, sj = col.source_ij
     psi[si, sj] = 1.0   # placeholder; the true kernel value is excluded
     out = col.values.copy()
@@ -181,9 +192,8 @@ def metric_mask(col, r_min=None, r_max=None):
     source and the boundary, full difference footprint available."""
     d = col.domain
     h = d.h
-    gx, gy = np.meshgrid(d.xs, d.ys, indexing="ij")
-    r = np.hypot(gx - col.source_xy[0], gy - col.source_xy[1])
-    sd = d.shape.sdf(np.stack([gx, gy], axis=-1))
+    r = np.hypot(d.X - col.source_xy[0], d.Y - col.source_xy[1])
+    sd = d.shape.sdf(np.stack([d.X, d.Y], axis=-1))
     ok = (d.mask == 2) & (r > 2.0 * h) & (sd <= -2.0 * h)
     ok &= _footprint_ok(d, _metric_margin_cells)
     if r_min is not None:
@@ -216,11 +226,8 @@ def grid_third_diff(domain, values):
 
 def gradient_sup(col, fld, r_max=0.5):
     """Sup of the central-difference gradient over the admissible region."""
-    d = col.domain
     ok, _ = metric_mask(col, r_max=r_max)
-    g = np.zeros(fld.values.shape + (2,))
-    g[1:-1, :, 0] = (fld.values[2:, :] - fld.values[:-2, :]) / (2.0 * d.h)
-    g[:, 1:-1, 1] = (fld.values[:, 2:] - fld.values[:, :-2]) / (2.0 * d.h)
+    g = central_gradient(col.domain, fld.values)
     mag = np.hypot(g[..., 0], g[..., 1])
     return float(mag[ok].max())
 
@@ -275,8 +282,8 @@ def _spectral_norm_sym2(mats):
 def frehse_residual(col_l2, *, pairing="inverse"):
     """Split the Hessian of a fourth-order column into the scalar log
     singularity times a matrix, plus a remainder, on dyadic annuli.  The
-    operator and the pairing matrix both come from the column's own
-    coefficient field, col_l2.coeff.
+    operator applied is the column's own, col_l2.op, and the pairing matrix
+    comes from its coefficient field.
 
     pairing = "inverse" uses A(y)^-1 (the structural claim being tested);
     pairing = "trace_identity" uses the trace-matched multiple of the
@@ -288,17 +295,14 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     if d.h > 1.0 / 64.0 + 1e-12:
         raise ValueError("grid too coarse for annulus metrics: h = %g > 1/64" % d.h)
 
-    from .grid import assemble_operator
-    coeff = col_l2.coeff
-    op = assemble_operator(coeff, d)
-    div_flux = -op.apply_field(col_l2.values)       # div(A grad G) = -L G
+    div_flux = -col_l2.op.apply_field(col_l2.values)   # div(A grad G) = -L G
     div_grid = np.zeros_like(col_l2.values.values)
     ij = d.interior_ij
     div_grid[ij[:, 0], ij[:, 1]] = div_flux
 
     hess = grid_hessian(d, col_l2.values.values)
 
-    s = invert_spd2(coeff.matrix(np.stack([d.X, d.Y], axis=-1)))
+    s = invert_spd2(col_l2.coeff.matrix(np.stack([d.X, d.Y], axis=-1)))
     if pairing == "inverse":
         pair_mat = s
     elif pairing == "trace_identity":

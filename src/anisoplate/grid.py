@@ -6,8 +6,7 @@ nodes 8-adjacent to an interior node, carrying data at their exact
 projection onto the curve) or exterior.  The operator L u = -div(A grad u)
 is assembled in flux form on the interior nodes with a nine-point stencil
 and symmetrized; Dirichlet solves go through the sparse LU of linsolve,
-factored once per operator, and the fourth-order solve is two nested
-second-order solves."""
+factored once per operator."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -154,6 +153,18 @@ class DiscreteDomain:
     def Y(self):
         """Node y-coordinates on the full grid, ij indexing; read-only."""
         return _read_only(np.meshgrid(self.xs, self.ys, indexing="ij")[1])
+
+    @cached_property
+    def measure_weights(self):
+        """Cell-coverage weights (interior, boundary) for area sums: each
+        node's square cell counts by the (linearized) fraction of it lying
+        inside the shape, so a node exactly on the curve counts half and
+        rim cells taper off smoothly.  Exact for straight edges through
+        nodes; O(h^2) for smooth curves.  Built once and read-only."""
+        h = self.h
+        frac_i, frac_b = (np.clip(0.5 - self.shape.sdf(xy) / h, 0.0, 1.0)
+                          for xy in (self.interior_xy, self.boundary_xy))
+        return _read_only(h * h * frac_i), _read_only(h * h * frac_b)
 
     def interior_area(self):
         """Cell-counting area of the strictly-inside node set."""
@@ -302,11 +313,7 @@ def write_table(path, header, row_format, columns):
 def central_gradient(domain, values):
     """Central-difference gradient of a full grid array, one-sided at the
     array edge; returns (res, res, 2)."""
-    h = domain.h
-    g = np.empty(values.shape + (2,))
-    g[..., 0] = np.gradient(values, h, axis=0)
-    g[..., 1] = np.gradient(values, h, axis=1)
-    return g
+    return np.stack(np.gradient(values, domain.h), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +322,13 @@ def central_gradient(domain, values):
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """L restricted to interior nodes: apply is M @ u_int + B @ u_bnd."""
+    """L restricted to interior nodes: apply is M @ u_int + B @ u_bnd.
 
+    The one handle on a discretized problem: it carries the coefficient
+    field it was assembled from and its domain, so nothing downstream
+    takes either separately."""
+
+    field: object
     domain: DiscreteDomain
     matrix: sparse.csr_matrix
     coupling: sparse.csr_matrix
@@ -335,14 +347,6 @@ class SparseOperator:
         rhs = np.asarray(rhs_interior, dtype=float) - self.coupling @ np.asarray(
             boundary_values, dtype=float)
         return solve_spd(self.matrix, rhs, tol=tol)[0]
-
-    def solve_navier(self, rhs_interior, tol=1e-10):
-        """Fourth-order solve L(L u) = rhs with u and L u vanishing on the
-        boundary: two nested Dirichlet solves."""
-        nb = self.domain.n_boundary
-        zero = np.zeros(nb)
-        w = self.solve_dirichlet(rhs_interior, zero, tol=tol)
-        return self.solve_dirichlet(w, zero, tol=tol), w
 
 
 # stencil offsets, paired with their coefficient builders
@@ -424,4 +428,4 @@ def assemble_operator(field, domain):
     defect_mat = (m - m.T).tocoo()
     defect = float(np.max(np.abs(defect_mat.data))) if defect_mat.nnz else 0.0
     m = ((m + m.T) * 0.5).tocsr()
-    return SparseOperator(d, m, b, defect * h2)
+    return SparseOperator(field, d, m, b, defect * h2)

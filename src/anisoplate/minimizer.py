@@ -12,11 +12,12 @@ family of downward bumps (scaled solutions of L B = 1) and keeps a bump
 only when it strictly lowers the stage energy."""
 
 import re
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, assemble_operator, write_table
+from .greens import grid_hessian
+from .grid import ScalarField, central_gradient, write_table
 from .linsolve import solve_spd
 
 _minimizer_solve_tol = 1e-8
@@ -159,25 +160,6 @@ def _smoothed_heaviside_second(t, eps):
 # energies
 
 
-def _measure_weights(domain):
-    """Cell-coverage weights for area sums: each node's square cell counts
-    by the (linearized) fraction of it lying inside the shape, so a node
-    exactly on the curve counts half and rim cells taper off smoothly.
-    Exact for straight edges through nodes; O(h^2) for smooth curves."""
-    h = domain.h
-    frac_i = np.clip(0.5 - domain.shape.sdf(domain.interior_xy) / h, 0.0, 1.0)
-    frac_b = np.clip(0.5 - domain.shape.sdf(domain.boundary_xy) / h, 0.0, 1.0)
-    return h * h * frac_i, h * h * frac_b
-
-
-def _split_field(domain, u_field):
-    ij = domain.interior_ij
-    bj = domain.boundary_ij
-    ui = u_field.values[ij[:, 0], ij[:, 1]]
-    ub = u_field.values[bj[:, 0], bj[:, 1]]
-    return ui, ub
-
-
 def smoothed_energy(op, u_field, eps):
     """Relaxed energy and its gradient over interior unknowns.
 
@@ -188,8 +170,8 @@ def smoothed_energy(op, u_field, eps):
         raise ValueError("eps must be positive")
     d = op.domain
     h2 = d.h ** 2
-    wi, wb = _measure_weights(d)
-    ui, ub = _split_field(d, u_field)
+    wi, wb = d.measure_weights
+    ui, ub = u_field.interior(), u_field.boundary()
     v = op.apply_field(u_field)
     bending = h2 * float(v @ v)
     measure = float(wi @ smoothed_heaviside(ui, eps)) \
@@ -202,8 +184,8 @@ def sharp_energy(op, u_field):
     """(total, bending, measure) with the exact positivity indicator."""
     d = op.domain
     h2 = d.h ** 2
-    wi, wb = _measure_weights(d)
-    ui, ub = _split_field(d, u_field)
+    wi, wb = d.measure_weights
+    ui, ub = u_field.interior(), u_field.boundary()
     v = op.apply_field(u_field)
     bending = h2 * float(v @ v)
     measure = float(wi @ (ui > 0.0)) + float(wb @ (ub > 0.0))
@@ -227,10 +209,9 @@ def _trace_values(domain, u0):
     return vals
 
 
-def harmonic_extension(domain, coeff, u0, op=None):
+def harmonic_extension(op, u0):
     """Solve L u = 0 with the given trace; the canonical starting state."""
-    if op is None:
-        op = assemble_operator(coeff, domain)
+    domain = op.domain
     trace = _trace_values(domain, u0)
     sol = op.solve_dirichlet(np.zeros(domain.n_interior), trace)
     out = ScalarField(domain)
@@ -296,16 +277,16 @@ def _nucleation_probes(op, u_field, eps, bump, u0_max):
     return best if best is not None else u_field
 
 
-def minimize(domain, coeff, u0, cfg=None, op=None):
+def minimize(op, u0, cfg=None):
     """Minimize the relaxed energy over fields with the given trace.
 
-    input : domain, coefficient field, boundary data (positive scalar,
-            callable, or per-node array), optional EnergyConfig.
+    input : assembled operator (it carries the domain and the coefficient
+            field), boundary data (positive scalar, callable, or per-node
+            array), optional EnergyConfig.
     output: MinimizerState at the last ramp width.  The trace is pinned
             exactly at every iterate; per-stage energies never increase.
     """
-    if op is None:
-        op = assemble_operator(coeff, domain)
+    domain = op.domain
     trace = _trace_values(domain, u0)
     if trace.min() <= 0:
         raise ValueError("boundary data must be positive everywhere")
@@ -315,7 +296,7 @@ def minimize(domain, coeff, u0, cfg=None, op=None):
     if cfg.epsilon_schedule[-1] < 2.0 * domain.h ** 2 - 1e-15:
         raise ValueError("final ramp width below the 2h^2 resolvability floor")
 
-    u = harmonic_extension(domain, coeff, u0, op=op)
+    u = harmonic_extension(op, u0)
     ij = domain.interior_ij
     bump = _precond_solve(op, np.ones(domain.n_interior))
     bump /= float(bump.max())
@@ -418,7 +399,6 @@ def supersolution_check(state):
 def hessian_min_eig(domain, values, margin=0.1):
     """Min over the inner subdomain (at least `margin` from the boundary)
     of the smallest eigenvalue of the central-difference Hessian."""
-    from .greens import grid_hessian
     hess = grid_hessian(domain, values)
     pts = np.stack([domain.X, domain.Y], axis=-1)
     sd = domain.shape.sdf(pts)
@@ -448,8 +428,8 @@ def strip_measure_ratio(state, eps_probe):
         raise ValueError("probe width must be positive")
     d = state.u.domain
     u = state.u.values
-    wi, wb = _measure_weights(d)
-    ui, ub = _split_field(d, state.u)
+    wi, wb = d.measure_weights
+    ui, ub = state.u.interior(), state.u.boundary()
     in_i = (ui > 0.0) & (ui < eps_probe)
     in_b = (ub > 0.0) & (ub < eps_probe)
     if not (np.any(in_i) or np.any(in_b)):
@@ -468,8 +448,8 @@ def strip_measure_ratio(state, eps_probe):
                 raise ValueError("probe width %g falls between grid values"
                                  % eps_probe)
         return 0.0
-    gx, gy = np.gradient(u, d.h, edge_order=1)
-    gmag = np.hypot(gx, gy)
+    g = central_gradient(d, u)
+    gmag = np.hypot(g[..., 0], g[..., 1])
     ij = d.interior_ij
     gmax = float(gmag[ij[in_i, 0], ij[in_i, 1]].max()) if np.any(in_i) else 0.0
     if gmax > 0 and eps_probe < 4.0 * d.h * gmax:

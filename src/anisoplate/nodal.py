@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import ScalarField, write_table
+from .grid import ScalarField, central_gradient, write_table
 
 _degenerate_grad = 1e-8
 _zero_reltol = 1e-8
@@ -89,12 +89,6 @@ def bilinear_sample(domain, values, pts):
          + (1 - tx) * ty * values[i0, j0 + 1]
          + tx * ty * values[i0 + 1, j0 + 1])
     return v
-
-
-def _grid_gradient(domain, values):
-    gx = np.gradient(values, domain.h, axis=0, edge_order=1)
-    gy = np.gradient(values, domain.h, axis=1, edge_order=1)
-    return gx, gy
 
 
 def _saddle_pairs(neg00, avg):
@@ -181,7 +175,7 @@ def extract_nodal(u_field):
             raise RuntimeError("zero set is not a closed curve at vertex %d" % v)
 
     vert_pos = np.asarray(vert_pos)
-    gx, gy = _grid_gradient(d, vals)
+    gx, gy = np.moveaxis(central_gradient(d, vals), -1, 0)
     used = [False] * len(segments)
     loops = []
     total_len = 0.0
@@ -215,7 +209,7 @@ def measure_density(u_field, nodal):
     if not nodal.loops:
         return MeasureDensity(np.zeros((0, 2)), np.zeros(0))
     d = u_field.domain
-    gx, gy = _grid_gradient(d, u_field.values)
+    gx, gy = np.moveaxis(central_gradient(d, u_field.values), -1, 0)
     # segment k of a loop runs from vertex k to vertex k+1, wrapping round
     p0 = np.concatenate([lp.vertices for lp in nodal.loops])
     p1 = np.concatenate([np.roll(lp.vertices, -1, axis=0) for lp in nodal.loops])
@@ -295,11 +289,9 @@ def domain_variation_residual(state, nodal, psi_bank):
 
     Returns one ResidualRecord per field.
     """
-    from .minimizer import _measure_weights
-
     d = state.u.domain
     u = state.u.values
-    wi, wb = _measure_weights(d)
+    wi, wb = d.measure_weights
     w_grid = np.zeros_like(u)
     ij = d.interior_ij
     bj = d.boundary_ij
@@ -307,13 +299,13 @@ def domain_variation_residual(state, nodal, psi_bank):
     w_grid[bj[:, 0], bj[:, 1]] = wb
     pos = (u > 0.0) & (d.mask >= 1)
 
-    gx, gy = _grid_gradient(d, u)
+    gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
     dens = measure_density(state.u, nodal)
     out = []
     for psi in psi_bank:
         px, py = psi(d.X, d.Y)
-        div = (np.gradient(np.asarray(px, dtype=float), d.h, axis=0, edge_order=1)
-               + np.gradient(np.asarray(py, dtype=float), d.h, axis=1, edge_order=1))
+        div = (central_gradient(d, np.asarray(px, dtype=float))[..., 0]
+               + central_gradient(d, np.asarray(py, dtype=float))[..., 1])
         lhs = -float((div * w_grid)[pos].sum())
         if len(dens.weights):
             mx, my = dens.vertices[:, 0], dens.vertices[:, 1]

@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .anisotropy import d1_quadrature, invert_spd2, make_field
+from .anisotropy import d1_quadrature, make_field
 from .greens import (
     frehse_residual,
     gradient_sup,
@@ -61,7 +61,6 @@ from .greens import (
 from .grid import assemble_operator, build_domain, parse_shape, write_table
 from .minimizer import (
     EnergyConfig,
-    _measure_weights,
     default_schedule,
     minimize,
     supersolution_check,
@@ -346,7 +345,7 @@ def _validate_specs(cfg):
 def _center_column_l2(ctx):
     if "col_l2" not in ctx:
         ij = node_near(ctx["domain"], 0.0, 0.0)
-        ctx["col_l2"] = greens_column_L2(ctx["op"], ctx["field"], ij)
+        ctx["col_l2"] = greens_column_L2(ctx["op"], ij)
     return ctx["col_l2"]
 
 
@@ -359,11 +358,7 @@ def _kernel_log_slope(col, consts):
     band = (d.mask == 2) & (r >= 0.2 * half) & (r <= 0.5 * half)
     if band.sum() < 8:
         return None
-    pts = np.stack([d.X[band], d.Y[band]], axis=-1)
-    z = pts - col.source_xy
-    s = invert_spd2(col.coeff.matrix(pts))
-    psi = np.einsum("...i,...ij,...j->...", z, s, z)
-    x = -consts.c1 * np.log(psi)
+    x = -consts.c1 * np.log(col.psi[band])
     y = col.values.values[band]
     design = np.vstack([x, np.ones_like(x)]).T
     slope = np.linalg.lstsq(design, y, rcond=None)[0][0]
@@ -371,14 +366,14 @@ def _kernel_log_slope(col, consts):
 
 
 def _check_greens(ctx, sec):
-    dom, fld, op = ctx["domain"], ctx["field"], ctx["op"]
+    dom, op = ctx["domain"], ctx["op"]
     half = dom.shape.bbox_halfwidth()
     sources = []
     for fx, fy in _source_fractions:
         ij = node_near(dom, fx * half, fy * half)
         if dom.interior_map[ij] >= 0 and ij not in sources:
             sources.append(ij)
-    cols = [greens_column_L(op, fld, ij) for ij in sources]
+    cols = [greens_column_L(op, ij) for ij in sources]
 
     sym = 0.0
     for a in range(len(cols)):
@@ -388,7 +383,7 @@ def _check_greens(ctx, sec):
             sym = max(sym, abs(va - vb) / max(abs(va), abs(vb)))
     min_gl = min(float(c.values.values.min()) for c in cols)
 
-    consts = d1_quadrature(fld, cols[0].source_xy)
+    consts = d1_quadrature(op.field, cols[0].source_xy)
     f1 = singular_split(cols[0], consts)
     col_l2 = _center_column_l2(ctx)
     f2 = singular_split(col_l2, consts)
@@ -446,8 +441,7 @@ def _check_frehse(ctx, sec):
 
 
 def _check_minimize(ctx, sec):
-    config, dom, fld, op = (ctx["config"], ctx["domain"], ctx["field"],
-                            ctx["op"])
+    config, dom, op = ctx["config"], ctx["domain"], ctx["op"]
     terms = ctx["terms"]
     const = datum_constant(terms)
     u0 = const if const is not None else datum_callable(terms)
@@ -469,7 +463,7 @@ def _check_minimize(ctx, sec):
                            tol_grad=config.tol_grad,
                            max_outer=config.max_outer)
 
-    state = minimize(dom, fld, u0, cfg, op=op)
+    state = minimize(op, u0, cfg)
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp
@@ -664,7 +658,7 @@ def _execute(config, write_outputs=True):
         needed.update(_check_deps[c])
     ordered = [c for c in _all_checks if c in needed]
 
-    wi, wb = _measure_weights(domain)
+    wi, wb = domain.measure_weights
     area = float(wi.sum() + wb.sum())
 
     out_dir = config.out_dir
@@ -701,7 +695,7 @@ def _execute(config, write_outputs=True):
     }
 
     ctx = {
-        "config": config, "domain": domain, "field": field, "op": op,
+        "config": config, "domain": domain, "op": op,
         "terms": terms, "area": area, "write": write_outputs,
         "out_dir": out_dir, "fields_dir": fields_dir,
         "nodal_dir": nodal_dir,

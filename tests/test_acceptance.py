@@ -74,33 +74,33 @@ def op257(iso, disk257):
 
 
 @pytest.fixture(scope="module")
-def colL_129(iso, disk129, op129):
-    return greens_column_L(op129, iso, disk129.center_ij)
+def colL_129(disk129, op129):
+    return greens_column_L(op129, disk129.center_ij)
 
 
 @pytest.fixture(scope="module")
-def colL_257(iso, disk257, op257):
-    return greens_column_L(op257, iso, disk257.center_ij)
+def colL_257(disk257, op257):
+    return greens_column_L(op257, disk257.center_ij)
 
 
 @pytest.fixture(scope="module")
-def colL2_129(iso, disk129, op129):
-    return greens_column_L2(op129, iso, disk129.center_ij)
+def colL2_129(disk129, op129):
+    return greens_column_L2(op129, disk129.center_ij)
 
 
 @pytest.fixture(scope="module")
-def colL2_257(iso, disk257, op257):
-    return greens_column_L2(op257, iso, disk257.center_ij)
+def colL2_257(disk257, op257):
+    return greens_column_L2(op257, disk257.center_ij)
 
 
 @pytest.fixture(scope="module")
-def small129(iso, disk129, op129):
-    return minimize(disk129, iso, _SMALL_TRACE, op=op129)
+def small129(op129):
+    return minimize(op129, _SMALL_TRACE)
 
 
 @pytest.fixture(scope="module")
-def small257(iso, disk257, op257):
-    return minimize(disk257, iso, _SMALL_TRACE, op=op257)
+def small257(op257):
+    return minimize(op257, _SMALL_TRACE)
 
 
 @pytest.fixture(scope="module")
@@ -171,13 +171,13 @@ def test_criterion_03_first_order_column_structure(criterion_report, iso, disk12
     sym = 0.0
     min_gl = math.inf
     for ija, ijb in pairs:
-        ca = greens_column_L(op, iso, ija)
-        cb = greens_column_L(op, iso, ijb)
+        ca = greens_column_L(op, ija)
+        cb = greens_column_L(op, ijb)
         va, vb = ca.values.values[ijb], cb.values.values[ija]
         sym = max(sym, abs(va - vb) / max(abs(va), abs(vb)))
         min_gl = min(min_gl, float(ca.values.values.min()),
                      float(cb.values.values.min()))
-    col = greens_column_L(op, iso, disk129.center_ij)
+    col = greens_column_L(op, disk129.center_ij)
     min_gl = min(min_gl, float(col.values.values.min()))
     r = np.hypot(disk129.X - col.source_xy[0], disk129.Y - col.source_xy[1])
     band = (disk129.mask == 2) & (r >= 0.2) & (r <= 0.5)
@@ -246,7 +246,7 @@ def test_criterion_05_anisotropic_dichotomy(criterion_report):
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
     results["diag(2,1)"] = _annulus_ratio_pair(
-        greens_column_L2(op, fld, dom.center_ij))
+        greens_column_L2(op, dom.center_ij))
 
     # the polynomial field is isotropic at the origin, so the source sits
     # where the coefficient is genuinely anisotropic; the radius-2 disk
@@ -255,7 +255,7 @@ def test_criterion_05_anisotropic_dichotomy(criterion_report):
     fld = make_field("poly(1)", box=2.1)
     op = assemble_operator(fld, dom)
     results["poly(1)"] = _annulus_ratio_pair(
-        greens_column_L2(op, fld, node_near(dom, 1.0, 0.0)))
+        greens_column_L2(op, node_near(dom, 1.0, 0.0)))
 
     elapsed = time.perf_counter() - t0
     ok = (all(inv <= 0.5 and ctrl > 0.5 for inv, ctrl in results.values())

@@ -52,40 +52,38 @@ def disk257():
 @pytest.fixture(scope="module")
 def iso129(disk129):
     fld = make_field("identity")
-    op = assemble_operator(fld, disk129)
-    return fld, op
+    return assemble_operator(fld, disk129)
 
 
 @pytest.fixture(scope="module")
 def iso257(disk257):
     fld = make_field("identity")
-    op = assemble_operator(fld, disk257)
-    return fld, op
+    return assemble_operator(fld, disk257)
 
 
 @pytest.fixture(scope="module")
 def center_col_L(disk129, iso129):
-    fld, op = iso129
-    return greens_column_L(op, fld, disk129.center_ij)
+    op = iso129
+    return greens_column_L(op, disk129.center_ij)
 
 
 @pytest.fixture(scope="module")
 def center_col_L2(disk129, iso129):
-    fld, op = iso129
-    return greens_column_L2(op, fld, disk129.center_ij)
+    op = iso129
+    return greens_column_L2(op, disk129.center_ij)
 
 
 @pytest.fixture(scope="module")
 def center_col_L2_fine(disk257, iso257):
-    fld, op = iso257
-    return greens_column_L2(op, fld, disk257.center_ij)
+    op = iso257
+    return greens_column_L2(op, disk257.center_ij)
 
 
 @pytest.fixture(scope="module")
 def diag257_col_L2(disk257):
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, disk257)
-    return fld, greens_column_L2(op, fld, disk257.center_ij)
+    return greens_column_L2(op, disk257.center_ij)
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +115,9 @@ def test_column_vanishes_on_boundary_and_outside(disk129, center_col_L):
 
 
 def test_source_must_be_interior(disk129, iso129):
-    fld, op = iso129
+    op = iso129
     with pytest.raises(ValueError):
-        greens_column_L(op, fld, (0, 0))
+        greens_column_L(op, (0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +140,35 @@ def test_columns_on_one_operator_share_one_factorization(monkeypatch):
     dom = build_domain(disk_shape(1.0), 65)
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
-    greens_column_L(op, fld, dom.center_ij)
-    greens_column_L2(op, fld, dom.center_ij)
-    greens_column_L2(op, fld, node_near(dom, 0.3, -0.2))
+    greens_column_L(op, dom.center_ij)
+    greens_column_L2(op, dom.center_ij)
+    greens_column_L2(op, node_near(dom, 0.3, -0.2))
     assert calls == [op.matrix.shape]
     # a new operator gets its own
-    greens_column_L(assemble_operator(fld, dom), fld, dom.center_ij)
+    greens_column_L(assemble_operator(fld, dom), dom.center_ij)
     assert len(calls) == 2
 
 
+def test_columns_tied_to_their_operator():
+    # a column reads its domain and field off the operator it was solved
+    # on, so no column can pair that operator with another field
+    dom = build_domain(disk_shape(1.0), 33)
+    fld = make_field("diag(2,1)")
+    op = assemble_operator(fld, dom)
+    for col in (greens_column_L(op, dom.center_ij),
+                greens_column_L2(op, dom.center_ij)):
+        assert col.op is op
+        assert col.domain is dom and col.coeff is fld
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            col.coeff = make_field("identity")
+        # the anisotropic squared distance is built once and read-only
+        assert col.psi is col.psi
+        with pytest.raises(ValueError):
+            col.psi[0, 0] = 1.0
+
+
 def test_column_true_residuals_within_bound(disk129, iso129, center_col_L, center_col_L2):
-    _, op = iso129
+    op = iso129
     delta = greens._delta_rhs(disk129, disk129.center_ij)
     w = center_col_L2.intermediate.interior()
     assert _rel_residual(op, center_col_L.values.interior(), delta) <= 1e-9
@@ -170,11 +186,11 @@ def test_singular_operator_raises_instead_of_returning_a_column():
     m[:, k] = 0.0
     singular = dataclasses.replace(op, matrix=m.tocsr())
     with pytest.raises(RuntimeError):
-        greens_column_L(singular, fld, node_near(dom, 0.5, 0.0))
+        greens_column_L(singular, node_near(dom, 0.5, 0.0))
     m = op.matrix.copy()
     m.data[0] = np.nan
     with pytest.raises(RuntimeError):
-        greens_column_L2(dataclasses.replace(op, matrix=m), fld, dom.center_ij)
+        greens_column_L2(dataclasses.replace(op, matrix=m), dom.center_ij)
 
 
 @pytest.mark.parametrize("miss", [1e-6, np.nan, np.inf])
@@ -196,7 +212,7 @@ def test_inaccurate_or_nonfinite_solve_raises(monkeypatch, miss):
     fld = make_field("identity")
     op = assemble_operator(fld, dom)
     with pytest.raises(RuntimeError, match="residual"):
-        greens_column_L(op, fld, dom.center_ij)
+        greens_column_L(op, dom.center_ij)
 
 
 def test_reciprocity_first_order_across_fields():
@@ -211,8 +227,8 @@ def test_reciprocity_first_order_across_fields():
         op = assemble_operator(fld, dom)
         for ka, kb in picks:
             ija, ijb = tuple(inter[ka]), tuple(inter[kb])
-            ca = greens_column_L(op, fld, ija)
-            cb = greens_column_L(op, fld, ijb)
+            ca = greens_column_L(op, ija)
+            cb = greens_column_L(op, ijb)
             va = ca.values.values[ijb]
             vb = cb.values.values[ija]
             assert abs(va - vb) <= 1e-10 * max(abs(va), abs(vb))
@@ -228,19 +244,19 @@ def test_reciprocity_fourth_order_across_fields():
         op = assemble_operator(fld, dom)
         for ka, kb in picks:
             ija, ijb = tuple(inter[ka]), tuple(inter[kb])
-            ca = greens_column_L2(op, fld, ija)
-            cb = greens_column_L2(op, fld, ijb)
+            ca = greens_column_L2(op, ija)
+            cb = greens_column_L2(op, ijb)
             va = ca.values.values[ijb]
             vb = cb.values.values[ija]
             assert abs(va - vb) <= 1e-9 * max(abs(va), abs(vb))
 
 
 def test_symmetry_at_measurement_resolution(disk129, iso129):
-    fld, op = iso129
+    op = iso129
     pairs = [((74, 65), (65, 51)), ((85, 70), (58, 76)), ((68, 63), (40, 65))]
     for ija, ijb in pairs:
-        ca = greens_column_L(op, fld, ija)
-        cb = greens_column_L(op, fld, ijb)
+        ca = greens_column_L(op, ija)
+        cb = greens_column_L(op, ijb)
         va, vb = ca.values.values[ijb], cb.values.values[ija]
         assert abs(va - vb) <= 1e-10 * max(abs(va), abs(vb))
 
@@ -288,9 +304,8 @@ def test_split_zeroes_source_and_exterior(disk129, center_col_L):
 
 
 def test_split_rejects_unknown_kind(center_col_L):
-    bogus = GreensColumn("mystery", center_col_L.domain, center_col_L.coeff,
-                         center_col_L.source_ij, center_col_L.source_xy,
-                         center_col_L.values)
+    bogus = GreensColumn("mystery", center_col_L.op, center_col_L.source_ij,
+                         center_col_L.source_xy, center_col_L.values)
     with pytest.raises(ValueError):
         singular_split(bogus, _iso_consts())
 
@@ -301,8 +316,8 @@ def test_split_refinement_keeps_regular_parts_tame(
     # but the split fields' sups must not grow faster than that benign
     # discretization rate; their level sits an order below the raw sup
     consts = _iso_consts()
-    fld, op = iso257
-    col_L_fine = greens_column_L(op, fld, disk257.center_ij)
+    op = iso257
+    col_L_fine = greens_column_L(op, disk257.center_ij)
 
     f1_c = gradient_sup(center_col_L, singular_split(center_col_L, consts))
     f1_f = gradient_sup(col_L_fine, singular_split(col_L_fine, consts))
@@ -350,7 +365,7 @@ def test_remainder_annulus_band_and_growth_rates(center_col_L2_fine):
 
 
 def test_inverse_pairing_beats_trace_identity_control(disk257, diag257_col_L2):
-    _, col = diag257_col_L2
+    col = diag257_col_L2
     ratios = {}
     for pairing in ("inverse", "trace_identity"):
         rep = frehse_residual(col, pairing=pairing)
@@ -369,14 +384,14 @@ def test_hessian_split_input_validation(disk129, center_col_L, center_col_L2, di
         frehse_residual(center_col_L2, pairing="transpose")
     coarse = build_domain(disk_shape(1.0), 65)        # h = 1/32 too coarse
     op = assemble_operator(fld, coarse)
-    col = greens_column_L2(op, fld, coarse.center_ij)
+    col = greens_column_L2(op, coarse.center_ij)
     with pytest.raises(ValueError):
         frehse_residual(col)
 
 
 def test_frehse_takes_operator_from_column(center_col_L2):
-    # the field is col.coeff; a second field can no longer be passed in and
-    # silently mixed with the column's own operator
+    # the operator is col.op and the field its col.coeff; a second field
+    # can no longer be passed in and silently mixed with the column's own
     with pytest.raises(TypeError):
         frehse_residual(center_col_L2, make_field("diag(2,1)"))
 
@@ -392,7 +407,7 @@ def test_log_envelope_isotropic(center_col_L2):
 
 
 def test_log_envelope_anisotropic(diag257_col_L2):
-    _, col = diag257_col_L2
+    col = diag257_col_L2
     rep = log_bound_check(col)
     assert np.isfinite(rep.slope)
     assert rep.overshoot <= 0.15
@@ -409,7 +424,7 @@ def test_log_envelope_needs_two_annuli():
     dom = build_domain(disk_shape(1.0), 33)
     fld = make_field("identity")
     op = assemble_operator(fld, dom)
-    col = greens_column_L2(op, fld, dom.center_ij)
+    col = greens_column_L2(op, dom.center_ij)
     with pytest.raises(RuntimeError):
         log_bound_check(col)
 

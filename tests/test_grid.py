@@ -120,9 +120,15 @@ def test_domain_coordinates_cached_read_only():
     gx, gy = np.meshgrid(d.xs, d.ys, indexing="ij")
     assert d.X is d.X and d.Y is d.Y
     assert np.array_equal(d.X, gx) and np.array_equal(d.Y, gy)
-    for arr in (d.X, d.Y):
+    # cell-coverage weights: the clipped inside fraction of each node's cell
+    assert d.measure_weights is d.measure_weights
+    wi, wb = d.measure_weights
+    for w, xy in ((wi, d.interior_xy), (wb, d.boundary_xy)):
+        frac = np.clip(0.5 - d.shape.sdf(xy) / d.h, 0.0, 1.0)
+        assert np.array_equal(w, d.h * d.h * frac)
+    for arr in (d.X, d.Y, wi, wb):
         with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
+            arr[0] = 1.0
 
 
 def _per_row_reference(header, row_format, columns):
@@ -304,7 +310,9 @@ def test_navier_biharmonic_disk_profile():
     # is r^4/64 - r^2/16 + 3/64, value 3/64 at the center
     d = build_domain(disk_shape(1.0), 129)
     op = assemble_operator(identity_field(), d)
-    u, w = op.solve_navier(np.ones(d.n_interior), tol=1e-11)
+    zero = np.zeros(d.n_boundary)
+    w = op.solve_dirichlet(np.ones(d.n_interior), zero, tol=1e-11)
+    u = op.solve_dirichlet(w, zero, tol=1e-11)
     ci, cj = d.center_ij
     center = d.interior_map[ci, cj]
     assert center >= 0
@@ -316,7 +324,9 @@ def test_navier_biharmonic_disk_profile():
 def test_navier_zero_rhs_gives_zero():
     d = build_domain(disk_shape(1.0), 33)
     op = assemble_operator(identity_field(), d)
-    u, w = op.solve_navier(np.zeros(d.n_interior))
+    zero = np.zeros(d.n_boundary)
+    w = op.solve_dirichlet(np.zeros(d.n_interior), zero)
+    u = op.solve_dirichlet(w, zero)
     assert np.max(np.abs(u)) == 0.0 and np.max(np.abs(w)) == 0.0
 
 
@@ -326,11 +336,13 @@ def test_nested_solve_operator_symmetric_by_probing():
     d = build_domain(disk_shape(1.0), 17)
     op = assemble_operator(identity_field(), d)
     n = d.n_interior
+    zero = np.zeros(d.n_boundary)
     cols = np.empty((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        cols[:, j], _ = op.solve_navier(e, tol=1e-13)
+        w = op.solve_dirichlet(e, zero, tol=1e-13)
+        cols[:, j] = op.solve_dirichlet(w, zero, tol=1e-13)
     defect = np.max(np.abs(cols - cols.T)) / np.max(np.abs(cols))
     assert defect <= 1e-10
 

@@ -52,13 +52,13 @@ def op65(iso, dom65):
 
 
 @pytest.fixture(scope="module")
-def small65(dom65, iso, op65):
-    return minimize(dom65, iso, SMALL_C, op=op65)
+def small65(op65):
+    return minimize(op65, SMALL_C)
 
 
 @pytest.fixture(scope="module")
-def large65(dom65, iso, op65):
-    return minimize(dom65, iso, LARGE_C, op=op65)
+def large65(op65):
+    return minimize(op65, LARGE_C)
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,8 @@ def op129(iso, dom129):
 
 
 @pytest.fixture(scope="module")
-def small129(dom129, iso, op129):
-    return minimize(dom129, iso, SMALL_C, op=op129)
+def small129(op129):
+    return minimize(op129, SMALL_C)
 
 
 def _mk_state(u_field):
@@ -194,20 +194,20 @@ def test_default_schedule(dom65):
 # initialization
 
 
-def test_harmonic_extension_constant(dom65, iso, op65):
-    u = harmonic_extension(dom65, iso, 3.0, op=op65)
+def test_harmonic_extension_constant(dom65, op65):
+    u = harmonic_extension(op65, 3.0)
     assert np.abs(u.values[dom65.mask >= 1] - 3.0).max() < 1e-8
 
 
-def test_harmonic_extension_linear_trace(dom65, iso, op65):
-    u = harmonic_extension(dom65, iso, lambda x, y: x, op=op65)
+def test_harmonic_extension_linear_trace(dom65, op65):
+    u = harmonic_extension(op65, lambda x, y: x)
     ij = dom65.interior_ij
     err = np.abs(u.values[ij[:, 0], ij[:, 1]] - dom65.interior_xy[:, 0]).max()
     assert err <= dom65.h  # boundary-mask error is first order
 
 
-def test_harmonic_extension_maximum_principle(dom65, iso, op65):
-    u = harmonic_extension(dom65, iso, lambda x, y: 1.0 + 0.5 * y, op=op65)
+def test_harmonic_extension_maximum_principle(dom65, op65):
+    u = harmonic_extension(op65, lambda x, y: 1.0 + 0.5 * y)
     inner = u.values[dom65.mask == 2]
     assert inner.min() >= 0.5 - 1e-10
     assert inner.max() <= 1.5 + 1e-10
@@ -251,9 +251,9 @@ def test_large_trace_returns_constant(large65, dom65):
     assert supersolution_check(large65) <= 1e-6
 
 
-def test_large_trace_fixed_step_rule(dom65, iso, op65):
+def test_large_trace_fixed_step_rule(dom65, op65):
     cfg = EnergyConfig(default_schedule(dom65, LARGE_C), step_rule="fixed(0.1)")
-    st = minimize(dom65, iso, LARGE_C, cfg=cfg, op=op65)
+    st = minimize(op65, LARGE_C, cfg=cfg)
     assert st.converged
     assert np.abs(st.u.values[dom65.mask >= 1] - LARGE_C).max() <= 1e-3
 
@@ -316,8 +316,8 @@ def test_sharp_energy_nonincreasing_across_stages(small65):
         assert by_stage[b][0] <= by_stage[a][-1] * 1.01
 
 
-def test_final_relaxed_energy_below_initial(small65, dom65, iso, op65):
-    init = harmonic_extension(dom65, iso, SMALL_C, op=op65)
+def test_final_relaxed_energy_below_initial(small65, op65):
+    init = harmonic_extension(op65, SMALL_C)
     e_init = smoothed_energy(op65, init, small65.epsilon)[0]
     e_final = smoothed_energy(op65, small65.u, small65.epsilon)[0]
     assert e_final <= e_init + 1e-12
@@ -330,16 +330,16 @@ def test_positive_collar_near_boundary(small65, dom65):
     assert small65.u.values[collar].min() > 0.0
 
 
-def test_minimize_input_validation(dom65, iso, op65):
+def test_minimize_input_validation(op65):
     with pytest.raises(ValueError):
-        minimize(dom65, iso, 0.0, op=op65)
+        minimize(op65, 0.0)
     with pytest.raises(ValueError):
-        minimize(dom65, iso, lambda x, y: x, op=op65)  # changes sign
+        minimize(op65, lambda x, y: x)  # changes sign
     with pytest.raises(ValueError):
-        minimize(dom65, iso, np.ones(3), op=op65)  # wrong node count
+        minimize(op65, np.ones(3))  # wrong node count
     with pytest.raises(ValueError):
         # schedule ends below the 2h^2 resolvability floor
-        minimize(dom65, iso, SMALL_C, cfg=EnergyConfig((1e-5,)), op=op65)
+        minimize(op65, SMALL_C, cfg=EnergyConfig((1e-5,)))
 
 
 def test_divergent_fixed_step_aborts_with_history(iso):
@@ -347,7 +347,7 @@ def test_divergent_fixed_step_aborts_with_history(iso):
     sched = tuple(np.geomspace(0.3, 0.06, 60))
     cfg = EnergyConfig(sched, step_rule="fixed(1e9)")
     with pytest.raises(DivergenceError) as err:
-        minimize(dom, iso, SMALL_C, cfg=cfg)
+        minimize(assemble_operator(iso, dom), SMALL_C, cfg=cfg)
     assert isinstance(err.value.history, tuple)
     assert len(err.value.history) > 0
 

@@ -43,8 +43,8 @@ def op129(iso, dom129):
 
 
 @pytest.fixture(scope="module")
-def small129(dom129, iso, op129):
-    return minimize(dom129, iso, SMALL_C, op=op129)
+def small129(op129):
+    return minimize(op129, SMALL_C)
 
 
 @pytest.fixture(scope="module")

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from anisoplate import (
     disk_shape,
     greens_column_L,
     greens_column_L2,
+    grid,
     linsolve,
     make_field,
     minimize,
@@ -290,10 +292,33 @@ def test_builtin_run_factorizes_once(tmp_path, monkeypatch):
     fld = make_field("identity")
     op = assemble_operator(fld, dom)
     op.solve_dirichlet(np.ones(dom.n_interior), np.zeros(dom.n_boundary))
-    minimize(dom, fld, 0.05, op=op)
-    greens_column_L(op, fld, dom.center_ij)
-    greens_column_L2(op, fld, dom.center_ij)
+    minimize(op, 0.05)
+    greens_column_L(op, dom.center_ij)
+    greens_column_L2(op, dom.center_ij)
     assert len(calls) == 1 and calls[0] is op.matrix
+
+
+def test_greens_frehse_run_assembles_once(tmp_path, monkeypatch):
+    # the Hessian-structure audit applies the column's own operator, so a
+    # run assembles exactly one; every module binding is counted
+    calls = []
+    real = grid.assemble_operator
+
+    def counting(field, domain):
+        calls.append(domain.resolution)
+        return real(field, domain)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "anisoplate"
+                and getattr(mod, "assemble_operator", None) is real):
+            monkeypatch.setattr(mod, "assemble_operator", counting)
+    text = ("[run]\nchecks = greens, frehse\n[grid]\nshape = disk(1)\n"
+            "resolution = 129\n[field]\nkind = diag(2,1)\n"
+            "[boundary]\nu0 = 0.05\n")
+    cfg = load_config(_write(tmp_path, "g.ini", text),
+                      out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 0
+    assert calls == [129]
 
 
 # ---------------------------------------------------------------------------
