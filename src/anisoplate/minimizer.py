@@ -11,7 +11,6 @@ relaxed energy once eps < min u, each stage first tries a deterministic
 family of downward bumps (scaled solutions of L B = 1) and keeps a bump
 only when it strictly lowers the stage energy."""
 
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +35,6 @@ _schedule_floor_cells = 6.0
 _stationary_rtol = 1e-10
 _stationary_window = 10
 
-_fixed_rule = re.compile(r"^fixed\(\s*([0-9.eE+-]+)\s*\)$")
-
 
 class DivergenceError(RuntimeError):
     """Descent could not decrease the energy; carries the history so far."""
@@ -51,45 +48,32 @@ class DivergenceError(RuntimeError):
 class EnergyConfig:
     """Continuation schedule and descent controls.
 
-    epsilon_schedule: strictly decreasing positive ramp widths.
-    step_rule: "power_iteration_backtracking" (curvature-scaled trial step,
-        Armijo halving) or "fixed(s)" (constant step s, no line search).
+    epsilon_schedule: strictly decreasing positive ramp widths, or None for
+        the automatic schedule default_schedule(domain, max trace).
     tol_grad: stage stops when the euclidean norm of the energy gradient
         over interior unknowns falls below this.
     max_outer: iteration cap per stage.
     """
 
-    epsilon_schedule: tuple
-    step_rule: str = "power_iteration_backtracking"
+    epsilon_schedule: tuple = None
     tol_grad: float = 1e-7
     max_outer: int = 200
 
     def __post_init__(self):
-        sched = tuple(float(e) for e in self.epsilon_schedule)
-        if not sched:
-            raise ValueError("epsilon schedule is empty")
-        if any(e <= 0 for e in sched):
-            raise ValueError("epsilon schedule must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("epsilon schedule must be strictly decreasing")
-        object.__setattr__(self, "epsilon_schedule", sched)
+        if self.epsilon_schedule is not None:
+            sched = tuple(float(e) for e in self.epsilon_schedule)
+            if not sched:
+                raise ValueError("epsilon schedule is empty")
+            if any(e <= 0 for e in sched):
+                raise ValueError("epsilon schedule must be positive")
+            if any(b >= a for a, b in zip(sched, sched[1:])):
+                raise ValueError(
+                    "epsilon schedule must be strictly decreasing")
+            object.__setattr__(self, "epsilon_schedule", sched)
         if self.tol_grad <= 0:
             raise ValueError("tol_grad must be positive")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.step_rule != "power_iteration_backtracking":
-            m = _fixed_rule.match(self.step_rule)
-            if m is None:
-                raise ValueError("unknown step rule %r" % self.step_rule)
-            s = float(m.group(1))
-            if s <= 0:
-                raise ValueError("fixed step must be positive")
-            object.__setattr__(self, "_fixed_step", s)
-        else:
-            object.__setattr__(self, "_fixed_step", None)
-
-    def fixed_step(self):
-        return self._fixed_step
 
 
 def default_schedule(domain, u0_max):
@@ -216,10 +200,8 @@ def harmonic_extension(op, u0):
     sol = op.solve_dirichlet(np.zeros(domain.n_interior), trace)
     out = ScalarField(domain)
     bj = domain.boundary_ij
-    ij = domain.interior_ij
     out.values[bj[:, 0], bj[:, 1]] = trace
-    out.values[ij[:, 0], ij[:, 1]] = sol
-    return out
+    return out.replace_interior(sol)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +246,15 @@ def _nucleation_probes(op, u_field, eps, bump, u0_max):
     is flat above eps), so descent alone never leaves them; bumping by
     scaled solutions of L B = 1 offers exits and the energy test keeps the
     move only when it genuinely helps."""
-    d = op.domain
-    ij = d.interior_ij
     e_best, _ = smoothed_energy(op, u_field, eps)
-    best = None
+    best = u_field
     for scale in _probe_scales:
-        cand = u_field.copy()
-        cand.values[ij[:, 0], ij[:, 1]] -= scale * u0_max * bump
+        cand = u_field.replace_interior(
+            u_field.interior() - scale * u0_max * bump)
         e_c, _ = smoothed_energy(op, cand, eps)
         if e_c < e_best - 1e-15:
             e_best, best = e_c, cand
-    return best if best is not None else u_field
+    return best
 
 
 def minimize(op, u0, cfg=None):
@@ -285,35 +265,33 @@ def minimize(op, u0, cfg=None):
             array), optional EnergyConfig.
     output: MinimizerState at the last ramp width.  The trace is pinned
             exactly at every iterate; per-stage energies never increase.
+    Each stage takes a curvature-scaled trial step and halves it until the
+    Armijo condition holds; running out of halvings raises DivergenceError.
     """
     domain = op.domain
     trace = _trace_values(domain, u0)
     if trace.min() <= 0:
         raise ValueError("boundary data must be positive everywhere")
     u0_max = float(trace.max())
-    if cfg is None:
-        cfg = EnergyConfig(default_schedule(domain, u0_max))
-    if cfg.epsilon_schedule[-1] < 2.0 * domain.h ** 2 - 1e-15:
+    cfg = cfg or EnergyConfig()
+    schedule = cfg.epsilon_schedule or default_schedule(domain, u0_max)
+    if schedule[-1] < 2.0 * domain.h ** 2 - 1e-15:
         raise ValueError("final ramp width below the 2h^2 resolvability floor")
 
     u = harmonic_extension(op, u0)
-    ij = domain.interior_ij
     bump = _precond_solve(op, np.ones(domain.n_interior))
     bump /= float(bump.max())
 
     history = []
-    fixed = cfg.fixed_step()
-    increases = 0
     converged = True
 
-    for stage, eps in enumerate(cfg.epsilon_schedule):
+    for stage, eps in enumerate(schedule):
         u = _nucleation_probes(op, u, eps, bump, u0_max)
         energy, grad = smoothed_energy(op, u, eps)
         v = op.apply_field(u)
         e_sharp = sharp_energy(op, u)[0]
         history.append((stage, 0, energy, e_sharp, float(v.max())))
-        t0 = fixed if fixed is not None else _curvature_step(
-            op, u.values[ij[:, 0], ij[:, 1]], eps)
+        t0 = _curvature_step(op, u.interior(), eps)
         stage_done = False
         recent = [energy]
 
@@ -322,7 +300,7 @@ def minimize(op, u0, cfg=None):
             if gnorm <= cfg.tol_grad:
                 stage_done = True
                 break
-            ui = u.values[ij[:, 0], ij[:, 1]]
+            ui = u.interior()
             hp = smoothed_heaviside_prime(ui, eps)
             d_vec = _direction(op, v, hp)
             slope = float(grad @ d_vec)
@@ -330,34 +308,18 @@ def minimize(op, u0, cfg=None):
                 d_vec = -grad
                 slope = -gnorm ** 2
 
-            if fixed is not None:
-                cand = u.copy()
-                cand.values[ij[:, 0], ij[:, 1]] = ui + fixed * d_vec
+            t = t0
+            for _ in range(_max_backtracks):
+                cand = u.replace_interior(ui + t * d_vec)
                 e_c, g_c = smoothed_energy(op, cand, eps)
-                if e_c > energy + 1e-12 * (1.0 + abs(energy)):
-                    increases += 1
-                    if increases >= _max_backtracks:
-                        raise DivergenceError(
-                            "fixed-step descent increased the energy %d times"
-                            % increases, history)
+                if e_c <= energy + _armijo_slope * t * slope:
+                    u, energy, grad = cand, e_c, g_c
                     break
-                u, energy, grad = cand, e_c, g_c
+                t *= 0.5
             else:
-                t = t0
-                accepted = False
-                for _ in range(_max_backtracks):
-                    cand = u.copy()
-                    cand.values[ij[:, 0], ij[:, 1]] = ui + t * d_vec
-                    e_c, g_c = smoothed_energy(op, cand, eps)
-                    if e_c <= energy + _armijo_slope * t * slope:
-                        u, energy, grad = cand, e_c, g_c
-                        accepted = True
-                        break
-                    t *= 0.5
-                if not accepted:
-                    raise DivergenceError(
-                        "backtracking exhausted %d halvings without descent"
-                        % _max_backtracks, history)
+                raise DivergenceError(
+                    "backtracking exhausted %d halvings without descent"
+                    % _max_backtracks, history)
 
             v = op.apply_field(u)
             e_sharp = sharp_energy(op, u)[0]
@@ -376,12 +338,10 @@ def minimize(op, u0, cfg=None):
         if not stage_done:
             converged = False
 
-    v = op.apply_field(u)
-    v_field = ScalarField(domain)
-    v_field.values[ij[:, 0], ij[:, 1]] = v
+    v_field = ScalarField(domain).replace_interior(op.apply_field(u))
     _, bending, measure = sharp_energy(op, u)
     return MinimizerState(u, v_field, bending, measure,
-                          cfg.epsilon_schedule[-1], tuple(history), converged)
+                          schedule[-1], tuple(history), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +351,7 @@ def minimize(op, u0, cfg=None):
 def supersolution_check(state):
     """Max of L_h u over interior nodes; nonpositive up to slack when the
     state satisfies the optimality condition."""
-    d = state.u.domain
-    ij = d.interior_ij
-    return float(state.v.values[ij[:, 0], ij[:, 1]].max())
+    return float(state.v.interior().max())
 
 
 def hessian_min_eig(domain, values, margin=0.1):

@@ -6,17 +6,19 @@ Config grammar (UTF-8 ``key = value`` lines under bracketed sections):
     [grid]      shape = disk(r) | rect(w,h); resolution = 2^k + 1
     [field]     kind = identity | diag(a,b) | poly(alpha) | rot(theta,a,b)
     [boundary]  u0 = constant or polynomial in x1, x2 of degree <= 4
-    [energy]    epsilon_schedule = auto | comma floats; step_rule;
-                tol_grad; max_outer (all optional)
+    [energy]    epsilon_schedule = auto | comma floats; tol_grad;
+                max_outer (all optional)
     [output]    dir = output directory
 
-Builtin scenarios fill whatever keys the file omits: ``iso_disk_small_c``
-(disk(1), identity coefficients, u0 = 0.05, resolution 129) and
-``iso_disk_large_c`` (same but u0 = 10).
+Any other section or key is rejected.  Builtin scenarios fill whatever
+keys the file omits: ``iso_disk_small_c`` (disk(1), identity
+coefficients, u0 = 0.05, resolution 129) and ``iso_disk_large_c`` (same
+but u0 = 10).
 
 Checks and their pass rules, recorded per section in ``report.json``:
 
-    greens     reciprocity defect <= 1e-9 relative, columns >= -1e-12
+    greens     reciprocity defect <= 1e-9 relative, columns >= -1e-12;
+               the L^2 Hessian log fit is not assessed below two annuli
     frehse     remainder/singular ratio at the finest annulus at most
                half the coarsest one; assessed once four dyadic annuli
                fit between 4h and 1/2 (coarser runs report the trend)
@@ -25,8 +27,8 @@ Checks and their pass rules, recorded per section in ``report.json``:
     nodal      resolved gradients on closed loops; builtin emptiness match
     el         stationarity and domain-variation residuals <= 0.15 / 0.20,
                assessed at resolution >= 129 (coarser runs only report
-               values); with an empty zero set both identity sides must
-               sit below 1e-8
+               values, or a note when no test bump fits); with an empty
+               zero set both identity sides must sit below 1e-8
 
 The report also carries top-level ``symmetry_max_err``, ``min_GL``,
 ``frehse`` (per-annulus arrays) and ``split_refinement`` (per-h sups) for
@@ -61,7 +63,6 @@ from .greens import (
 from .grid import assemble_operator, build_domain, parse_shape, write_table
 from .minimizer import (
     EnergyConfig,
-    default_schedule,
     minimize,
     supersolution_check,
     write_history,
@@ -103,9 +104,14 @@ _auto_bump_halfwidth = 0.2
 _bank_size = 5
 _study_max_levels = 4
 _study_max_resolution = 513
-_default_step_rule = "power_iteration_backtracking"
-_default_tol_grad = 1e-7
-_default_max_outer = 200
+_known_keys = {
+    "run": ("scenario", "checks"),
+    "grid": ("shape", "resolution"),
+    "field": ("kind",),
+    "boundary": ("u0",),
+    "energy": ("epsilon_schedule", "tol_grad", "max_outer"),
+    "output": ("dir",),
+}
 
 _builtins = {
     "iso_disk_small_c": {
@@ -213,9 +219,8 @@ class RunConfig:
     checks: tuple
     out_dir: str
     schedule: tuple = ()   # () = automatic continuation
-    step_rule: str = _default_step_rule
-    tol_grad: float = _default_tol_grad
-    max_outer: int = _default_max_outer
+    tol_grad: float = EnergyConfig.tol_grad
+    max_outer: int = EnergyConfig.max_outer
 
     def __post_init__(self):
         n = self.resolution
@@ -248,6 +253,14 @@ def load_config(path, checks=None, out_dir=None):
         raise ConfigError("cannot read config %s: %s" % (path, e))
     except configparser.Error as e:
         raise ConfigError("config syntax: %s" % e)
+    for section in cp.sections():
+        if section not in _known_keys:
+            raise ConfigError("[%s]: unknown section (have %s)"
+                              % (section, ", ".join(_known_keys)))
+        for key in cp.options(section):
+            if key not in _known_keys[section]:
+                raise ConfigError("[%s] %s: unknown key (have %s)" % (
+                    section, key, ", ".join(_known_keys[section])))
 
     scenario = _get(cp, "run", "scenario", "custom")
     base = _builtins.get(scenario, {})
@@ -289,20 +302,19 @@ def load_config(path, checks=None, out_dir=None):
             raise ConfigError(
                 "[energy] epsilon_schedule: %r is neither 'auto' nor a "
                 "comma-separated float list" % sched_text)
-    step_rule = _get(cp, "energy", "step_rule", _default_step_rule)
     try:
         tol_grad = float(_get(cp, "energy", "tol_grad",
-                              str(_default_tol_grad)))
+                              RunConfig.tol_grad))
         max_outer = int(_get(cp, "energy", "max_outer",
-                             str(_default_max_outer)))
+                             RunConfig.max_outer))
     except ValueError as e:
         raise ConfigError("[energy]: %s" % e)
 
     cfg = RunConfig(scenario=scenario, shape_spec=shape_spec,
                     resolution=resolution, field_spec=field_spec,
                     u0_spec=u0_spec, checks=checks, out_dir=out,
-                    schedule=schedule, step_rule=step_rule,
-                    tol_grad=tol_grad, max_outer=max_outer)
+                    schedule=schedule, tol_grad=tol_grad,
+                    max_outer=max_outer)
     _validate_specs(cfg)
     return cfg
 
@@ -387,7 +399,12 @@ def _check_greens(ctx, sec):
     f1 = singular_split(cols[0], consts)
     col_l2 = _center_column_l2(ctx)
     f2 = singular_split(col_l2, consts)
-    logrep = log_bound_check(col_l2)
+    try:
+        logrep = log_bound_check(col_l2)
+        log_fit = {"slope": logrep.slope, "overshoot": logrep.overshoot}
+    except RuntimeError as e:
+        # too few annuli fit on a coarse grid
+        log_fit = {"assessed": False, "note": str(e)}
 
     sec.update(
         symmetry_max_err=sym,
@@ -398,8 +415,7 @@ def _check_greens(ctx, sec):
             "f2_third_diff_sup": third_diff_sup(col_l2, f2),
         }],
         kernel_log_slope=_kernel_log_slope(cols[0], consts),
-        hessian_log_fit={"slope": logrep.slope,
-                         "overshoot": logrep.overshoot},
+        hessian_log_fit=log_fit,
         sources=[[float(c.source_xy[0]), float(c.source_xy[1])]
                  for c in cols],
     )
@@ -445,25 +461,9 @@ def _check_minimize(ctx, sec):
     terms = ctx["terms"]
     const = datum_constant(terms)
     u0 = const if const is not None else datum_callable(terms)
-
-    cfg = None
-    if (config.schedule or config.step_rule != _default_step_rule
-            or config.tol_grad != _default_tol_grad
-            or config.max_outer != _default_max_outer):
-        sched = config.schedule
-        if not sched:
-            if const is not None:
-                u0_max = const
-            else:
-                tv = datum_callable(terms)(dom.boundary_proj[:, 0],
-                                           dom.boundary_proj[:, 1])
-                u0_max = float(np.max(tv))
-            sched = default_schedule(dom, u0_max)
-        cfg = EnergyConfig(sched, step_rule=config.step_rule,
-                           tol_grad=config.tol_grad,
-                           max_outer=config.max_outer)
-
-    state = minimize(op, u0, cfg)
+    state = minimize(op, u0, EnergyConfig(config.schedule or None,
+                                          tol_grad=config.tol_grad,
+                                          max_outer=config.max_outer))
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp
@@ -586,7 +586,13 @@ def _check_el(ctx, sec):
                            and rhs <= _empty_identity_tol)
         return
 
-    centers, widths = _auto_centers(dom, nod)
+    try:
+        centers, widths = _auto_centers(dom, nod)
+    except RuntimeError as e:
+        if config.resolution >= _residual_min_res:
+            raise
+        sec.update(empty_set=False, assessed=False, note=str(e))
+        return
     n = len(centers)
     scalars = tuple(tensor_bump(cx, cy, w)
                     for (cx, cy), w in zip(centers, widths))

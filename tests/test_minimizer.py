@@ -15,6 +15,7 @@ from anisoplate import (
     linsolve,
     make_field,
     minimize,
+    minimizer,
     rect_shape,
     semiconvexity_metric,
     sharp_energy,
@@ -169,15 +170,11 @@ def test_energy_config_validation():
     with pytest.raises(ValueError):
         EnergyConfig((0.25, 0.5))
     with pytest.raises(ValueError):
-        EnergyConfig((0.5,), step_rule="newton")
-    with pytest.raises(ValueError):
-        EnergyConfig((0.5,), step_rule="fixed(-1)")
-    with pytest.raises(ValueError):
         EnergyConfig((0.5,), tol_grad=0.0)
     with pytest.raises(ValueError):
         EnergyConfig((0.5,), max_outer=0)
-    assert EnergyConfig((0.5,), step_rule="fixed(0.25)").fixed_step() == 0.25
-    assert EnergyConfig((0.5,)).fixed_step() is None
+    # None leaves the schedule to minimize (automatic continuation)
+    assert EnergyConfig().epsilon_schedule is None
 
 
 def test_default_schedule(dom65):
@@ -249,13 +246,6 @@ def test_large_trace_returns_constant(large65, dom65):
     assert abs(large65.energy_sharp - area) <= 0.02 * area
     assert large65.u.values[dom65.mask >= 1].min() > 0.0
     assert supersolution_check(large65) <= 1e-6
-
-
-def test_large_trace_fixed_step_rule(dom65, op65):
-    cfg = EnergyConfig(default_schedule(dom65, LARGE_C), step_rule="fixed(0.1)")
-    st = minimize(op65, LARGE_C, cfg=cfg)
-    assert st.converged
-    assert np.abs(st.u.values[dom65.mask >= 1] - LARGE_C).max() <= 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +332,12 @@ def test_minimize_input_validation(op65):
         minimize(op65, SMALL_C, cfg=EnergyConfig((1e-5,)))
 
 
-def test_divergent_fixed_step_aborts_with_history(iso):
+def test_exhausted_backtracking_aborts_with_history(iso, monkeypatch):
+    # no step can meet an Armijo slope this steep, so every halving fails
+    monkeypatch.setattr(minimizer, "_armijo_slope", 1e6)
     dom = build_domain(disk_shape(1.0), 17)
     sched = tuple(np.geomspace(0.3, 0.06, 60))
-    cfg = EnergyConfig(sched, step_rule="fixed(1e9)")
+    cfg = EnergyConfig(sched)
     with pytest.raises(DivergenceError) as err:
         minimize(assemble_operator(iso, dom), SMALL_C, cfg=cfg)
     assert isinstance(err.value.history, tuple)

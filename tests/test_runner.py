@@ -150,6 +150,17 @@ def test_energy_overrides_parsed(tmp_path):
         load_config(_write(tmp_path, "j.ini", text))
 
 
+def test_unknown_section_or_key_rejected(tmp_path):
+    text = _cfg_text("iso_disk_small_c") + "[energy]\nstep_rule = fixed(0.1)\n"
+    path = _write(tmp_path, "u.ini", text)
+    with pytest.raises(ConfigError, match="step_rule"):
+        load_config(path)
+    assert main(["run", path, "--out", str(tmp_path / "u")]) == 2
+    text = _cfg_text("iso_disk_small_c") + "[solver]\ntol = 1e-8\n"
+    with pytest.raises(ConfigError, match="solver"):
+        load_config(_write(tmp_path, "v.ini", text))
+
+
 def test_config_syntax_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "k.ini", "no sections here\n"))
@@ -262,6 +273,43 @@ def test_polynomial_trace_through_minimizer(tmp_path):
         rep = json.load(f)
     assert rep["minimize"]["converged"] is True
     assert rep["minimize"]["max_dev_from_const"] is None
+
+
+def test_energy_override_matches_default_descent(tmp_path):
+    # an [energy] section that only lowers max_outer below any stage's
+    # iteration count runs the same automatic schedule and descent
+    base = ("[run]\nchecks = minimize, nodal, el\n[grid]\nshape = disk(1)\n"
+            "resolution = 65\n[boundary]\nu0 = 0.05 + 0.01*x1 - 0.02*x2^2\n")
+    reports = []
+    for name, extra in (("plain", ""), ("capped", "[energy]\nmax_outer = 199\n")):
+        cfg = load_config(_write(tmp_path, name + ".ini", base + extra),
+                          out_dir=str(tmp_path / name))
+        assert run(cfg) == 0
+        with open(tmp_path / name / "report.json") as f:
+            rep = json.load(f)
+        rep.pop("timestamp")
+        reports.append(rep)
+    assert reports[0] == reports[1]
+    assert ((tmp_path / "plain" / "history.csv").read_bytes()
+            == (tmp_path / "capped" / "history.csv").read_bytes())
+
+
+def test_coarse_disk2_run_reports_not_assessed(tmp_path):
+    # at h = 1/16 on disk(2) the Hessian log fit finds too few annuli and
+    # the zero set leaves no room for a test bump: both are reported
+    cfg = RunConfig(scenario="custom", shape_spec="disk(2)", resolution=65,
+                    field_spec="identity", u0_spec="0.05",
+                    checks=("greens", "frehse", "minimize", "nodal", "el"),
+                    out_dir=str(tmp_path / "d2"))
+    assert run(cfg) == 0
+    with open(tmp_path / "d2" / "report.json") as f:
+        rep = json.load(f)
+    assert rep["failures"] == []
+    assert rep["greens"]["pass"] is True
+    assert rep["greens"]["hessian_log_fit"]["assessed"] is False
+    assert "annuli" in rep["greens"]["hessian_log_fit"]["note"]
+    assert rep["el"]["assessed"] is False
+    assert "test-bump" in rep["el"]["note"]
 
 
 def test_deterministic_report():
