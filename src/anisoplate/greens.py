@@ -12,7 +12,6 @@ checks its true residual.  The report builders only read the columns.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -59,17 +58,22 @@ class GreensColumn:
     def coeff(self):
         return self.op.field
 
-    @cached_property
+    @property
     def psi(self):
-        """Anisotropic squared distance to the source at every node; built
-        once and read-only."""
-        d = self.domain
-        pts = np.stack([d.X, d.Y], axis=-1)
-        z = pts - self.source_xy
-        s = invert_spd2(self.coeff.matrix(pts))
-        psi = np.einsum("...i,...ij,...j->...", z, s, z)
-        psi.flags.writeable = False
-        return psi
+        """Anisotropic squared distance to the source at every node,
+        read-only; kept on the operator per source, so columns sharing both
+        (the centre columns of a greens check) build it once."""
+        grids = vars(self.op).setdefault("_psi_grids", {})
+        key = tuple(self.source_xy)
+        if key not in grids:
+            d = self.domain
+            pts = np.stack([d.X, d.Y], axis=-1)
+            z = pts - self.source_xy
+            s = invert_spd2(self.coeff.matrix(pts))
+            psi = np.einsum("...i,...ij,...j->...", z, s, z)
+            psi.flags.writeable = False
+            grids[key] = psi
+        return grids[key]
 
 
 @dataclass(frozen=True)
@@ -297,8 +301,7 @@ def frehse_residual(col_l2, *, pairing="inverse"):
 
     div_flux = -col_l2.op.apply_field(col_l2.values)   # div(A grad G) = -L G
     div_grid = np.zeros_like(col_l2.values.values)
-    ij = d.interior_ij
-    div_grid[ij[:, 0], ij[:, 1]] = div_flux
+    div_grid.put(d.flat_index[0], div_flux)
 
     hess = grid_hessian(d, col_l2.values.values)
 

@@ -166,6 +166,22 @@ class DiscreteDomain:
                           for xy in (self.interior_xy, self.boundary_xy))
         return _read_only(h * h * frac_i), _read_only(h * h * frac_b)
 
+    @cached_property
+    def flat_index(self):
+        """Flat (row-major) grid indices of the (interior, boundary) nodes,
+        in packed order, for take/put gathers; built once and read-only."""
+        n = self.mask.shape[1]
+        return tuple(_read_only(ij[:, 0] * n + ij[:, 1])
+                     for ij in (self.interior_ij, self.boundary_ij))
+
+    @cached_property
+    def node_text(self):
+        """The "x,y" text of every non-exterior node, row-major, formatted
+        once through format_rows; a tuple, so no caller can change it."""
+        i, j = np.nonzero(self.mask != EXTERIOR)
+        return tuple(format_rows("%.17g,%.17g",
+                                 (self.xs[i], self.ys[j])).splitlines())
+
     def interior_area(self):
         """Cell-counting area of the strictly-inside node set."""
         return self.n_interior * self.h ** 2
@@ -244,7 +260,9 @@ def build_domain(shape, resolution):
 
 
 class ScalarField:
-    """Node values on the full grid; exterior entries are kept at zero."""
+    """Node values on the full grid; exterior entries are kept at zero.
+    interior(), boundary() and replace_interior() index through the
+    domain's cached flat indices."""
 
     def __init__(self, domain, values=None):
         self.domain = domain
@@ -267,47 +285,54 @@ class ScalarField:
         return out
 
     def interior(self):
-        ij = self.domain.interior_ij
-        return self.values[ij[:, 0], ij[:, 1]]
+        return self.values.take(self.domain.flat_index[0])
 
     def boundary(self):
-        ij = self.domain.boundary_ij
-        return self.values[ij[:, 0], ij[:, 1]]
+        return self.values.take(self.domain.flat_index[1])
 
     def replace_interior(self, vec):
-        out = ScalarField(self.domain, self.values.copy())
-        ij = self.domain.interior_ij
-        out.values[ij[:, 0], ij[:, 1]] = vec
-        return out
+        """A new field with interior values vec (one per interior node);
+        boundary and exterior entries are copied, self is unchanged."""
+        values = self.values.copy()
+        values.reshape(-1)[self.domain.flat_index[0]] = vec
+        return ScalarField(self.domain, values)
 
     def copy(self):
         return ScalarField(self.domain, self.values.copy())
 
     def write_csv(self, path, column="value"):
-        """CSV x,y,<column> over non-exterior nodes, row-major in x then y."""
+        """CSV x,y,<column> over non-exterior nodes, row-major in x then y;
+        only the value column is formatted, the x,y text is node_text."""
         d = self.domain
-        i, j = np.nonzero(d.mask != EXTERIOR)
-        write_table(path, "x,y," + column, "%.17g,%.17g,%.17g",
-                    (d.xs[i], d.ys[j], self.values[i, j]))
+        write_table(path, "x,y," + column, "%s,%.17g",
+                    (d.node_text, self.values[d.mask != EXTERIOR]))
 
 
-def write_table(path, header, row_format, columns):
-    """Write a CSV: the header line, then one row_format line per row.
+def format_rows(row_format, columns):
+    """The rows of a table as one string: one row_format line, "\n"
+    terminated, per row.  This is the package's one row formatter.
 
     columns are equal-length sequences (arrays are taken as .tolist(), so
     numpy scalars format exactly as Python's).  The whole table is
     formatted at once: row_format repeated n times, % the columns
     interleaved row by row into one flat tuple.  No columns, or empty
-    ones, give the header alone."""
+    ones, give the empty string; ragged ones raise ValueError."""
     cols = [c.tolist() if isinstance(c, np.ndarray) else list(c)
             for c in columns]
     n = len(cols[0]) if cols else 0
     flat = [None] * (n * len(cols))
     for k, c in enumerate(cols):
         flat[k::len(cols)] = c
+    return (row_format + "\n") * n % tuple(flat)
+
+
+def write_table(path, header, row_format, columns):
+    """Write a CSV: the header line, then format_rows(row_format, columns).
+    No columns, or empty ones, give the header alone."""
+    rows = format_rows(row_format, columns)
     with open(path, "w") as f:
         f.write(header + "\n")
-        f.write((row_format + "\n") * n % tuple(flat))
+        f.write(rows)
 
 
 def central_gradient(domain, values):

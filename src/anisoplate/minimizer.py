@@ -63,12 +63,12 @@ class EnergyConfig:
         if self.epsilon_schedule is not None:
             sched = tuple(float(e) for e in self.epsilon_schedule)
             if not sched:
-                raise ValueError("epsilon schedule is empty")
+                raise ValueError("epsilon_schedule is empty")
             if any(e <= 0 for e in sched):
-                raise ValueError("epsilon schedule must be positive")
+                raise ValueError("epsilon_schedule must be positive")
             if any(b >= a for a, b in zip(sched, sched[1:])):
                 raise ValueError(
-                    "epsilon schedule must be strictly decreasing")
+                    "epsilon_schedule must be strictly decreasing")
             object.__setattr__(self, "epsilon_schedule", sched)
         if self.tol_grad <= 0:
             raise ValueError("tol_grad must be positive")
@@ -144,34 +144,32 @@ def _smoothed_heaviside_second(t, eps):
 # energies
 
 
-def smoothed_energy(op, u_field, eps):
-    """Relaxed energy and its gradient over interior unknowns.
+def smoothed_energy(op, ui, ub, eps):
+    """Relaxed energy, its gradient over interior unknowns, and v = L_h u,
+    for the state with interior values ui and boundary values ub.
 
     E_eps = sum (L_h u)^2 h^2 + sum H_eps(u) (cell weights), gradient
-    2 h^2 L_h^T (L_h u) + w H_eps'(u).
+    2 h^2 L_h^T (L_h u) + w H_eps'(u).  Returns (E_eps, gradient, v).
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = op.domain
     h2 = d.h ** 2
     wi, wb = d.measure_weights
-    ui, ub = u_field.interior(), u_field.boundary()
-    v = op.apply_field(u_field)
+    v = op.apply(ui, ub)
     bending = h2 * float(v @ v)
     measure = float(wi @ smoothed_heaviside(ui, eps)) \
         + float(wb @ smoothed_heaviside(ub, eps))
     grad = 2.0 * h2 * (op.matrix @ v) + wi * smoothed_heaviside_prime(ui, eps)
-    return bending + measure, grad
+    return bending + measure, grad, v
 
 
-def sharp_energy(op, u_field):
-    """(total, bending, measure) with the exact positivity indicator."""
+def sharp_energy(op, ui, ub, v):
+    """(total, bending, measure) with the exact positivity indicator, for
+    the state with interior values ui, boundary values ub and v = L_h u."""
     d = op.domain
-    h2 = d.h ** 2
     wi, wb = d.measure_weights
-    ui, ub = u_field.interior(), u_field.boundary()
-    v = op.apply_field(u_field)
-    bending = h2 * float(v @ v)
+    bending = d.h ** 2 * float(v @ v)
     measure = float(wi @ (ui > 0.0)) + float(wb @ (ub > 0.0))
     return bending + measure, bending, measure
 
@@ -199,8 +197,7 @@ def harmonic_extension(op, u0):
     trace = _trace_values(domain, u0)
     sol = op.solve_dirichlet(np.zeros(domain.n_interior), trace)
     out = ScalarField(domain)
-    bj = domain.boundary_ij
-    out.values[bj[:, 0], bj[:, 1]] = trace
+    out.values.put(domain.flat_index[1], trace)
     return out.replace_interior(sol)
 
 
@@ -239,24 +236,6 @@ def _curvature_step(op, ui, eps):
     return min(1.0, 1.0 / lam)
 
 
-def _nucleation_probes(op, u_field, eps, bump, u0_max):
-    """Try deterministic downward bumps; keep the best strict improvement.
-
-    Positive constants are critical points of the relaxed energy (the ramp
-    is flat above eps), so descent alone never leaves them; bumping by
-    scaled solutions of L B = 1 offers exits and the energy test keeps the
-    move only when it genuinely helps."""
-    e_best, _ = smoothed_energy(op, u_field, eps)
-    best = u_field
-    for scale in _probe_scales:
-        cand = u_field.replace_interior(
-            u_field.interior() - scale * u0_max * bump)
-        e_c, _ = smoothed_energy(op, cand, eps)
-        if e_c < e_best - 1e-15:
-            e_best, best = e_c, cand
-    return best
-
-
 def minimize(op, u0, cfg=None):
     """Minimize the relaxed energy over fields with the given trace.
 
@@ -265,8 +244,14 @@ def minimize(op, u0, cfg=None):
             array), optional EnergyConfig.
     output: MinimizerState at the last ramp width.  The trace is pinned
             exactly at every iterate; per-stage energies never increase.
-    Each stage takes a curvature-scaled trial step and halves it until the
-    Armijo condition holds; running out of halvings raises DivergenceError.
+    Each stage first tries downward bumps (scaled solutions of L B = 1)
+    from the pre-probe state and keeps the best strict improvement, since
+    descent alone never leaves a positive constant; then each step halves
+    a curvature-scaled trial step until the Armijo condition holds, and
+    running out of halvings raises DivergenceError.  The loop works on the
+    interior vector beside the pinned trace: each trial evaluates the
+    energy once, its L_h u serves the accepted step, and ScalarFields are
+    built only for the returned state.
     """
     domain = op.domain
     trace = _trace_values(domain, u0)
@@ -279,6 +264,7 @@ def minimize(op, u0, cfg=None):
         raise ValueError("final ramp width below the 2h^2 resolvability floor")
 
     u = harmonic_extension(op, u0)
+    ui, ub = u.interior(), u.boundary()
     bump = _precond_solve(op, np.ones(domain.n_interior))
     bump /= float(bump.max())
 
@@ -286,12 +272,16 @@ def minimize(op, u0, cfg=None):
     converged = True
 
     for stage, eps in enumerate(schedule):
-        u = _nucleation_probes(op, u, eps, bump, u0_max)
-        energy, grad = smoothed_energy(op, u, eps)
-        v = op.apply_field(u)
-        e_sharp = sharp_energy(op, u)[0]
+        energy, grad, v = smoothed_energy(op, ui, ub, eps)
+        start = ui
+        for scale in _probe_scales:
+            cand = start - scale * u0_max * bump
+            trial = smoothed_energy(op, cand, ub, eps)
+            if trial[0] < energy - 1e-15:
+                ui, (energy, grad, v) = cand, trial
+        e_sharp = sharp_energy(op, ui, ub, v)[0]
         history.append((stage, 0, energy, e_sharp, float(v.max())))
-        t0 = _curvature_step(op, u.interior(), eps)
+        t0 = _curvature_step(op, ui, eps)
         stage_done = False
         recent = [energy]
 
@@ -300,7 +290,6 @@ def minimize(op, u0, cfg=None):
             if gnorm <= cfg.tol_grad:
                 stage_done = True
                 break
-            ui = u.interior()
             hp = smoothed_heaviside_prime(ui, eps)
             d_vec = _direction(op, v, hp)
             slope = float(grad @ d_vec)
@@ -310,10 +299,10 @@ def minimize(op, u0, cfg=None):
 
             t = t0
             for _ in range(_max_backtracks):
-                cand = u.replace_interior(ui + t * d_vec)
-                e_c, g_c = smoothed_energy(op, cand, eps)
-                if e_c <= energy + _armijo_slope * t * slope:
-                    u, energy, grad = cand, e_c, g_c
+                cand = ui + t * d_vec
+                trial = smoothed_energy(op, cand, ub, eps)
+                if trial[0] <= energy + _armijo_slope * t * slope:
+                    ui, (energy, grad, v) = cand, trial
                     break
                 t *= 0.5
             else:
@@ -321,8 +310,7 @@ def minimize(op, u0, cfg=None):
                     "backtracking exhausted %d halvings without descent"
                     % _max_backtracks, history)
 
-            v = op.apply_field(u)
-            e_sharp = sharp_energy(op, u)[0]
+            e_sharp = sharp_energy(op, ui, ub, v)[0]
             history.append((stage, it, energy, e_sharp, float(v.max())))
             # descent that can no longer buy measurable energy is stationary
             # at this ramp width even if the gradient norm floor is higher
@@ -338,10 +326,10 @@ def minimize(op, u0, cfg=None):
         if not stage_done:
             converged = False
 
-    v_field = ScalarField(domain).replace_interior(op.apply_field(u))
-    _, bending, measure = sharp_energy(op, u)
-    return MinimizerState(u, v_field, bending, measure,
-                          schedule[-1], tuple(history), converged)
+    _, bending, measure = sharp_energy(op, ui, ub, v)
+    return MinimizerState(u.replace_interior(ui),
+                          ScalarField(domain).replace_interior(v), bending,
+                          measure, schedule[-1], tuple(history), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -408,8 +396,7 @@ def strip_measure_ratio(state, eps_probe):
         return 0.0
     g = central_gradient(d, u)
     gmag = np.hypot(g[..., 0], g[..., 1])
-    ij = d.interior_ij
-    gmax = float(gmag[ij[in_i, 0], ij[in_i, 1]].max()) if np.any(in_i) else 0.0
+    gmax = float(gmag.take(d.flat_index[0][in_i]).max()) if np.any(in_i) else 0.0
     if gmax > 0 and eps_probe < 4.0 * d.h * gmax:
         raise ValueError("probe width %g below grid resolvability %g"
                          % (eps_probe, 4.0 * d.h * gmax))

@@ -243,10 +243,18 @@ def _relative(lhs, rhs):
     return abs(lhs - rhs) / scale
 
 
-def _sample_scalar(domain, fn):
-    out = ScalarField(domain)
-    out.values = np.asarray(fn(domain.X, domain.Y), dtype=float)
-    return out
+def sample_on_grid(domain, fn):
+    """fn(x, y) at every node as read-only float grids (a tuple of them
+    for a vector field).  fn runs once on the node axes, x a column and y a
+    row, and is broadcast: for an elementwise fn, as every test-bank
+    function is, that equals fn(domain.X, domain.Y) bit for bit, and a
+    tensor bump's factors cost O(n), not O(n^2)."""
+    out = fn(domain.xs[:, None], domain.ys[None, :])
+    shape = domain.mask.shape
+    if isinstance(out, tuple):
+        return tuple(np.broadcast_to(np.asarray(c, dtype=float), shape)
+                     for c in out)
+    return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
 def el_residual(op, state, nodal, test_bank):
@@ -261,13 +269,11 @@ def el_residual(op, state, nodal, test_bank):
     ResidualRecord per test function.
     """
     d = op.domain
-    ij = d.interior_ij
-    v = state.v.values[ij[:, 0], ij[:, 1]]
+    v = state.v.interior()
     dens = measure_density(state.u, nodal)
     out = []
     for fn in test_bank:
-        f_field = _sample_scalar(d, fn)
-        lf = op.apply_field(f_field)
+        lf = op.apply_field(ScalarField(d, sample_on_grid(d, fn)))
         lhs = 2.0 * d.h ** 2 * float(v @ lf)
         if len(dens.weights):
             f_mid = np.asarray(fn(dens.vertices[:, 0], dens.vertices[:, 1]),
@@ -293,19 +299,17 @@ def domain_variation_residual(state, nodal, psi_bank):
     u = state.u.values
     wi, wb = d.measure_weights
     w_grid = np.zeros_like(u)
-    ij = d.interior_ij
-    bj = d.boundary_ij
-    w_grid[ij[:, 0], ij[:, 1]] = wi
-    w_grid[bj[:, 0], bj[:, 1]] = wb
+    w_grid.put(d.flat_index[0], wi)
+    w_grid.put(d.flat_index[1], wb)
     pos = (u > 0.0) & (d.mask >= 1)
 
     gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
     dens = measure_density(state.u, nodal)
     out = []
     for psi in psi_bank:
-        px, py = psi(d.X, d.Y)
-        div = (central_gradient(d, np.asarray(px, dtype=float))[..., 0]
-               + central_gradient(d, np.asarray(py, dtype=float))[..., 1])
+        px, py = sample_on_grid(d, psi)
+        div = (central_gradient(d, px)[..., 0]
+               + central_gradient(d, py)[..., 1])
         lhs = -float((div * w_grid)[pos].sum())
         if len(dens.weights):
             mx, my = dens.vertices[:, 0], dens.vertices[:, 1]

@@ -75,6 +75,7 @@ from .nodal import (
     el_test_bank,
     extract_nodal,
     measure_density,
+    sample_on_grid,
     tensor_bump,
     write_nodal_csv,
 )
@@ -218,9 +219,7 @@ class RunConfig:
     u0_spec: str
     checks: tuple
     out_dir: str
-    schedule: tuple = ()   # () = automatic continuation
-    tol_grad: float = EnergyConfig.tol_grad
-    max_outer: int = EnergyConfig.max_outer
+    energy: EnergyConfig = EnergyConfig()
 
     def __post_init__(self):
         n = self.resolution
@@ -293,7 +292,7 @@ def load_config(path, checks=None, out_dir=None):
         checks = tuple(checks)
     out = out_dir if out_dir is not None else _get(cp, "output", "dir", "out")
 
-    schedule = ()
+    schedule = None
     sched_text = _get(cp, "energy", "epsilon_schedule", "auto")
     if sched_text != "auto":
         try:
@@ -304,17 +303,18 @@ def load_config(path, checks=None, out_dir=None):
                 "comma-separated float list" % sched_text)
     try:
         tol_grad = float(_get(cp, "energy", "tol_grad",
-                              RunConfig.tol_grad))
+                              EnergyConfig.tol_grad))
         max_outer = int(_get(cp, "energy", "max_outer",
-                             RunConfig.max_outer))
+                             EnergyConfig.max_outer))
+        energy = EnergyConfig(schedule, tol_grad=tol_grad,
+                              max_outer=max_outer)
     except ValueError as e:
         raise ConfigError("[energy]: %s" % e)
 
     cfg = RunConfig(scenario=scenario, shape_spec=shape_spec,
                     resolution=resolution, field_spec=field_spec,
                     u0_spec=u0_spec, checks=checks, out_dir=out,
-                    schedule=schedule, tol_grad=tol_grad,
-                    max_outer=max_outer)
+                    energy=energy)
     _validate_specs(cfg)
     return cfg
 
@@ -461,9 +461,7 @@ def _check_minimize(ctx, sec):
     terms = ctx["terms"]
     const = datum_constant(terms)
     u0 = const if const is not None else datum_callable(terms)
-    state = minimize(op, u0, EnergyConfig(config.schedule or None,
-                                          tol_grad=config.tol_grad,
-                                          max_outer=config.max_outer))
+    state = minimize(op, u0, config.energy)
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp
@@ -611,7 +609,7 @@ def _check_el(ctx, sec):
     # so they must sit far below the live signal of the real bank
     curl = _curl_bump(centers[0][0], centers[0][1], widths[0])
     crec = domain_variation_residual(state, nod, (curl,))[0]
-    px, py = curl(dom.X, dom.Y)
+    px, py = sample_on_grid(dom, curl)
     curl_scale = float(np.hypot(px, py).max()) * nod.length
     dv_signal = max(abs(r.lhs) for r in vrecs)
 

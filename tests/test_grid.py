@@ -1,12 +1,14 @@
 """Grid classification and operator assembly against hand-computable
 oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from anisoplate.anisotropy import diag_field, identity_field, poly_field, rot_field
+from anisoplate import grid
 from anisoplate.grid import (
     BOUNDARY,
     EXTERIOR,
@@ -195,6 +197,71 @@ def test_scalar_field_write_csv_masked_disk(tmp_path):
     assert p.read_bytes() == "".join(lines).encode()
     # exterior nodes are left out: the disk does not fill its box
     assert 1 < len(lines) - 1 < d.mask.size
+
+
+@pytest.mark.parametrize("shape", [disk_shape(1.0), rect_shape(2.0, 1.0)])
+def test_flat_gathers_match_fancy_indexing(shape):
+    d = build_domain(shape, 33)
+    rng = np.random.default_rng(3)
+    f = ScalarField(d, rng.standard_normal(d.mask.shape))
+    ij, bj = d.interior_ij, d.boundary_ij
+    assert np.array_equal(f.interior(), f.values[ij[:, 0], ij[:, 1]])
+    assert np.array_equal(f.boundary(), f.values[bj[:, 0], bj[:, 1]])
+    # a strided view gathers the same values as its contiguous copy
+    t = ScalarField(d, f.values.T)
+    assert np.array_equal(t.interior(), f.values.T[ij[:, 0], ij[:, 1]])
+    fi, fb = d.flat_index
+    assert d.flat_index is d.flat_index
+    for arr in (fi, fb):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_replace_interior_copies_and_keeps_rim():
+    d = build_domain(disk_shape(1.0), 33)
+    rng = np.random.default_rng(4)
+    before = rng.standard_normal(d.mask.shape)   # exterior nonzero too
+    f = ScalarField(d, before.copy())
+    vec = rng.standard_normal(d.n_interior)
+    g = f.replace_interior(vec)
+    assert not np.shares_memory(g.values, f.values)
+    assert not np.shares_memory(g.values, vec)
+    assert np.array_equal(f.values, before)
+    inside = d.mask == INTERIOR
+    assert np.array_equal(g.values[~inside], before[~inside])
+    ij = d.interior_ij
+    assert np.array_equal(g.values[ij[:, 0], ij[:, 1]], vec)
+    vec[:] = 0.0
+    assert np.array_equal(g.interior(), g.values[ij[:, 0], ij[:, 1]])
+    assert not np.any(g.interior() == 0.0)
+    with pytest.raises(ValueError):
+        f.replace_interior(np.zeros(3))
+
+
+def test_node_text_built_once_and_immutable(tmp_path, monkeypatch):
+    d = build_domain(disk_shape(1.0), 17)
+    calls = []
+    real = grid.format_rows
+
+    def counting(row_format, columns):
+        calls.append(row_format)
+        return real(row_format, columns)
+
+    monkeypatch.setattr(grid, "format_rows", counting)
+    for k, column in enumerate(("u", "Lu", "G")):
+        f = ScalarField.from_function(d, lambda x, y: k + x * y)
+        f.write_csv(tmp_path / ("%s.csv" % column), column)
+    # one coordinate formatting for the domain, one value column per file
+    assert calls == ["%.17g,%.17g"] + ["%s,%.17g"] * 3
+    text = d.node_text
+    assert text is d.node_text and isinstance(text, tuple)
+    i, j = np.nonzero(d.mask != EXTERIOR)
+    assert text == tuple("%.17g,%.17g" % (d.xs[a], d.ys[b])
+                         for a, b in zip(i, j))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.node_text = ()
+    with pytest.raises(TypeError):
+        text[0] = "0,0"
 
 
 def test_central_gradient_exact_for_linear():

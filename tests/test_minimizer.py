@@ -24,7 +24,7 @@ from anisoplate import (
     supersolution_check,
     write_history,
 )
-from anisoplate.grid import ScalarField, assemble_operator
+from anisoplate.grid import ScalarField, SparseOperator, assemble_operator
 from anisoplate.minimizer import (
     MinimizerState,
     _precond_solve,
@@ -106,7 +106,7 @@ def test_smoothed_heaviside_shape():
 def test_smoothed_energy_all_negative_is_zero(op65, dom65):
     u = ScalarField(dom65)
     u.values[dom65.mask >= 1] = -1.0
-    e, g = smoothed_energy(op65, u, 0.3)
+    e, g, _ = smoothed_energy(op65, u.interior(), u.boundary(), 0.3)
     assert abs(e) < 1e-20
     assert np.all(g == 0.0)
 
@@ -116,10 +116,11 @@ def test_smoothed_energy_positive_constant_unit_square(iso):
     op = assemble_operator(iso, dom)
     u = ScalarField(dom)
     u.values[dom.mask >= 1] = 1.0
-    e, g = smoothed_energy(op, u, 0.5)
+    e, g, _ = smoothed_energy(op, u.interior(), u.boundary(), 0.5)
     assert abs(e - 1.0) <= 0.02
     assert np.all(g == 0.0)  # flat above eps, bending zero on constants
-    total, bending, measure = sharp_energy(op, u)
+    total, bending, measure = sharp_energy(op, u.interior(), u.boundary(),
+                                           op.apply_field(u))
     assert bending == 0.0
     assert abs(measure - 1.0) <= 0.02
 
@@ -127,9 +128,9 @@ def test_smoothed_energy_positive_constant_unit_square(iso):
 def test_smoothed_energy_rejects_bad_eps(op65, dom65):
     u = ScalarField(dom65)
     with pytest.raises(ValueError):
-        smoothed_energy(op65, u, 0.0)
+        smoothed_energy(op65, u.interior(), u.boundary(), 0.0)
     with pytest.raises(ValueError):
-        smoothed_energy(op65, u, -0.1)
+        smoothed_energy(op65, u.interior(), u.boundary(), -0.1)
 
 
 def test_smoothed_energy_gradient_matches_directional_fd(iso):
@@ -140,7 +141,7 @@ def test_smoothed_energy_gradient_matches_directional_fd(iso):
     u.values[dom.mask >= 1] = rng.uniform(-1.0, 1.0, (dom.mask >= 1).sum())
     eps = 0.5
     ij = dom.interior_ij
-    _, grad = smoothed_energy(op, u, eps)
+    _, grad, _ = smoothed_energy(op, u.interior(), u.boundary(), eps)
     step = 1e-6
     for _ in range(10):
         d = rng.standard_normal(dom.n_interior)
@@ -149,8 +150,8 @@ def test_smoothed_energy_gradient_matches_directional_fd(iso):
         up.values[ij[:, 0], ij[:, 1]] += step * d
         um = u.copy()
         um.values[ij[:, 0], ij[:, 1]] -= step * d
-        ep = smoothed_energy(op, up, eps)[0]
-        em = smoothed_energy(op, um, eps)[0]
+        ep = smoothed_energy(op, up.interior(), up.boundary(), eps)[0]
+        em = smoothed_energy(op, um.interior(), um.boundary(), eps)[0]
         fd = (ep - em) / (2.0 * step)
         an = float(grad @ d)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(fd))
@@ -259,7 +260,8 @@ def test_small_trace_beats_comparison_paraboloid(small65, dom65, op65):
     cand = ScalarField(dom65)
     cand.values = 2.0 * c * (dom65.X ** 2 + dom65.Y ** 2) - c
     cand.values[dom65.mask == 0] = 0.0
-    e_cand = sharp_energy(op65, cand)[0]
+    e_cand = sharp_energy(op65, cand.interior(), cand.boundary(),
+                          op65.apply_field(cand))[0]
     assert abs(e_cand - 2.0735) <= 0.05
     assert small65.energy_sharp <= e_cand
     assert small65.energy_sharp <= 2.2
@@ -308,8 +310,10 @@ def test_sharp_energy_nonincreasing_across_stages(small65):
 
 def test_final_relaxed_energy_below_initial(small65, op65):
     init = harmonic_extension(op65, SMALL_C)
-    e_init = smoothed_energy(op65, init, small65.epsilon)[0]
-    e_final = smoothed_energy(op65, small65.u, small65.epsilon)[0]
+    eps = small65.epsilon
+    e_init = smoothed_energy(op65, init.interior(), init.boundary(), eps)[0]
+    u = small65.u
+    e_final = smoothed_energy(op65, u.interior(), u.boundary(), eps)[0]
     assert e_final <= e_init + 1e-12
 
 
@@ -344,6 +348,29 @@ def test_exhausted_backtracking_aborts_with_history(iso, monkeypatch):
     assert len(err.value.history) > 0
 
 
+def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
+                                                          op65):
+    # the descent iterates on interior vectors, so grid copies and field
+    # applications of L_h happen at set-up and for the returned state only,
+    # never once per Armijo trial
+    counts = {}
+    for cls, name in ((ScalarField, "replace_interior"),
+                      (SparseOperator, "apply_field")):
+        def counting(self, *args, _real=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(cls, name, counting)
+    runs = []
+    for max_outer in (2, 200):
+        counts.update(replace_interior=0, apply_field=0)
+        state = minimize(op65, SMALL_C, EnergyConfig(max_outer=max_outer))
+        runs.append((len(state.history), dict(counts)))
+    (few, work_few), (many, work_many) = runs
+    assert many > 4 * few
+    assert work_few == work_many
+    assert max(work_many.values()) <= 3
+
+
 # ---------------------------------------------------------------------------
 # diagnostics on converged states
 
@@ -367,8 +394,9 @@ def test_inward_bump_raises_energy(small65, dom65, op65):
     assert support.sum() > 0
     bumped = small65.u.copy()
     bumped.values[support] += 0.3 * eps
-    e0 = smoothed_energy(op65, small65.u, eps)[0]
-    e1 = smoothed_energy(op65, bumped, eps)[0]
+    u = small65.u
+    e0 = smoothed_energy(op65, u.interior(), u.boundary(), eps)[0]
+    e1 = smoothed_energy(op65, bumped.interior(), bumped.boundary(), eps)[0]
     assert e1 > e0
 
 

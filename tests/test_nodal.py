@@ -18,11 +18,14 @@ from anisoplate.nodal import (
     extract_nodal,
     measure_density,
     mollify_measure,
+    sample_on_grid,
     tensor_bump,
     variation_test_bank,
     write_nodal_csv,
+    _radial_ring,
     _saddle_pairs,
 )
+from anisoplate.runner import _axis_bump, _curl_bump
 
 SMALL_C = 0.05
 
@@ -284,6 +287,31 @@ def test_domain_variation_support_off_the_set(small129, nodal129):
     recs = domain_variation_residual(small129, nodal129, (psi,))
     assert recs[0].rhs == 0.0
     assert abs(recs[0].lhs) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [disk_shape(1.0), rect_shape(2.0, 1.0)])
+def test_axis_sampling_matches_full_grid(shape):
+    # every bank function is elementwise, so evaluating it on the node axes
+    # and broadcasting gives the full-grid evaluation bit for bit
+    d = build_domain(shape, 65)
+    scalars = el_test_bank() + (tensor_bump(0.3, -0.2, 0.25),
+                                lambda x, y: 0.5)
+    vectors = variation_test_bank() + (
+        _radial_ring(0.5, 0.2), _axis_bump(0.4, 0.1, 0.2, 1.0, -1.0),
+        _curl_bump(0.4, 0.1, 0.2))
+
+    def same_bits(sampled, full):
+        full = np.broadcast_to(np.asarray(full, dtype=float), d.mask.shape)
+        assert sampled.shape == d.mask.shape and sampled.dtype == float
+        assert sampled.tobytes() == np.ascontiguousarray(full).tobytes()
+
+    for fn in scalars:
+        same_bits(sample_on_grid(d, fn), fn(d.X, d.Y))
+    for psi in vectors:
+        got = sample_on_grid(d, psi)
+        assert isinstance(got, tuple) and len(got) == 2
+        for sampled, full in zip(got, psi(d.X, d.Y)):
+            same_bits(sampled, full)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from anisoplate import (
     assemble_operator,
     build_domain,
     disk_shape,
+    greens,
     greens_column_L,
     greens_column_L2,
     grid,
@@ -31,6 +32,7 @@ from anisoplate.runner import (
     run,
     _execute,
 )
+from anisoplate import runner
 
 
 def _write(tmp_path, name, text):
@@ -142,8 +144,8 @@ def test_energy_overrides_parsed(tmp_path):
     text = _cfg_text("iso_disk_small_c") + \
         "[energy]\nepsilon_schedule = 0.1, 0.05\nmax_outer = 50\n"
     cfg = load_config(_write(tmp_path, "i.ini", text))
-    assert cfg.schedule == (0.1, 0.05)
-    assert cfg.max_outer == 50
+    assert cfg.energy.epsilon_schedule == (0.1, 0.05)
+    assert cfg.energy.max_outer == 50
     text = _cfg_text("iso_disk_small_c") + \
         "[energy]\nepsilon_schedule = pancake\n"
     with pytest.raises(ConfigError):
@@ -159,6 +161,26 @@ def test_unknown_section_or_key_rejected(tmp_path):
     text = _cfg_text("iso_disk_small_c") + "[solver]\ntol = 1e-8\n"
     with pytest.raises(ConfigError, match="solver"):
         load_config(_write(tmp_path, "v.ini", text))
+
+
+@pytest.mark.parametrize("line, key", [
+    ("epsilon_schedule = 0.1, 0.2", "epsilon_schedule"),
+    ("tol_grad = 0", "tol_grad"),
+    ("max_outer = 0", "max_outer"),
+])
+def test_bad_energy_values_rejected_at_load(tmp_path, monkeypatch, line, key):
+    # the minimizer's settings are validated with the rest of the config:
+    # exit 2 naming the key, before a domain is built or a check runs
+    built = []
+    monkeypatch.setattr(runner, "build_domain",
+                        lambda *a: built.append(a))
+    text = _cfg_text("iso_disk_large_c", res=33) + "[energy]\n%s\n" % line
+    path = _write(tmp_path, "e.ini", text)
+    with pytest.raises(ConfigError, match=r"\[energy\].*" + key):
+        load_config(path)
+    out = tmp_path / "e"
+    assert main(["run", path, "--out", str(out)]) == 2
+    assert built == [] and not out.exists()
 
 
 def test_config_syntax_error(tmp_path):
@@ -367,6 +389,27 @@ def test_greens_frehse_run_assembles_once(tmp_path, monkeypatch):
                       out_dir=str(tmp_path / "out"))
     assert run(cfg) == 0
     assert calls == [129]
+
+
+def test_greens_run_builds_psi_once_per_source(tmp_path, monkeypatch):
+    # the centre first-order column and the centre L^2 column share their
+    # source and operator, so both splits read one psi grid; each build
+    # inverts A once over the whole grid
+    builds = []
+    real = greens.invert_spd2
+
+    def counting(mats):
+        builds.append(mats.shape)
+        return real(mats)
+
+    monkeypatch.setattr(greens, "invert_spd2", counting)
+    text = ("[run]\nchecks = greens\n[grid]\nshape = disk(1)\n"
+            "resolution = 65\n[field]\nkind = diag(2,1)\n"
+            "[boundary]\nu0 = 0.05\n")
+    cfg = load_config(_write(tmp_path, "p.ini", text),
+                      out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 0
+    assert builds == [(67, 67, 2, 2)]
 
 
 # ---------------------------------------------------------------------------
