@@ -27,7 +27,7 @@ def main():
     print("resolution %d, zero curve length %.4f" % (RES, nod.length))
 
     print("\ninner variations (5 scalar windows riding the curve):")
-    for k, rec in enumerate(el_residual(op, state, nod, el_test_bank())):
+    for k, rec in enumerate(el_residual(op, state, nod, el_test_bank(1.0))):
         print("  #%d  bending side %+.5f  curve side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))
 

@@ -121,25 +121,30 @@ def _as_field(domain, interior_vec):
 
 
 def greens_column_L(op, source_ij):
-    """Column of the second-order Green's function, zero Dirichlet trace."""
+    """Column of the second-order Green's function, zero Dirichlet trace.
+    Its solve is kept on the operator per source, so the fourth-order
+    column on the same source (the centre columns of a greens check)
+    reuses it."""
     d = op.domain
-    g, _ = solve_spd(op.matrix, _delta_rhs(d, tuple(source_ij)), _column_accept)
+    key = tuple(source_ij)
+    solves = vars(op).setdefault("_first_order_solves", {})
+    if key not in solves:
+        solves[key] = solve_spd(op.matrix, _delta_rhs(d, key), _column_accept)[0]
+    g = solves[key]
     gmin = float(g.min())
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
-    src = np.array([d.xs[source_ij[0]], d.ys[source_ij[1]]])
-    return GreensColumn(FIRST_ORDER, op, tuple(source_ij), src, _as_field(d, g))
+    src = np.array([d.xs[key[0]], d.ys[key[1]]])
+    return GreensColumn(FIRST_ORDER, op, key, src, _as_field(d, g))
 
 
 def greens_column_L2(op, source_ij):
     """Column of the fourth-order Green's function with both traces zero;
-    keeps the intermediate second-order column."""
-    d = op.domain
-    w, _ = solve_spd(op.matrix, _delta_rhs(d, tuple(source_ij)), _column_accept)
-    g2, _ = solve_spd(op.matrix, w, _column_accept)
-    src = np.array([d.xs[source_ij[0]], d.ys[source_ij[1]]])
-    return GreensColumn(BILAPLACIAN, op, tuple(source_ij), src,
-                        _as_field(d, g2), intermediate=_as_field(d, w))
+    its intermediate is greens_column_L's column on the same source."""
+    first = greens_column_L(op, source_ij)
+    g2, _ = solve_spd(op.matrix, first.values.interior(), _column_accept)
+    return GreensColumn(BILAPLACIAN, op, first.source_ij, first.source_xy,
+                        _as_field(op.domain, g2), intermediate=first.values)
 
 
 # ---------------------------------------------------------------------------

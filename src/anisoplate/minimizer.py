@@ -6,10 +6,12 @@ The sharp objective is sum (L_h u)^2 h^2 + |{u > 0}|.  The indicator is
 relaxed to a cubic ramp of width eps, the width follows a halving
 schedule, and each stage runs descent preconditioned by two nested
 L-solves (the bending Hessian is L^T L, so this flattens its h^-4
-conditioning).  Because any positive constant is a critical point of the
-relaxed energy once eps < min u, each stage first tries a deterministic
-family of downward bumps (scaled solutions of L B = 1) and keeps a bump
-only when it strictly lowers the stage energy."""
+conditioning) with Armijo backtracking from the unit step, which is the
+exact Newton step of the bending part.  Because any positive constant is
+a critical point of the relaxed energy once eps < min u, each stage first
+tries a deterministic family of downward bumps (scaled solutions of
+L B = 1) and keeps a bump only when it strictly lowers the stage
+energy."""
 
 from dataclasses import dataclass
 
@@ -23,7 +25,6 @@ _minimizer_solve_tol = 1e-8
 _armijo_slope = 1e-4
 _max_backtracks = 50
 _probe_scales = (1.0, 2.0, 4.0)
-_power_iterations = 4
 _schedule_floor_abs = 1e-4
 _schedule_floor_cells = 6.0
 # A stage also ends, converged, once the energy is stationary: the drop over
@@ -131,15 +132,6 @@ def smoothed_heaviside_prime(t, eps):
     return out
 
 
-def _smoothed_heaviside_second(t, eps):
-    t = np.asarray(t, dtype=float)
-    s = t / eps
-    inside = (s > 0.0) & (s < 1.0)
-    out = np.zeros_like(t)
-    out[inside] = (6.0 - 12.0 * s[inside]) / eps ** 2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # energies
 
@@ -218,24 +210,6 @@ def _direction(op, v, grad_measure_over_weight):
     return -_precond_solve(op, v + inner)
 
 
-def _curvature_step(op, ui, eps):
-    """Trial step 1/lambda_hat from power iteration on the preconditioned
-    Hessian I + (2 L^2)^-1 diag(H'')."""
-    hpp = _smoothed_heaviside_second(ui, eps)
-    if not np.any(hpp):
-        return 1.0
-    x = np.ones_like(ui)
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(_power_iterations):
-        y = x + 0.5 * _precond_solve(op, _precond_solve(op, hpp * x))
-        lam = float(np.linalg.norm(y))
-        if lam == 0.0:
-            return 1.0
-        x = y / lam
-    return min(1.0, 1.0 / lam)
-
-
 def minimize(op, u0, cfg=None):
     """Minimize the relaxed energy over fields with the given trace.
 
@@ -246,9 +220,9 @@ def minimize(op, u0, cfg=None):
             exactly at every iterate; per-stage energies never increase.
     Each stage first tries downward bumps (scaled solutions of L B = 1)
     from the pre-probe state and keeps the best strict improvement, since
-    descent alone never leaves a positive constant; then each step halves
-    a curvature-scaled trial step until the Armijo condition holds, and
-    running out of halvings raises DivergenceError.  The loop works on the
+    descent alone never leaves a positive constant; then each step starts
+    at t = 1 and halves it until the Armijo condition holds, and running
+    out of halvings raises DivergenceError.  The loop works on the
     interior vector beside the pinned trace: each trial evaluates the
     energy once, its L_h u serves the accepted step, and ScalarFields are
     built only for the returned state.
@@ -281,14 +255,10 @@ def minimize(op, u0, cfg=None):
                 ui, (energy, grad, v) = cand, trial
         e_sharp = sharp_energy(op, ui, ub, v)[0]
         history.append((stage, 0, energy, e_sharp, float(v.max())))
-        t0 = _curvature_step(op, ui, eps)
-        stage_done = False
-        recent = [energy]
 
         for it in range(1, cfg.max_outer + 1):
             gnorm = float(np.linalg.norm(grad))
             if gnorm <= cfg.tol_grad:
-                stage_done = True
                 break
             hp = smoothed_heaviside_prime(ui, eps)
             d_vec = _direction(op, v, hp)
@@ -297,7 +267,7 @@ def minimize(op, u0, cfg=None):
                 d_vec = -grad
                 slope = -gnorm ** 2
 
-            t = t0
+            t = 1.0
             for _ in range(_max_backtracks):
                 cand = ui + t * d_vec
                 trial = smoothed_energy(op, cand, ub, eps)
@@ -313,17 +283,14 @@ def minimize(op, u0, cfg=None):
             e_sharp = sharp_energy(op, ui, ub, v)[0]
             history.append((stage, it, energy, e_sharp, float(v.max())))
             # descent that can no longer buy measurable energy is stationary
-            # at this ramp width even if the gradient norm floor is higher
-            recent.append(energy)
-            if len(recent) > _stationary_window + 1:
-                del recent[0]
-            if (len(recent) == _stationary_window + 1 and
-                    recent[0] - recent[-1] <= _stationary_window *
-                    _stationary_rtol * (1.0 + abs(energy))):
-                stage_done = True
+            # at this ramp width even if the gradient norm floor is higher;
+            # the window opens at this stage's row it - _stationary_window
+            if (it >= _stationary_window and
+                    history[-1 - _stationary_window][2] - energy <=
+                    _stationary_window * _stationary_rtol *
+                    (1.0 + abs(energy))):
                 break
-
-        if not stage_done:
+        else:
             converged = False
 
     _, bending, measure = sharp_energy(op, ui, ub, v)

@@ -16,7 +16,6 @@ from scipy import ndimage
 from .grid import ScalarField, central_gradient, write_table
 
 _degenerate_grad = 1e-8
-_zero_reltol = 1e-8
 
 # cell edges as pairs of corner slots; corners are numbered
 # 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1)
@@ -379,9 +378,11 @@ def tensor_bump(cx, cy, halfwidth=_bank_halfwidth):
     return fn
 
 
-def el_test_bank():
-    """Five tensor bumps straddling the zero set of the disk scenarios."""
-    return tuple(tensor_bump(cx, cy, w) for cx, cy, w in _el_centers)
+def el_test_bank(half):
+    """Five tensor bumps straddling the zero set of the unit-disk
+    scenarios, scaled by a domain's bbox_halfwidth `half` to lie inside."""
+    return tuple(tensor_bump(half * cx, half * cy, half * w)
+                 for cx, cy, w in _el_centers)
 
 
 def variation_test_bank():

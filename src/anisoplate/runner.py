@@ -60,7 +60,8 @@ from .greens import (
     singular_split,
     third_diff_sup,
 )
-from .grid import assemble_operator, build_domain, parse_shape, write_table
+from .grid import (assemble_operator, build_domain, open_fresh, parse_shape,
+                   write_table)
 from .minimizer import (
     EnergyConfig,
     minimize,
@@ -576,7 +577,8 @@ def _check_el(ctx, sec):
                               ctx["op"])
     nod = ctx["nodal"]
     if not nod.loops:
-        recs = el_residual(op, state, nod, el_test_bank())
+        bank = el_test_bank(dom.shape.bbox_halfwidth())
+        recs = el_residual(op, state, nod, bank)
         lhs = max(abs(r.lhs) for r in recs)
         rhs = max(abs(r.rhs) for r in recs)
         sec.update(empty_set=True, el_lhs_max=lhs, el_rhs_max=rhs)
@@ -741,7 +743,7 @@ def _execute(config, write_outputs=True):
         "elapsed_seconds": round(time.time() - t0, 3),
     }
     if write_outputs:
-        with open(os.path.join(out_dir, "report.json"), "w") as f:
+        with open_fresh(os.path.join(out_dir, "report.json")) as f:
             json.dump(report, f, indent=2, sort_keys=True,
                       default=_json_default)
             f.write("\n")

@@ -369,7 +369,7 @@ def test_criterion_08_supersolution_sign(criterion_report, disk129, disk257,
 def test_criterion_09_stationarity_identities(criterion_report, op129, op257,
                                               small129, small257,
                                               nodal129, nodal257):
-    el_bank = el_test_bank()
+    el_bank = el_test_bank(1.0)
     dv_bank = variation_test_bank()
     assert len(el_bank) == 5 and len(dv_bank) == 5
     el = {}

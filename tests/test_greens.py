@@ -149,6 +149,32 @@ def test_columns_on_one_operator_share_one_factorization(monkeypatch):
     assert len(calls) == 2
 
 
+def test_centre_columns_share_one_first_order_solve(monkeypatch):
+    # the fourth-order column's intermediate is the first-order column on
+    # the same operator and source, so it is solved once; a new source or
+    # a new operator solves again
+    calls = []
+    real = greens.solve_spd
+
+    def counting(matrix, rhs, tol):
+        calls.append(matrix)
+        return real(matrix, rhs, tol)
+
+    monkeypatch.setattr(greens, "solve_spd", counting)
+    dom = build_domain(disk_shape(1.0), 33)
+    fld = make_field("diag(2,1)")
+    op = assemble_operator(fld, dom)
+    col = greens_column_L(op, dom.center_ij)
+    col_l2 = greens_column_L2(op, dom.center_ij)
+    assert len(calls) == 2
+    assert np.array_equal(col_l2.intermediate.values, col.values.values)
+    greens_column_L2(op, node_near(dom, 0.3, -0.2))
+    assert len(calls) == 4
+    fresh = greens_column_L2(assemble_operator(fld, dom), dom.center_ij)
+    assert len(calls) == 6
+    assert np.array_equal(fresh.values.values, col_l2.values.values)
+
+
 def test_columns_tied_to_their_operator():
     # a column reads its domain and field off the operator it was solved
     # on, so no column can pair that operator with another field

@@ -3,6 +3,7 @@ oracles."""
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ def test_write_table_empty_is_header_only(tmp_path):
     assert p.read_bytes() == b"x,y,weight\n"
     write_table(p, "stage,iter", "%d,%d", [])
     assert p.read_bytes() == b"stage,iter\n"
+
+
+def test_write_table_replaces_an_existing_file(tmp_path):
+    # the old file is removed, not truncated in place: another hard link to
+    # it keeps the old bytes and the path gets a new file
+    p = tmp_path / "t.csv"
+    write_table(p, "a", "%d", [(1, 2)])
+    link = tmp_path / "link.csv"
+    os.link(p, link)
+    write_table(p, "b", "%d", [(3,)])
+    assert p.read_bytes() == b"b\n3\n"
+    assert link.read_bytes() == b"a\n1\n2\n"
 
 
 def test_write_table_rejects_ragged_columns(tmp_path):

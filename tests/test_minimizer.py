@@ -371,6 +371,22 @@ def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
     assert max(work_many.values()) <= 3
 
 
+def test_minimize_solve_budget(monkeypatch, op65):
+    # one solve for the probe bump and two per accepted step (the nested
+    # preconditioner); the Armijo search starts at t = 1 and spends none
+    calls = []
+    real = minimizer.solve_spd
+
+    def counting(matrix, rhs, tol):
+        calls.append(tol)
+        return real(matrix, rhs, tol)
+
+    monkeypatch.setattr(minimizer, "solve_spd", counting)
+    state = minimize(op65, SMALL_C)
+    stages = len({row[0] for row in state.history})
+    assert len(calls) == 1 + 2 * (len(state.history) - stages)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics on converged states
 

@@ -225,7 +225,7 @@ def test_strip_ratio_matches_curve_quadrature(small129, nodal129):
 
 
 def test_el_residual_scenario(op129, small129, nodal129):
-    recs = el_residual(op129, small129, nodal129, el_test_bank())
+    recs = el_residual(op129, small129, nodal129, el_test_bank(1.0))
     assert max(r.rel for r in recs) <= 0.15
     # both sides carry real signal for the on-set bumps
     assert min(abs(r.lhs) for r in recs) > 0.3
@@ -236,7 +236,7 @@ def test_el_residual_empty_trivial(op129, dom129):
     u.values[dom129.mask >= 1] = 1.0
     state = _state_of(u)
     nod = extract_nodal(u)
-    recs = el_residual(op129, state, nod, el_test_bank())
+    recs = el_residual(op129, state, nod, el_test_bank(1.0))
     for r in recs:
         assert abs(r.lhs) <= 1e-8
         assert abs(r.rhs) <= 1e-8
@@ -294,8 +294,8 @@ def test_axis_sampling_matches_full_grid(shape):
     # every bank function is elementwise, so evaluating it on the node axes
     # and broadcasting gives the full-grid evaluation bit for bit
     d = build_domain(shape, 65)
-    scalars = el_test_bank() + (tensor_bump(0.3, -0.2, 0.25),
-                                lambda x, y: 0.5)
+    scalars = el_test_bank(1.0) + (tensor_bump(0.3, -0.2, 0.25),
+                                   lambda x, y: 0.5)
     vectors = variation_test_bank() + (
         _radial_ring(0.5, 0.2), _axis_bump(0.4, 0.1, 0.2, 1.0, -1.0),
         _curl_bump(0.4, 0.1, 0.2))

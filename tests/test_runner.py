@@ -334,6 +334,20 @@ def test_coarse_disk2_run_reports_not_assessed(tmp_path):
     assert "test-bump" in rep["el"]["note"]
 
 
+def test_empty_set_el_bank_lies_inside_small_disk():
+    # with an empty zero set the EL identity is tested on a bank placed
+    # inside the domain, so on disk(0.5) it reads a roundoff-sized left
+    # side rather than the exact 0 of bumps lying wholly outside it
+    cfg = RunConfig(scenario="custom", shape_spec="disk(0.5)",
+                    resolution=129, field_spec="identity", u0_spec="10",
+                    checks=("el",), out_dir="unused")
+    rep = _execute(cfg, write_outputs=False)
+    e = rep["el"]
+    assert rep["failures"] == []
+    assert e["empty_set"] is True and e["pass"] is True
+    assert 0.0 < e["el_lhs_max"] <= 1e-8
+
+
 def test_deterministic_report():
     cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
                     resolution=65, field_spec="identity", u0_spec="10",
