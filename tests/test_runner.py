@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from anisoplate import (
+    DivergenceError,
     assemble_operator,
     build_domain,
     disk_shape,
@@ -346,6 +347,48 @@ def test_empty_set_el_bank_lies_inside_small_disk():
     assert rep["failures"] == []
     assert e["empty_set"] is True and e["pass"] is True
     assert 0.0 < e["el_lhs_max"] <= 1e-8
+
+
+def _stalled_minimize(op, u0, config):
+    raise DivergenceError("descent stalled", ())
+
+
+def _rim_nodal(u_field):
+    raise ValueError("field is nonpositive on a domain boundary node")
+
+
+@pytest.mark.parametrize("checks", [("el",), ("minimize", "nodal", "el")])
+@pytest.mark.parametrize("target,stub,errors", [
+    ("minimize", _stalled_minimize,
+     {"minimize": "minimize: descent stalled",
+      "nodal": "nodal: minimizer unavailable",
+      "el": "el: minimizer unavailable"}),
+    ("extract_nodal", _rim_nodal,
+     {"nodal": "nodal: field is nonpositive on a domain boundary node",
+      "el": "el: nodal set unavailable"}),
+])
+def test_unavailable_dependency_fails_dependents(tmp_path, monkeypatch,
+                                                 checks, target, stub, errors):
+    # a check whose dependency raised does not run: it records why, fails,
+    # and counts as a failure only when it was requested
+    monkeypatch.setattr(runner, target, stub)
+    cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
+                    resolution=33, field_spec="identity", u0_spec="10",
+                    checks=checks, out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 1
+    with open(tmp_path / "out" / "report.json") as f:
+        rep = json.load(f)
+    for name, text in errors.items():
+        sec = rep[name]
+        assert sec["error"] == text
+        assert sec["pass"] is False
+        assert sec["requested"] is (name in checks)
+        if name != target.replace("extract_", ""):
+            assert sorted(sec) == ["error", "pass", "requested"]
+    if target == "extract_nodal":
+        assert rep["minimize"]["pass"] is True
+    assert rep["failures"] == [c for c in ("minimize", "nodal", "el")
+                               if c in errors and c in checks]
 
 
 def test_deterministic_report():
