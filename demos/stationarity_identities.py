@@ -10,10 +10,9 @@ direct audit of the free boundary the solver found.
 Usage: python3 demos/stationarity_identities.py
 """
 
-from anisoplate import (assemble_operator, build_domain, disk_shape,
-                        domain_variation_residual, el_residual, el_test_bank,
-                        extract_nodal, make_field, minimize,
-                        variation_test_bank)
+from anisoplate import (assemble_operator, build_domain, bump_bank,
+                        disk_shape, domain_variation_residual, el_residual,
+                        extract_nodal, make_field, minimize)
 
 RES = 129
 
@@ -24,16 +23,17 @@ def main():
     op = assemble_operator(fld, dom)
     state = minimize(op, 0.05)
     nod = extract_nodal(state.u)
+    bank = bump_bank(dom, nod)
     print("resolution %d, zero curve length %.4f" % (RES, nod.length))
 
     print("\ninner variations (5 scalar windows riding the curve):")
-    for k, rec in enumerate(el_residual(op, state, nod, el_test_bank(1.0))):
+    for k, rec in enumerate(el_residual(op, state, nod, bank.scalars)):
         print("  #%d  bending side %+.5f  curve side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))
 
-    print("\ndomain variations (5 vector windows):")
+    print("\ndomain variations (5 vector windows on the same centres):")
     for k, rec in enumerate(domain_variation_residual(state, nod,
-                                                      variation_test_bank())):
+                                                      bank.pushes)):
         print("  #%d  energy side %+.5f  measure side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))
 

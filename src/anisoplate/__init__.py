@@ -66,14 +66,13 @@ from .nodal import (
     NodalSet,
     ResidualRecord,
     bilinear_sample,
+    bump_bank,
     domain_variation_residual,
     el_residual,
-    el_test_bank,
     extract_nodal,
     measure_density,
     mollify_measure,
     tensor_bump,
-    variation_test_bank,
     write_nodal_csv,
 )
 from .runner import (

@@ -22,16 +22,19 @@ _degenerate_grad = 1e-8
 _edges = ((0, 1), (1, 2), (3, 2), (0, 3))
 _four_neighbors = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
-# default test banks, sized for the unit-disk scenarios: bump supports sit
-# strictly inside the domain.  The scalar bank rides the zero set of the
-# dipped state (radius ~0.76) so both sides of the identity carry O(1)
-# signal; tail-only overlap would leave quadrature noise in charge.
-_el_centers = ((0.76, 0.0, 0.2), (-0.76, 0.0, 0.2), (0.0, 0.76, 0.2),
-               (0.0, -0.76, 0.2), (0.537, 0.537, 0.15))
-_bank_halfwidth = 0.3
-_bank_centers = ((0.5, 0.0), (-0.5, 0.0), (0.0, 0.5), (0.0, -0.5), (0.36, 0.36))
-_ring_center = 0.72
-_ring_halfwidth = 0.22
+# test bank: five tensor bumps spread over the zero set, half-width 0.2
+# clipped by the clearance to the boundary
+_bump_count = 5
+_bank_halfwidth = 0.2
+# with an empty zero set, (x, y, halfwidth) in units of the bounding-box
+# halfwidth: on the unit disk these straddle the radius-0.76 zero set of
+# the small-trace minimizer, where both identity sides carry O(1) signal
+_empty_set_placements = ((0.76, 0.0, 0.2), (-0.76, 0.0, 0.2),
+                         (0.0, 0.76, 0.2), (0.0, -0.76, 0.2),
+                         (0.537, 0.537, 0.15))
+# directions of the domain-variation pushes, cycled over the centres
+_push_patterns = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0),
+                  (1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -357,7 +360,7 @@ def mollify_measure(domain, density, n):
 
 
 # ---------------------------------------------------------------------------
-# test-function banks and output
+# test bank and output
 
 
 def bump_profile(t):
@@ -371,44 +374,85 @@ def bump_profile_deriv(t):
     return np.where(np.abs(t) < 1.0, -6.0 * t * (1.0 - t * t) ** 2, 0.0)
 
 
-def tensor_bump(cx, cy, halfwidth=_bank_halfwidth):
+def tensor_bump(cx, cy, halfwidth):
     def fn(x, y):
         return bump_profile((x - cx) / halfwidth) * \
             bump_profile((y - cy) / halfwidth)
     return fn
 
 
-def el_test_bank(half):
-    """Five tensor bumps straddling the zero set of the unit-disk
-    scenarios, scaled by a domain's bbox_halfwidth `half` to lie inside."""
-    return tuple(tensor_bump(half * cx, half * cy, half * w)
-                 for cx, cy, w in _el_centers)
+def _axis_push(cx, cy, w, ax, ay):
+    def fn(x, y):
+        b = bump_profile((x - cx) / w) * bump_profile((y - cy) / w)
+        return ax * b, ay * b
+    return fn
 
 
-def variation_test_bank():
-    """Five interior vector fields: a radial ring push plus directional
-    bumps."""
-    ring = _radial_ring(_ring_center, _ring_halfwidth)
-    b0 = tensor_bump(*_bank_centers[0])
-    b2 = tensor_bump(*_bank_centers[2])
-    b4 = tensor_bump(*_bank_centers[4])
-    narrow = _radial_ring(0.76, 0.15)
+def _curl_field(cx, cy, w):
+    def fn(x, y):
+        px = -bump_profile((x - cx) / w) * bump_profile_deriv((y - cy) / w) / w
+        py = bump_profile_deriv((x - cx) / w) * bump_profile((y - cy) / w) / w
+        return px, py
+    return fn
 
-    return (
-        ring,
-        lambda x, y: (b0(x, y), np.zeros_like(np.asarray(x, dtype=float))),
-        lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)), b2(x, y)),
-        lambda x, y: (b4(x, y), b4(x, y)),
-        narrow,
+
+@dataclass(frozen=True)
+class BumpBank:
+    """Test functions for both stationarity identities.
+
+    centers, halfwidths: the tensor-bump supports, as Python floats.
+    scalars: one tensor bump per centre, for `el_residual`.
+    pushes: axis-directed vector bumps, the direction patterns cycled over
+        the centres, for `domain_variation_residual`.
+    curl: a divergence-free control on the first centre.
+    """
+
+    centers: tuple
+    halfwidths: tuple
+    scalars: tuple
+    pushes: tuple
+    curl: object
+
+
+def bump_bank(domain, nodal):
+    """The test bank of a state's zero set.
+
+    With loops, five centres spread over the loop vertices, each of
+    half-width min(0.2, 0.95 x clearance to the boundary); a centre whose
+    half-width falls below 4h is dropped.  With an empty zero set, five
+    fixed placements scaled by the domain's bbox_halfwidth.
+    raises: RuntimeError when no centre is admissible.
+    """
+    centers, widths = [], []
+    if nodal.loops:
+        verts = np.concatenate([lp.vertices for lp in nodal.loops])
+        for i in (np.arange(_bump_count) * len(verts)) // _bump_count:
+            cx, cy = float(verts[i, 0]), float(verts[i, 1])
+            clearance = -float(domain.shape.sdf(np.array([cx, cy])))
+            w = min(_bank_halfwidth, 0.95 * clearance)
+            if w < 4.0 * domain.h:
+                continue
+            centers.append((cx, cy))
+            widths.append(w)
+        if not centers:
+            raise RuntimeError(
+                "no admissible test-bump centers: the zero set hugs the "
+                "boundary at this resolution")
+    else:
+        half = domain.shape.bbox_halfwidth()
+        for cx, cy, w in _empty_set_placements:
+            centers.append((half * cx, half * cy))
+            widths.append(half * w)
+    n = len(centers)
+    return BumpBank(
+        centers=tuple(centers),
+        halfwidths=tuple(widths),
+        scalars=tuple(tensor_bump(cx, cy, w)
+                      for (cx, cy), w in zip(centers, widths)),
+        pushes=tuple(_axis_push(*centers[k % n], widths[k % n], ax, ay)
+                     for k, (ax, ay) in enumerate(_push_patterns)),
+        curl=_curl_field(*centers[0], widths[0]),
     )
-
-
-def _radial_ring(center, halfwidth):
-    def psi(x, y):
-        r = np.hypot(x, y)
-        eta = bump_profile((r - center) / halfwidth)
-        return eta * np.asarray(x, dtype=float), eta * np.asarray(y, dtype=float)
-    return psi
 
 
 def write_nodal_csv(nodal, path):

@@ -69,15 +69,12 @@ from .minimizer import (
     write_history,
 )
 from .nodal import (
-    bump_profile,
-    bump_profile_deriv,
+    bump_bank,
     domain_variation_residual,
     el_residual,
-    el_test_bank,
     extract_nodal,
     measure_density,
     sample_on_grid,
-    tensor_bump,
     write_nodal_csv,
 )
 
@@ -102,8 +99,6 @@ _dv_bound = 0.20
 _residual_min_res = 129
 _frehse_max_h = 1.0 / 64.0
 _empty_identity_tol = 1e-8
-_auto_bump_halfwidth = 0.2
-_bank_size = 5
 _study_max_levels = 4
 _study_max_resolution = 513
 _known_keys = {
@@ -536,49 +531,19 @@ def _check_nodal(ctx, sec):
                          dens.weights))
 
 
-def _auto_centers(dom, nodal, count=_bank_size):
-    """Bump centers spread along the zero set, widths clipped so every
-    support stays strictly inside the domain and spans >= 4 cells."""
-    verts = np.concatenate([lp.vertices for lp in nodal.loops])
-    idx = (np.arange(count) * len(verts)) // count
-    centers, widths = [], []
-    for i in idx:
-        cx, cy = float(verts[i, 0]), float(verts[i, 1])
-        clearance = -float(dom.shape.sdf(np.array([cx, cy])))
-        w = min(_auto_bump_halfwidth, 0.95 * clearance)
-        if w < 4.0 * dom.h:
-            continue
-        centers.append((cx, cy))
-        widths.append(w)
-    if not centers:
-        raise RuntimeError(
-            "no admissible test-bump centers: the zero set hugs the "
-            "boundary at this resolution")
-    return centers, widths
-
-
-def _axis_bump(cx, cy, w, ax, ay):
-    def fn(x, y):
-        b = bump_profile((x - cx) / w) * bump_profile((y - cy) / w)
-        return ax * b, ay * b
-    return fn
-
-
-def _curl_bump(cx, cy, w):
-    def fn(x, y):
-        px = -bump_profile((x - cx) / w) * bump_profile_deriv((y - cy) / w) / w
-        py = bump_profile_deriv((x - cx) / w) * bump_profile((y - cy) / w) / w
-        return px, py
-    return fn
-
-
 def _check_el(ctx, sec):
     config, state, dom, op = (ctx["config"], ctx["state"], ctx["domain"],
                               ctx["op"])
     nod = ctx["nodal"]
+    try:
+        bank = bump_bank(dom, nod)
+    except RuntimeError as e:
+        if config.resolution >= _residual_min_res:
+            raise
+        sec.update(empty_set=False, assessed=False, note=str(e))
+        return
+    recs = el_residual(op, state, nod, bank.scalars)
     if not nod.loops:
-        bank = el_test_bank(dom.shape.bbox_halfwidth())
-        recs = el_residual(op, state, nod, bank)
         lhs = max(abs(r.lhs) for r in recs)
         rhs = max(abs(r.rhs) for r in recs)
         sec.update(empty_set=True, el_lhs_max=lhs, el_rhs_max=rhs)
@@ -586,39 +551,21 @@ def _check_el(ctx, sec):
                            and rhs <= _empty_identity_tol)
         return
 
-    try:
-        centers, widths = _auto_centers(dom, nod)
-    except RuntimeError as e:
-        if config.resolution >= _residual_min_res:
-            raise
-        sec.update(empty_set=False, assessed=False, note=str(e))
-        return
-    n = len(centers)
-    scalars = tuple(tensor_bump(cx, cy, w)
-                    for (cx, cy), w in zip(centers, widths))
-    recs = el_residual(op, state, nod, scalars)
     el_max = max(r.rel for r in recs)
-
-    patterns = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, 0.0))
-    vbank = tuple(
-        _axis_bump(centers[k % n][0], centers[k % n][1], widths[k % n],
-                   ax, ay)
-        for k, (ax, ay) in enumerate(patterns))
-    vrecs = domain_variation_residual(state, nod, vbank)
+    vrecs = domain_variation_residual(state, nod, bank.pushes)
     dv_max = max(r.rel for r in vrecs)
 
     # divergence-free control: both sides approximate an analytic zero,
     # so they must sit far below the live signal of the real bank
-    curl = _curl_bump(centers[0][0], centers[0][1], widths[0])
-    crec = domain_variation_residual(state, nod, (curl,))[0]
-    px, py = sample_on_grid(dom, curl)
+    crec = domain_variation_residual(state, nod, (bank.curl,))[0]
+    px, py = sample_on_grid(dom, bank.curl)
     curl_scale = float(np.hypot(px, py).max()) * nod.length
     dv_signal = max(abs(r.lhs) for r in vrecs)
 
     sec.update(
         empty_set=False,
-        bank_centers=[[cx, cy] for cx, cy in centers],
-        bank_halfwidths=list(widths),
+        bank_centers=[[cx, cy] for cx, cy in bank.centers],
+        bank_halfwidths=list(bank.halfwidths),
         el_max=el_max,
         el_residuals=[{"lhs": r.lhs, "rhs": r.rhs, "rel": r.rel}
                       for r in recs],

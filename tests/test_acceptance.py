@@ -17,11 +17,11 @@ from anisoplate import (
     assemble_operator,
     build_domain,
     build_frame,
+    bump_bank,
     d1_quadrature,
     disk_shape,
     domain_variation_residual,
     el_residual,
-    el_test_bank,
     extract_nodal,
     frehse_residual,
     greens_column_L,
@@ -32,7 +32,6 @@ from anisoplate import (
     minimize,
     node_near,
     singular_split,
-    variation_test_bank,
 )
 from anisoplate.greens import gradient_sup, third_diff_sup
 from anisoplate.grid import ScalarField
@@ -369,15 +368,15 @@ def test_criterion_08_supersolution_sign(criterion_report, disk129, disk257,
 def test_criterion_09_stationarity_identities(criterion_report, op129, op257,
                                               small129, small257,
                                               nodal129, nodal257):
-    el_bank = el_test_bank(1.0)
-    dv_bank = variation_test_bank()
-    assert len(el_bank) == 5 and len(dv_bank) == 5
     el = {}
     dv = {}
     for res, op, st, nod in ((129, op129, small129, nodal129),
                              (257, op257, small257, nodal257)):
-        el[res] = max(r.rel for r in el_residual(op, st, nod, el_bank))
-        dv[res] = max(r.rel for r in domain_variation_residual(st, nod, dv_bank))
+        bank = bump_bank(op.domain, nod)
+        assert len(bank.scalars) == 5 and len(bank.pushes) == 5
+        el[res] = max(r.rel for r in el_residual(op, st, nod, bank.scalars))
+        dv[res] = max(r.rel for r in domain_variation_residual(st, nod,
+                                                               bank.pushes))
     el_ratio = el[257] / el[129]
     dv_ratio = dv[257] / dv[129]
     ok = (el[257] <= 0.10 and dv[257] <= 0.10

@@ -10,22 +10,20 @@ from anisoplate.grid import ScalarField, assemble_operator
 from anisoplate.minimizer import MinimizerState, strip_measure_ratio
 from anisoplate.nodal import (
     MeasureDensity,
+    NodalSet,
     bilinear_sample,
+    bump_bank,
     bump_profile,
     domain_variation_residual,
     el_residual,
-    el_test_bank,
     extract_nodal,
     measure_density,
     mollify_measure,
     sample_on_grid,
     tensor_bump,
-    variation_test_bank,
     write_nodal_csv,
-    _radial_ring,
     _saddle_pairs,
 )
-from anisoplate.runner import _axis_bump, _curl_bump
 
 SMALL_C = 0.05
 
@@ -53,6 +51,11 @@ def small129(op129):
 @pytest.fixture(scope="module")
 def nodal129(small129):
     return extract_nodal(small129.u)
+
+
+@pytest.fixture(scope="module")
+def bank129(dom129, nodal129):
+    return bump_bank(dom129, nodal129)
 
 
 def _circle_field(res):
@@ -224,8 +227,8 @@ def test_strip_ratio_matches_curve_quadrature(small129, nodal129):
 # variational identities
 
 
-def test_el_residual_scenario(op129, small129, nodal129):
-    recs = el_residual(op129, small129, nodal129, el_test_bank(1.0))
+def test_el_residual_scenario(op129, small129, nodal129, bank129):
+    recs = el_residual(op129, small129, nodal129, bank129.scalars)
     assert max(r.rel for r in recs) <= 0.15
     # both sides carry real signal for the on-set bumps
     assert min(abs(r.lhs) for r in recs) > 0.3
@@ -236,7 +239,7 @@ def test_el_residual_empty_trivial(op129, dom129):
     u.values[dom129.mask >= 1] = 1.0
     state = _state_of(u)
     nod = extract_nodal(u)
-    recs = el_residual(op129, state, nod, el_test_bank(1.0))
+    recs = el_residual(op129, state, nod, bump_bank(dom129, nod).scalars)
     for r in recs:
         assert abs(r.lhs) <= 1e-8
         assert abs(r.rhs) <= 1e-8
@@ -250,8 +253,8 @@ def test_el_residual_linearity(op129, small129, nodal129):
     assert r7.rhs == pytest.approx(7.0 * r1.rhs, rel=1e-12)
 
 
-def test_domain_variation_scenario(small129, nodal129):
-    recs = domain_variation_residual(small129, nodal129, variation_test_bank())
+def test_domain_variation_scenario(small129, nodal129, bank129):
+    recs = domain_variation_residual(small129, nodal129, bank129.pushes)
     assert max(r.rel for r in recs) <= 0.2
 
 
@@ -294,11 +297,9 @@ def test_axis_sampling_matches_full_grid(shape):
     # every bank function is elementwise, so evaluating it on the node axes
     # and broadcasting gives the full-grid evaluation bit for bit
     d = build_domain(shape, 65)
-    scalars = el_test_bank(1.0) + (tensor_bump(0.3, -0.2, 0.25),
-                                   lambda x, y: 0.5)
-    vectors = variation_test_bank() + (
-        _radial_ring(0.5, 0.2), _axis_bump(0.4, 0.1, 0.2, 1.0, -1.0),
-        _curl_bump(0.4, 0.1, 0.2))
+    bank = bump_bank(d, NodalSet((), 0.0, 0))
+    scalars = bank.scalars + (tensor_bump(0.3, -0.2, 0.25), lambda x, y: 0.5)
+    vectors = bank.pushes + (bank.curl,)
 
     def same_bits(sampled, full):
         full = np.broadcast_to(np.asarray(full, dtype=float), d.mask.shape)
