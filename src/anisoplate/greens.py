@@ -288,6 +288,14 @@ def _spectral_norm_sym2(mats):
     return np.maximum(np.abs(half_tr + root), np.abs(half_tr - root))
 
 
+def coarse_grid_note(domain):
+    """Why the annulus metrics refuse a grid coarser than h = 1/64, or None
+    when they accept it."""
+    if domain.h > 1.0 / 64.0 + 1e-12:
+        return "grid too coarse for annulus metrics: h = %g > 1/64" % domain.h
+    return None
+
+
 def frehse_residual(col_l2, *, pairing="inverse"):
     """Split the Hessian of a fourth-order column into the scalar log
     singularity times a matrix, plus a remainder, on dyadic annuli.  The
@@ -301,8 +309,9 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     if col_l2.kind != BILAPLACIAN:
         raise ValueError("Hessian-structure residual needs a fourth-order column")
     d = col_l2.domain
-    if d.h > 1.0 / 64.0 + 1e-12:
-        raise ValueError("grid too coarse for annulus metrics: h = %g > 1/64" % d.h)
+    note = coarse_grid_note(d)
+    if note:
+        raise ValueError(note)
 
     div_flux = -col_l2.op.apply_field(col_l2.values)   # div(A grad G) = -L G
     div_grid = np.zeros_like(col_l2.values.values)

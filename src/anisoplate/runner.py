@@ -13,7 +13,8 @@ Config grammar (UTF-8 ``key = value`` lines under bracketed sections):
 Any other section or key is rejected.  Builtin scenarios fill whatever
 keys the file omits: ``iso_disk_small_c`` (disk(1), identity
 coefficients, u0 = 0.05, resolution 129) and ``iso_disk_large_c`` (same
-but u0 = 10).
+but u0 = 10).  A builtin's expectations (energy bound, constancy, zero-set
+emptiness) apply only while its shape, field and u0 are unchanged.
 
 Checks and their pass rules, recorded per section in ``report.json``:
 
@@ -51,6 +52,7 @@ import numpy as np
 
 from .anisotropy import d1_quadrature, make_field
 from .greens import (
+    coarse_grid_note,
     frehse_residual,
     gradient_sup,
     greens_column_L,
@@ -86,6 +88,10 @@ _check_deps = {
     "nodal": ("minimize",),
     "el": ("minimize", "nodal"),
 }
+# what a dependency leaves in the run context, and its name in the error of
+# a dependent that cannot run because the dependency raised first
+_products = {"minimize": ("state", "minimizer"),
+             "nodal": ("nodal", "nodal set")}
 # Green's sources as fractions of the bounding-box halfwidth
 _source_fractions = ((0.0, 0.0), (0.31, 0.17), (-0.42, 0.11))
 _max_poly_degree = 4
@@ -97,7 +103,6 @@ _energy_headroom = 1.02
 _el_bound = 0.15
 _dv_bound = 0.20
 _residual_min_res = 129
-_frehse_max_h = 1.0 / 64.0
 _empty_identity_tol = 1e-8
 _study_max_levels = 4
 _study_max_resolution = 513
@@ -330,6 +335,17 @@ def _field_for(cfg, shape):
         raise ConfigError("[field] kind: %s" % e)
 
 
+def _expectations(config, shape, field, terms):
+    """The builtin's expectations, when the run poses the builtin's problem:
+    the same parsed shape, field and u0 at any resolution.  Else none."""
+    base = _builtins.get(config.scenario)
+    if base is None or (shape, field.name, terms) != (
+            parse_shape(base["shape"]), make_field(base["field"]).name,
+            parse_datum(base["u0"])):
+        return {}
+    return base
+
+
 def _validate_specs(cfg):
     shape = _shape_for(cfg)
     _field_for(cfg, shape)
@@ -425,11 +441,9 @@ def _check_greens(ctx, sec):
 
 
 def _check_frehse(ctx, sec):
-    if ctx["domain"].h > _frehse_max_h + 1e-12:
-        # the annulus metrics module refuses grids this coarse
-        sec["assessed"] = False
-        sec["note"] = ("grid too coarse for annulus metrics: h = %g > 1/64"
-                       % ctx["domain"].h)
+    note = coarse_grid_note(ctx["domain"])
+    if note:
+        sec.update(assessed=False, note=note)
         return
     col_l2 = _center_column_l2(ctx)
     rep = frehse_residual(col_l2)
@@ -480,7 +494,7 @@ def _check_minimize(ctx, sec):
     ok = (state.converged
           and e_sharp <= _energy_headroom * ctx["area"]
           and sup <= _supersolution_bound)
-    base = _builtins.get(config.scenario, {})
+    base = ctx["expected"]
     if "energy_bound" in base:
         sec["energy_bound"] = base["energy_bound"]
         ok = ok and e_sharp <= base["energy_bound"]
@@ -515,7 +529,7 @@ def _check_nodal(ctx, sec):
         sec["measure_mass"] = dens.total_mass()
         sec["boundary_clearance"] = float(-dom.shape.sdf(verts).max())
         ok = sec["min_grad"] > 1e-8
-    base = _builtins.get(ctx["config"].scenario, {})
+    base = ctx["expected"]
     if "nonempty" in base:
         sec["expected_nonempty"] = base["nonempty"]
         ok = ok and nonempty == base["nonempty"]
@@ -650,35 +664,25 @@ def _execute(config, write_outputs=True):
     ctx = {
         "config": config, "domain": domain, "op": op,
         "terms": terms, "area": area, "write": write_outputs,
+        "expected": _expectations(config, shape, field, terms),
         "out_dir": out_dir, "fields_dir": fields_dir,
         "nodal_dir": nodal_dir,
     }
     for name in ordered:
         sec = {"requested": name in requested}
-        try:
-            _check_fns[name](ctx, sec)
-        except (ValueError, RuntimeError) as e:
-            sec["error"] = "%s: %s" % (name, e)
-            sec["pass"] = False
+        lost = [_products[d][1] for d in _check_deps[name]
+                if _products[d][0] not in ctx]
+        if lost:
+            sec.update({"error": "%s: %s unavailable" % (name, lost[0]),
+                        "pass": False})
+        else:
+            try:
+                _check_fns[name](ctx, sec)
+            except (ValueError, RuntimeError) as e:
+                sec.update({"error": "%s: %s" % (name, e), "pass": False})
         report[name] = sec
         if name in requested and sec.get("pass") is False:
             report["failures"].append(name)
-        if name == "minimize" and "state" not in ctx:
-            # dependents cannot run
-            for dep in ordered[ordered.index(name) + 1:]:
-                report[dep] = {"requested": dep in requested,
-                               "error": "%s: minimizer unavailable" % dep,
-                               "pass": False}
-                if dep in requested:
-                    report["failures"].append(dep)
-            break
-        if name == "nodal" and "nodal" not in ctx and "el" in ordered:
-            report["el"] = {"requested": "el" in requested,
-                            "error": "el: nodal set unavailable",
-                            "pass": False}
-            if "el" in requested:
-                report["failures"].append("el")
-            break
 
     if report["greens"]:
         report["symmetry_max_err"] = report["greens"].get("symmetry_max_err")

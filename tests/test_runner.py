@@ -317,6 +317,24 @@ def test_energy_override_matches_default_descent(tmp_path):
             == (tmp_path / "capped" / "history.csv").read_bytes())
 
 
+@pytest.mark.parametrize("override", ["[field]\nkind = rot(0.7,2,1)\n",
+                                      "[grid]\nshape = disk(0.5)\n"],
+                         ids=["rot_field", "small_disk"])
+def test_builtin_expectations_dropped_on_override(tmp_path, override):
+    # a rotated field raises the energy past the identity's bound, and on
+    # disk(0.5) the zero set is empty: neither is the builtin's problem
+    cfg = load_config(_write(tmp_path, "o.ini",
+                             _cfg_text("iso_disk_small_c") + override),
+                      out_dir=str(tmp_path / "o"))
+    assert run(cfg) == 0
+    with open(tmp_path / "o" / "report.json") as f:
+        rep = json.load(f)
+    assert rep["failures"] == []
+    for key in ("energy_bound", "max_dev_bound"):
+        assert key not in rep["minimize"]
+    assert "expected_nonempty" not in rep["nodal"]
+
+
 def test_coarse_disk2_run_reports_not_assessed(tmp_path):
     # at h = 1/16 on disk(2) the Hessian log fit finds too few annuli and
     # the zero set leaves no room for a test bump: both are reported
