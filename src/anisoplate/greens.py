@@ -289,8 +289,7 @@ def _spectral_norm_sym2(mats):
 
 
 def coarse_grid_note(domain):
-    """Why the annulus metrics refuse a grid coarser than h = 1/64, or None
-    when they accept it."""
+    """Why the annulus metrics refuse a grid coarser than 1/64, else None."""
     if domain.h > 1.0 / 64.0 + 1e-12:
         return "grid too coarse for annulus metrics: h = %g > 1/64" % domain.h
     return None

@@ -9,6 +9,7 @@ variational identities as falsifiable residuals.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -22,19 +23,15 @@ _degenerate_grad = 1e-8
 _edges = ((0, 1), (1, 2), (3, 2), (0, 3))
 _four_neighbors = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
-# test bank: five tensor bumps spread over the zero set, half-width 0.2
-# clipped by the clearance to the boundary
 _bump_count = 5
 _bank_halfwidth = 0.2
 # with an empty zero set, (x, y, halfwidth) in units of the bounding-box
 # halfwidth: on the unit disk these straddle the radius-0.76 zero set of
 # the small-trace minimizer, where both identity sides carry O(1) signal
-_empty_set_placements = ((0.76, 0.0, 0.2), (-0.76, 0.0, 0.2),
-                         (0.0, 0.76, 0.2), (0.0, -0.76, 0.2),
-                         (0.537, 0.537, 0.15))
+_empty_set_spots = ((0.76, 0.0, 0.2), (-0.76, 0.0, 0.2), (0.0, 0.76, 0.2),
+                    (0.0, -0.76, 0.2), (0.537, 0.537, 0.15))
 # directions of the domain-variation pushes, cycled over the centres
-_push_patterns = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0),
-                  (1.0, 0.0))
+_push_patterns = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -381,9 +378,9 @@ def tensor_bump(cx, cy, halfwidth):
     return fn
 
 
-def _axis_push(cx, cy, w, ax, ay):
+def _axis_push(bump, ax, ay):
     def fn(x, y):
-        b = bump_profile((x - cx) / w) * bump_profile((y - cy) / w)
+        b = bump(x, y)
         return ax * b, ay * b
     return fn
 
@@ -398,61 +395,48 @@ def _curl_field(cx, cy, w):
 
 @dataclass(frozen=True)
 class BumpBank:
-    """Test functions for both stationarity identities.
+    """Test functions of both stationarity identities on shared supports."""
 
-    centers, halfwidths: the tensor-bump supports, as Python floats.
-    scalars: one tensor bump per centre, for `el_residual`.
-    pushes: axis-directed vector bumps, the direction patterns cycled over
-        the centres, for `domain_variation_residual`.
-    curl: a divergence-free control on the first centre.
-    """
-
-    centers: tuple
-    halfwidths: tuple
-    scalars: tuple
-    pushes: tuple
-    curl: object
+    centers: tuple      # ((x, y), ...) as Python floats
+    halfwidths: tuple   # one Python float per centre
+    scalars: tuple      # tensor bumps, for el_residual
+    pushes: tuple       # axis pushes, the patterns cycled over the centres
+    curl: object        # divergence-free control on the first centre
 
 
 def bump_bank(domain, nodal):
-    """The test bank of a state's zero set.
-
-    With loops, five centres spread over the loop vertices, each of
-    half-width min(0.2, 0.95 x clearance to the boundary); a centre whose
-    half-width falls below 4h is dropped.  With an empty zero set, five
-    fixed placements scaled by the domain's bbox_halfwidth.
+    """The test bank of a state's zero set: five centres spread over the
+    loop vertices, or five fixed placements scaled by the domain's
+    bbox_halfwidth when the zero set is empty.  Half-widths are clipped to
+    0.95 x clearance / sqrt(2), so each square support lies strictly inside
+    the domain, and a centre narrower than 4h is dropped.
     raises: RuntimeError when no centre is admissible.
     """
-    centers, widths = [], []
     if nodal.loops:
         verts = np.concatenate([lp.vertices for lp in nodal.loops])
-        for i in (np.arange(_bump_count) * len(verts)) // _bump_count:
-            cx, cy = float(verts[i, 0]), float(verts[i, 1])
-            clearance = -float(domain.shape.sdf(np.array([cx, cy])))
-            w = min(_bank_halfwidth, 0.95 * clearance)
-            if w < 4.0 * domain.h:
-                continue
-            centers.append((cx, cy))
-            widths.append(w)
-        if not centers:
-            raise RuntimeError(
-                "no admissible test-bump centers: the zero set hugs the "
-                "boundary at this resolution")
+        picks = verts[(np.arange(_bump_count) * len(verts)) // _bump_count]
+        spots = [(float(x), float(y), _bank_halfwidth) for x, y in picks]
     else:
         half = domain.shape.bbox_halfwidth()
-        for cx, cy, w in _empty_set_placements:
-            centers.append((half * cx, half * cy))
-            widths.append(half * w)
-    n = len(centers)
-    return BumpBank(
-        centers=tuple(centers),
-        halfwidths=tuple(widths),
-        scalars=tuple(tensor_bump(cx, cy, w)
-                      for (cx, cy), w in zip(centers, widths)),
-        pushes=tuple(_axis_push(*centers[k % n], widths[k % n], ax, ay)
-                     for k, (ax, ay) in enumerate(_push_patterns)),
-        curl=_curl_field(*centers[0], widths[0]),
-    )
+        spots = [(half * x, half * y, half * w)
+                 for x, y, w in _empty_set_spots]
+    centers, widths = [], []
+    for cx, cy, cap in spots:
+        clearance = -float(domain.shape.sdf(np.array([cx, cy])))
+        w = min(cap, 0.95 * clearance / math.sqrt(2.0))
+        if w >= 4.0 * domain.h:
+            centers.append((cx, cy))
+            widths.append(w)
+    if not centers:
+        raise RuntimeError(
+            "no admissible test-bump centers: none sits far enough inside "
+            "the boundary at this resolution")
+    scalars = tuple(tensor_bump(cx, cy, w)
+                    for (cx, cy), w in zip(centers, widths))
+    pushes = tuple(_axis_push(scalars[k % len(scalars)], ax, ay)
+                   for k, (ax, ay) in enumerate(_push_patterns))
+    return BumpBank(tuple(centers), tuple(widths), scalars, pushes,
+                    _curl_field(*centers[0], widths[0]))
 
 
 def write_nodal_csv(nodal, path):

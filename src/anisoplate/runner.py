@@ -88,8 +88,7 @@ _check_deps = {
     "nodal": ("minimize",),
     "el": ("minimize", "nodal"),
 }
-# what a dependency leaves in the run context, and its name in the error of
-# a dependent that cannot run because the dependency raised first
+# what a dependency leaves in the run context, and its name in errors
 _products = {"minimize": ("state", "minimizer"),
              "nodal": ("nodal", "nodal set")}
 # Green's sources as fractions of the bounding-box halfwidth
@@ -335,17 +334,6 @@ def _field_for(cfg, shape):
         raise ConfigError("[field] kind: %s" % e)
 
 
-def _expectations(config, shape, field, terms):
-    """The builtin's expectations, when the run poses the builtin's problem:
-    the same parsed shape, field and u0 at any resolution.  Else none."""
-    base = _builtins.get(config.scenario)
-    if base is None or (shape, field.name, terms) != (
-            parse_shape(base["shape"]), make_field(base["field"]).name,
-            parse_datum(base["u0"])):
-        return {}
-    return base
-
-
 def _validate_specs(cfg):
     shape = _shape_for(cfg)
     _field_for(cfg, shape)
@@ -554,7 +542,7 @@ def _check_el(ctx, sec):
     except RuntimeError as e:
         if config.resolution >= _residual_min_res:
             raise
-        sec.update(empty_set=False, assessed=False, note=str(e))
+        sec.update(empty_set=not nod.loops, assessed=False, note=str(e))
         return
     recs = el_residual(op, state, nod, bank.scalars)
     if not nod.loops:
@@ -627,6 +615,12 @@ def _execute(config, write_outputs=True):
 
     wi, wb = domain.measure_weights
     area = float(wi.sum() + wb.sum())
+    # a builtin's expectations hold for its own problem at any resolution
+    expected = _builtins.get(config.scenario, {})
+    if expected and (shape, field.name, terms) != (
+            parse_shape(expected["shape"]), make_field(expected["field"]).name,
+            parse_datum(expected["u0"])):
+        expected = {}
 
     out_dir = config.out_dir
     fields_dir = os.path.join(out_dir, "fields")
@@ -664,7 +658,7 @@ def _execute(config, write_outputs=True):
     ctx = {
         "config": config, "domain": domain, "op": op,
         "terms": terms, "area": area, "write": write_outputs,
-        "expected": _expectations(config, shape, field, terms),
+        "expected": expected,
         "out_dir": out_dir, "fields_dir": fields_dir,
         "nodal_dir": nodal_dir,
     }

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from anisoplate import build_domain, disk_shape, make_field, minimize, rect_shape
-from anisoplate.grid import ScalarField, assemble_operator
+from anisoplate.grid import INTERIOR, ScalarField, assemble_operator
 from anisoplate.minimizer import MinimizerState, strip_measure_ratio
 from anisoplate.nodal import (
     MeasureDensity,
@@ -290,6 +290,24 @@ def test_domain_variation_support_off_the_set(small129, nodal129):
     recs = domain_variation_residual(small129, nodal129, (psi,))
     assert recs[0].rhs == 0.0
     assert abs(recs[0].lhs) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [None, disk_shape(0.5), rect_shape(2.0, 1.0)],
+                         ids=["builtin", "disk_half", "rect_2x1"])
+def test_bank_vanishes_on_boundary_and_exterior(dom129, bank129, shape):
+    # a tensor bump's square support reaches sqrt(2) w at its corners; every
+    # bank function must read exactly 0 off the interior nodes.  u0 = 10
+    # leaves the zero set empty on disk(0.5) and rect(2,1)
+    dom, bank = dom129, bank129
+    if shape is not None:
+        dom = build_domain(shape, 129)
+        bank = bump_bank(dom, NodalSet((), 0.0, 0))
+    assert len(bank.scalars) >= 1
+    off = dom.mask != INTERIOR
+    for fn in bank.scalars + bank.pushes + (bank.curl,):
+        got = sample_on_grid(dom, fn)
+        for comp in (got if isinstance(got, tuple) else (got,)):
+            assert not np.any(comp[off])
 
 
 @pytest.mark.parametrize("shape", [disk_shape(1.0), rect_shape(2.0, 1.0)])
