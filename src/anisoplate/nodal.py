@@ -24,7 +24,7 @@ _edges = ((0, 1), (1, 2), (3, 2), (0, 3))
 _four_neighbors = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 _bump_count = 5
-_bank_halfwidth = 0.2
+_bump_halfwidth = 0.2
 # with an empty zero set, (x, y, halfwidth) in units of the bounding-box
 # halfwidth: on the unit disk these straddle the radius-0.76 zero set of
 # the small-trace minimizer, where both identity sides carry O(1) signal
@@ -415,7 +415,7 @@ def bump_bank(domain, nodal):
     if nodal.loops:
         verts = np.concatenate([lp.vertices for lp in nodal.loops])
         picks = verts[(np.arange(_bump_count) * len(verts)) // _bump_count]
-        spots = [(float(x), float(y), _bank_halfwidth) for x, y in picks]
+        spots = [(float(x), float(y), _bump_halfwidth) for x, y in picks]
     else:
         half = domain.shape.bbox_halfwidth()
         spots = [(half * x, half * y, half * w)
