@@ -12,7 +12,7 @@ Usage: python3 demos/stationarity_identities.py
 
 from anisoplate import (assemble_operator, build_domain, bump_bank,
                         disk_shape, domain_variation_residual, el_residual,
-                        extract_nodal, make_field, minimize)
+                        extract_nodal, make_field, measure_density, minimize)
 
 RES = 129
 
@@ -27,12 +27,13 @@ def main():
     print("resolution %d, zero curve length %.4f" % (RES, nod.length))
 
     print("\ninner variations (5 scalar windows riding the curve):")
-    for k, rec in enumerate(el_residual(op, state, nod, bank.scalars)):
+    dens = measure_density(state.u, nod)
+    for k, rec in enumerate(el_residual(op, state, dens, bank.scalars)):
         print("  #%d  bending side %+.5f  curve side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))
 
     print("\ndomain variations (5 vector windows on the same centres):")
-    for k, rec in enumerate(domain_variation_residual(state, nod,
+    for k, rec in enumerate(domain_variation_residual(state, dens,
                                                       bank.pushes)):
         print("  #%d  energy side %+.5f  measure side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))

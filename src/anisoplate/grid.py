@@ -176,11 +176,13 @@ class DiscreteDomain:
 
     @cached_property
     def node_text(self):
-        """The "x,y" text of every non-exterior node, row-major, formatted
-        once through format_rows; a tuple, so no caller can change it."""
+        """The "x,y" text of every non-exterior node, row-major; a tuple, so
+        no caller can change it.  Each axis's coordinates are formatted once
+        through format_rows and joined per node."""
         i, j = np.nonzero(self.mask != EXTERIOR)
-        return tuple(format_rows("%.17g,%.17g",
-                                 (self.xs[i], self.ys[j])).splitlines())
+        xt = format_rows("%.17g,", (self.xs,)).splitlines()
+        yt = format_rows("%.17g", (self.ys,)).splitlines()
+        return tuple([xt[a] + yt[b] for a, b in zip(i.tolist(), j.tolist())])
 
     def interior_area(self):
         """Cell-counting area of the strictly-inside node set."""

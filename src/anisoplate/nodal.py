@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import ScalarField, central_gradient, write_table
 
@@ -21,7 +20,6 @@ _degenerate_grad = 1e-8
 # cell edges as pairs of corner slots; corners are numbered
 # 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1)
 _edges = ((0, 1), (1, 2), (3, 2), (0, 3))
-_four_neighbors = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 _bump_count = 5
 _bump_halfwidth = 0.2
@@ -98,6 +96,28 @@ def _saddle_pairs(neg00, avg):
     return ((0, 3), (1, 2)) if avg < 0.0 else ((0, 1), (2, 3))
 
 
+def _label_components(mask):
+    """4-connected components of a boolean grid: (labels, count), labels
+    1..count on the mask and 0 off it, each component numbered by its first
+    node in row-major order.  scipy.sparse.csgraph is imported here, at the
+    first count, not at package import."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    n = int(np.count_nonzero(mask))
+    node = np.full(mask.shape, -1)
+    node[mask] = np.arange(n)
+    # edges from each masked node to its masked lower and right neighbours
+    down = mask[:-1] & mask[1:]
+    right = mask[:, :-1] & mask[:, 1:]
+    rows = np.concatenate([node[:-1][down], node[:, :-1][right]])
+    cols = np.concatenate([node[1:][down], node[:, 1:][right]])
+    graph = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    count, comp = connected_components(graph, directed=False)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = comp + 1
+    return labels, int(count)
+
+
 def extract_nodal(u_field):
     """Marching-squares zero contour plus negative-component census.
 
@@ -114,7 +134,7 @@ def extract_nodal(u_field):
     if np.any(neg & (mask == 1)):
         raise ValueError("field is nonpositive on a domain boundary node")
 
-    labels, n_comp = ndimage.label(neg, structure=_four_neighbors)
+    labels, n_comp = _label_components(neg)
     inside = mask >= 1
 
     # candidate cells: any corner sign differs
@@ -256,7 +276,7 @@ def sample_on_grid(domain, fn):
     return np.broadcast_to(np.asarray(out, dtype=float), shape)
 
 
-def el_residual(op, state, nodal, test_bank):
+def el_residual(op, state, dens, test_bank):
     """First variation against scalar test functions.
 
     For each test function f (vanishing on the domain boundary) the inner
@@ -264,12 +284,11 @@ def el_residual(op, state, nodal, test_bank):
 
         2 sum (L_h u)(L_h f) h^2  =  - sum_segments f * len / |grad u|
 
-    with the right side read off the zero-set quadrature.  Returns one
-    ResidualRecord per test function.
+    with the right side read off dens, the zero-set quadrature of state.u
+    (measure_density).  Returns one ResidualRecord per test function.
     """
     d = op.domain
     v = state.v.interior()
-    dens = measure_density(state.u, nodal)
     out = []
     for fn in test_bank:
         lf = op.apply_field(ScalarField(d, sample_on_grid(d, fn)))
@@ -284,7 +303,7 @@ def el_residual(op, state, nodal, test_bank):
     return out
 
 
-def domain_variation_residual(state, nodal, psi_bank):
+def domain_variation_residual(state, dens, psi_bank):
     """Outer variation against vector fields with interior support.
 
     Sliding the domain by psi trades the measure of the positive region
@@ -292,7 +311,8 @@ def domain_variation_residual(state, nodal, psi_bank):
 
         - sum_{u>0} div_h(psi) w_node  =  2 sum (psi . grad u) * weight
 
-    Returns one ResidualRecord per field.
+    with the weights of dens, the zero-set quadrature of state.u
+    (measure_density).  Returns one ResidualRecord per field.
     """
     d = state.u.domain
     u = state.u.values
@@ -303,7 +323,6 @@ def domain_variation_residual(state, nodal, psi_bank):
     pos = (u > 0.0) & (d.mask >= 1)
 
     gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
-    dens = measure_density(state.u, nodal)
     out = []
     for psi in psi_bank:
         px, py = sample_on_grid(d, psi)

@@ -500,7 +500,6 @@ def _check_minimize(ctx, sec):
 def _check_nodal(ctx, sec):
     state, dom = ctx["state"], ctx["domain"]
     nod = extract_nodal(state.u)
-    ctx["nodal"] = nod
     nonempty = len(nod.loops) > 0
     sec.update(
         nodal_nonempty=nonempty,
@@ -509,10 +508,11 @@ def _check_nodal(ctx, sec):
         length=nod.length,
         min_grad=nod.min_grad() if nonempty else None,
     )
+    # the one zero-set quadrature of the run, which the el check reuses
+    dens = measure_density(state.u, nod)
+    ctx["nodal"], ctx["density"] = nod, dens
     ok = True
     if nonempty:
-        dens = measure_density(state.u, nod)
-        ctx["density"] = dens
         verts = np.concatenate([lp.vertices for lp in nod.loops])
         sec["measure_mass"] = dens.total_mass()
         sec["boundary_clearance"] = float(-dom.shape.sdf(verts).max())
@@ -526,7 +526,6 @@ def _check_nodal(ctx, sec):
         ndir = ctx["nodal_dir"]
         write_nodal_csv(nod, os.path.join(ndir, "loops.csv"))
         if nonempty:
-            dens = ctx["density"]
             write_table(os.path.join(ndir, "density.csv"), "x,y,weight",
                         "%.17g,%.17g,%.17g",
                         (dens.vertices[:, 0], dens.vertices[:, 1],
@@ -536,7 +535,7 @@ def _check_nodal(ctx, sec):
 def _check_el(ctx, sec):
     config, state, dom, op = (ctx["config"], ctx["state"], ctx["domain"],
                               ctx["op"])
-    nod = ctx["nodal"]
+    nod, dens = ctx["nodal"], ctx["density"]
     try:
         bank = bump_bank(dom, nod)
     except RuntimeError as e:
@@ -544,7 +543,7 @@ def _check_el(ctx, sec):
             raise
         sec.update(empty_set=not nod.loops, assessed=False, note=str(e))
         return
-    recs = el_residual(op, state, nod, bank.scalars)
+    recs = el_residual(op, state, dens, bank.scalars)
     if not nod.loops:
         lhs = max(abs(r.lhs) for r in recs)
         rhs = max(abs(r.rhs) for r in recs)
@@ -554,12 +553,12 @@ def _check_el(ctx, sec):
         return
 
     el_max = max(r.rel for r in recs)
-    vrecs = domain_variation_residual(state, nod, bank.pushes)
+    vrecs = domain_variation_residual(state, dens, bank.pushes)
     dv_max = max(r.rel for r in vrecs)
 
     # divergence-free control: both sides approximate an analytic zero,
     # so they must sit far below the live signal of the real bank
-    crec = domain_variation_residual(state, nod, (bank.curl,))[0]
+    crec = domain_variation_residual(state, dens, (bank.curl,))[0]
     px, py = sample_on_grid(dom, bank.curl)
     curl_scale = float(np.hypot(px, py).max()) * nod.length
     dv_signal = max(abs(r.lhs) for r in vrecs)

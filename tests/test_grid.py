@@ -264,8 +264,9 @@ def test_node_text_built_once_and_immutable(tmp_path, monkeypatch):
     for k, column in enumerate(("u", "Lu", "G")):
         f = ScalarField.from_function(d, lambda x, y: k + x * y)
         f.write_csv(tmp_path / ("%s.csv" % column), column)
-    # one coordinate formatting for the domain, one value column per file
-    assert calls == ["%.17g,%.17g"] + ["%s,%.17g"] * 3
+    # one coordinate formatting per axis for the domain, one value column
+    # per file
+    assert calls == ["%.17g,", "%.17g"] + ["%s,%.17g"] * 3
     text = d.node_text
     assert text is d.node_text and isinstance(text, tuple)
     i, j = np.nonzero(d.mask != EXTERIOR)

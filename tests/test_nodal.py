@@ -2,8 +2,11 @@
 
 import csv
 
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from anisoplate import build_domain, disk_shape, make_field, minimize, rect_shape
 from anisoplate.grid import INTERIOR, ScalarField, assemble_operator
@@ -22,6 +25,7 @@ from anisoplate.nodal import (
     sample_on_grid,
     tensor_bump,
     write_nodal_csv,
+    _label_components,
     _saddle_pairs,
 )
 
@@ -51,6 +55,11 @@ def small129(op129):
 @pytest.fixture(scope="module")
 def nodal129(small129):
     return extract_nodal(small129.u)
+
+
+@pytest.fixture(scope="module")
+def dens129(small129, nodal129):
+    return measure_density(small129.u, nodal129)
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +120,30 @@ def test_two_wells_two_components():
     assert nod.components_negative == 2
     assert len(nod.loops) == 2
     assert len({lp.component for lp in nod.loops}) == 2
+
+
+def _checkerboard(n, m):
+    return (np.add.outer(np.arange(n), np.arange(m)) % 2).astype(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2,
+                                         min_side=1, max_side=24)))
+@example(np.zeros((5, 7), dtype=bool))
+@example(np.ones((6, 4), dtype=bool))
+@example(np.array([[True, False, True, True, False, True]]))
+@example(np.array([[True], [True], [False], [True]]))
+@example(_checkerboard(7, 8))
+@example(~_checkerboard(6, 5))
+def test_label_components_matches_ndimage(mask):
+    # scipy.ndimage.label with the 4-neighbour structure is the reference:
+    # the same labels, numbered by first node in row-major order, and the
+    # same count; a checkerboard's diagonal neighbours stay separate
+    ref, n_ref = ndimage.label(mask, structure=[[0, 1, 0], [1, 1, 1],
+                                                [0, 1, 0]])
+    labels, n = _label_components(mask)
+    assert n == n_ref
+    assert np.array_equal(labels, ref)
 
 
 def test_boundary_touch_raises():
@@ -227,8 +260,8 @@ def test_strip_ratio_matches_curve_quadrature(small129, nodal129):
 # variational identities
 
 
-def test_el_residual_scenario(op129, small129, nodal129, bank129):
-    recs = el_residual(op129, small129, nodal129, bank129.scalars)
+def test_el_residual_scenario(op129, small129, dens129, bank129):
+    recs = el_residual(op129, small129, dens129, bank129.scalars)
     assert max(r.rel for r in recs) <= 0.15
     # both sides carry real signal for the on-set bumps
     assert min(abs(r.lhs) for r in recs) > 0.3
@@ -239,26 +272,27 @@ def test_el_residual_empty_trivial(op129, dom129):
     u.values[dom129.mask >= 1] = 1.0
     state = _state_of(u)
     nod = extract_nodal(u)
-    recs = el_residual(op129, state, nod, bump_bank(dom129, nod).scalars)
+    recs = el_residual(op129, state, measure_density(u, nod),
+                       bump_bank(dom129, nod).scalars)
     for r in recs:
         assert abs(r.lhs) <= 1e-8
         assert abs(r.rhs) <= 1e-8
 
 
-def test_el_residual_linearity(op129, small129, nodal129):
+def test_el_residual_linearity(op129, small129, dens129):
     f = tensor_bump(0.76, 0.0, 0.2)
     f7 = lambda x, y: 7.0 * f(x, y)
-    r1, r7 = el_residual(op129, small129, nodal129, (f, f7))
+    r1, r7 = el_residual(op129, small129, dens129, (f, f7))
     assert r7.lhs == pytest.approx(7.0 * r1.lhs, rel=1e-12)
     assert r7.rhs == pytest.approx(7.0 * r1.rhs, rel=1e-12)
 
 
-def test_domain_variation_scenario(small129, nodal129, bank129):
-    recs = domain_variation_residual(small129, nodal129, bank129.pushes)
+def test_domain_variation_scenario(small129, dens129, bank129):
+    recs = domain_variation_residual(small129, dens129, bank129.pushes)
     assert max(r.rel for r in recs) <= 0.2
 
 
-def test_domain_variation_divergence_free(small129, nodal129):
+def test_domain_variation_divergence_free(small129, nodal129, dens129):
     # psi = curl of a scalar bump: discrete divergence cancels exactly
     w = 0.25
 
@@ -271,7 +305,7 @@ def test_domain_variation_divergence_free(small129, nodal129):
         py = dbump((x - 0.7) / w) * bump_profile(y / w) / w
         return px, py
 
-    recs = domain_variation_residual(small129, nodal129, (psi,))
+    recs = domain_variation_residual(small129, dens129, (psi,))
     dom = small129.u.domain
     px, py = psi(dom.X, dom.Y)
     scale = float(np.hypot(px, py).max()) * nodal129.length
@@ -279,7 +313,7 @@ def test_domain_variation_divergence_free(small129, nodal129):
     assert abs(recs[0].rhs) <= 0.05 * scale
 
 
-def test_domain_variation_support_off_the_set(small129, nodal129):
+def test_domain_variation_support_off_the_set(small129, dens129):
     # support inside the positive annulus, clear of the zero set: the curve
     # side vanishes identically and the bulk side telescopes away
     def psi(x, y):
@@ -287,7 +321,7 @@ def test_domain_variation_support_off_the_set(small129, nodal129):
         eta = bump_profile((r - 0.9) / 0.05)
         return eta * np.asarray(x, dtype=float), eta * np.asarray(y, dtype=float)
 
-    recs = domain_variation_residual(small129, nodal129, (psi,))
+    recs = domain_variation_residual(small129, dens129, (psi,))
     assert recs[0].rhs == 0.0
     assert abs(recs[0].lhs) <= 1e-10
 

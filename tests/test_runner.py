@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -409,6 +410,36 @@ def test_unavailable_dependency_fails_dependents(tmp_path, monkeypatch,
                                if c in errors and c in checks]
 
 
+def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
+    # the nodal check computes the run's one zero-set quadrature and el
+    # reads it; when that quadrature raises, el has no nodal set to use
+    calls = []
+    real = runner.measure_density
+
+    def counting(u_field, nodal):
+        calls.append(len(nodal.loops))
+        return real(u_field, nodal)
+
+    monkeypatch.setattr(runner, "measure_density", counting)
+    path = _write(tmp_path, "c.ini", _cfg_text("iso_disk_small_c", res=65))
+    cfg = load_config(path, checks=("minimize", "nodal", "el"),
+                      out_dir=str(tmp_path / "out"))
+    rep = _execute(cfg, write_outputs=False)
+    assert len(calls) == 1 and calls[0] > 0
+    assert "error" not in rep["el"] and rep["el"]["empty_set"] is False
+
+    def degenerate(u_field, nodal):
+        raise RuntimeError("degenerate gradient 0 on the zero set")
+
+    monkeypatch.setattr(runner, "measure_density", degenerate)
+    rep = _execute(cfg, write_outputs=False)
+    assert rep["nodal"]["error"] == (
+        "nodal: degenerate gradient 0 on the zero set")
+    assert rep["nodal"]["loops"] > 0
+    assert rep["el"] == {"requested": True, "pass": False,
+                         "error": "el: nodal set unavailable"}
+
+
 def test_deterministic_report():
     cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
                     resolution=65, field_spec="identity", u0_spec="10",
@@ -538,6 +569,28 @@ def test_cli_run_and_flags(tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "report.json").exists()
     assert not (out / "fields" / "greens_L.csv").exists()
+
+
+def test_setup_imports_leave_scipy_extras_unloaded(tmp_path):
+    # importing the package and loading a config touch numpy and
+    # scipy.sparse only: scipy.ndimage is not used, and csgraph and
+    # sparse.linalg load at the first component count and factorization
+    deferred = ("scipy.ndimage", "scipy.sparse.csgraph",
+                "scipy.sparse.linalg")
+    path = _write(tmp_path, "c.ini", _cfg_text("iso_disk_small_c"))
+    code = ("import sys\n"
+            "import anisoplate\n"
+            "from anisoplate.runner import load_config\n"
+            "load_config(sys.argv[1], out_dir=sys.argv[2])\n"
+            "print(' '.join(m for m in %r if m in sys.modules))" % (deferred,))
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, path, str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def test_cli_config_errors_exit_two(tmp_path):
