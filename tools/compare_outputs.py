@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash every artifact of four reference runs: "same outputs" as one command.
+"""Hash every artifact of six reference runs: "same outputs" as one command.
 
     python3 tools/compare_outputs.py [--save MANIFEST] [--against MANIFEST]
 
@@ -9,6 +9,11 @@ The runs, each in a fresh temporary directory:
     iso_disk_large_c   builtin iso_disk_large_c, all checks, at 129^2
     greens_audit_257   diag(2,1) greens and frehse at 257^2
     levels2_65         iso_disk_small_c from 65^2 with --levels 2
+    rot_small_65       iso_disk_small_c with rot(0.7,2,1), all checks, at 65^2
+    poly_greens_129    poly(1) greens and frehse on disk(1) at 129^2
+
+The last two pin the stencil where the coefficients are not multiples of
+the identity: a constant nonzero a12, and an a11 that varies along x.
 
 The two benchmark runs read their configs from `benchmarks/configs/`.
 BLAS and OpenMP run one thread each, as in the benchmark, because the
@@ -46,6 +51,11 @@ RUNS = (
      None),
     ("levels2_65", "[run]\nscenario = iso_disk_small_c\n"
      "[grid]\nresolution = 65\n", 2),
+    ("rot_small_65", "[run]\nscenario = iso_disk_small_c\n"
+     "[grid]\nresolution = 65\n[field]\nkind = rot(0.7,2,1)\n", None),
+    ("poly_greens_129", "[run]\nchecks = greens, frehse\n"
+     "[grid]\nshape = disk(1)\nresolution = 129\n"
+     "[field]\nkind = poly(1)\n[boundary]\nu0 = 0.05\n", None),
 )
 
 
