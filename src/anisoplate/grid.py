@@ -4,9 +4,9 @@ rectangles.
 Nodes are classified interior (strictly inside), boundary (outside-or-on
 nodes 8-adjacent to an interior node, carrying data at their exact
 projection onto the curve) or exterior.  The operator L u = -div(A grad u)
-is assembled in flux form on the interior nodes with a nine-point stencil
-and symmetrized; Dirichlet solves go through the sparse LU of linsolve,
-factored once per operator."""
+is assembled in flux form on the interior nodes with a nine-point stencil,
+symmetric by construction; Dirichlet solves go through the sparse LU of
+linsolve, factored once per operator."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -362,13 +362,13 @@ class SparseOperator:
 
     The one handle on a discretized problem: it carries the coefficient
     field it was assembled from and its domain, so nothing downstream
-    takes either separately."""
+    takes either separately.  M is symmetric by construction (see
+    assemble_operator)."""
 
     field: object
     domain: DiscreteDomain
     matrix: sparse.csr_matrix
     coupling: sparse.csr_matrix
-    asymmetry_defect: float
 
     def apply(self, u_interior, u_boundary):
         return self.matrix @ u_interior + self.coupling @ u_boundary
@@ -385,83 +385,68 @@ class SparseOperator:
         return solve_spd(self.matrix, rhs, tol=tol)[0]
 
 
-# stencil offsets, paired with their coefficient builders
-_offsets = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1))
+# stencil offsets: centre, E, W, N, S, NE, SW, NW, SE
+_offsets = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
+                     (1, 1), (-1, -1), (-1, 1), (1, -1)])
 
 
 def assemble_operator(field, domain):
-    """Nine-point flux-form stencil for L u = -div(A grad u).
+    """Nine-point flux-form stencil for L u = -div(A grad u), symmetric by
+    construction: both entries of a node pair come from one coefficient
+    sample, so no averaging with the transpose is needed.
 
-    Face values of A enter through one-dimensional differences for the
-    diagonal entries and four-point transverse averages for the off-diagonal
-    entry.  The interior block is symmetrized by averaging with its
-    transpose; the pre-averaging defect is recorded and must stay at
-    roundoff scale for the built-in coefficient fields.  Raises ValueError
-    unless A is positive definite (a11 > 0, det > 0) at every face sample,
-    since the sparse LU solve would not notice an indefinite operator.
+    a11 is sampled once per x-face and a22 once per y-face, at the face
+    midpoint, and enters through the difference across that face.  a12 is
+    sampled once per cell, at its centre, and enters through the cell's
+    2 a12 (D_x u)(D_y u), written as a difference of squared diagonal
+    differences: -a12/(2h^2) at the NE and SW corners of a row, +a12/(2h^2)
+    at SE and NW, (b_NE + b_SW - b_SE - b_NW)/(2h^2) on the diagonal and
+    nothing on the axes.  Only faces and cells touching an interior node
+    are sampled.  Raises ValueError unless A is positive definite (a11 > 0,
+    det > 0) at every sample, since the sparse LU solve would not notice an
+    indefinite operator.
     """
     d = domain
     h = d.h
-    xy = d.interior_xy
-    ex = np.array([0.5 * h, 0.0])
-    ey = np.array([0.0, 0.5 * h])
 
-    faces = np.stack([field.matrix(xy + e) for e in (ex, -ex, ey, -ey)])
-    det = faces[..., 0, 0] * faces[..., 1, 1] - faces[..., 0, 1] * faces[..., 1, 0]
-    if not (np.all(faces[..., 0, 0] > 0.0) and np.all(det > 0.0)):
-        raise ValueError("coefficient matrix not positive definite at a face sample")
-    a_e, a_w, a_n, a_s = faces
+    def sample(touch, dx, dy, k, l):
+        """A_kl at (x + dx, y + dy) for the marked grid nodes, 0 elsewhere."""
+        si, sj = np.nonzero(touch)
+        a = field.matrix(np.stack([d.xs[si] + dx, d.ys[sj] + dy], axis=-1))
+        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+        if not (np.all(a[:, 0, 0] > 0.0) and np.all(det > 0.0)):
+            raise ValueError("coefficient matrix not positive definite at a face or cell sample")
+        out = np.zeros(touch.shape)
+        out[si, sj] = a[:, k, l]
+        return out
 
-    ae, be = a_e[:, 0, 0], a_e[:, 0, 1]
-    aw, bw = a_w[:, 0, 0], a_w[:, 0, 1]
-    an, bn = a_n[:, 1, 1], a_n[:, 0, 1]
-    as_, bs = a_s[:, 1, 1], a_s[:, 0, 1]
+    # face (i, j)-(i+1, j), face (i, j)-(i, j+1) and the cell with lower-left
+    # node (i, j), each indexed by (i, j)
+    inner = d.mask == INTERIOR
+    x_faces = inner[:-1] | inner[1:]
+    a11 = sample(x_faces, 0.5 * h, 0.0, 0, 0)
+    a22 = sample(inner[:, :-1] | inner[:, 1:], 0.0, 0.5 * h, 1, 1)
+    a12 = sample(x_faces[:, :-1] | x_faces[:, 1:], 0.5 * h, 0.5 * h, 0, 1)
 
+    i, j = d.interior_ij[:, 0], d.interior_ij[:, 1]
+    ae, aw, an, as_ = a11[i, j], a11[i - 1, j], a22[i, j], a22[i, j - 1]
+    b_ne, b_sw, b_nw, b_se = a12[i, j], a12[i - 1, j - 1], a12[i - 1, j], a12[i, j - 1]
     h2 = h * h
-    coef = {
-        (0, 0): (ae + aw + an + as_) / h2,
-        (1, 0): -ae / h2 - (bn - bs) / (4 * h2),
-        (-1, 0): -aw / h2 + (bn - bs) / (4 * h2),
-        (0, 1): -an / h2 - (be - bw) / (4 * h2),
-        (0, -1): -as_ / h2 + (be - bw) / (4 * h2),
-        (1, 1): -(be + bn) / (4 * h2),
-        (-1, -1): -(bw + bs) / (4 * h2),
-        (-1, 1): (bw + bn) / (4 * h2),
-        (1, -1): (be + bs) / (4 * h2),
-    }
+    vals = np.stack([
+        (ae + aw + an + as_) / h2 + (b_ne + b_sw - b_se - b_nw) / (2 * h2),
+        -ae / h2, -aw / h2, -an / h2, -as_ / h2,
+        -b_ne / (2 * h2), -b_sw / (2 * h2), b_nw / (2 * h2), b_se / (2 * h2)])
 
-    ii, jj = d.interior_ij[:, 0], d.interior_ij[:, 1]
-    rows_m, cols_m, vals_m = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    n_int = d.n_interior
-    row_idx = np.arange(n_int)
-
-    for (di, dj) in _offsets:
-        ni, nj = ii + di, jj + dj
-        im = d.interior_map[ni, nj]
-        bm = d.boundary_map[ni, nj]
-        into_interior = im >= 0
-        into_boundary = (~into_interior) & (bm >= 0)
-        orphan = ~(into_interior | into_boundary)
-        if np.any(orphan):
-            raise RuntimeError("stencil of an interior node reaches an exterior node; "
-                               "classification violated 8-adjacency")
-        v = coef[(di, dj)]
-        rows_m.append(row_idx[into_interior])
-        cols_m.append(im[into_interior])
-        vals_m.append(v[into_interior])
-        rows_b.append(row_idx[into_boundary])
-        cols_b.append(bm[into_boundary])
-        vals_b.append(v[into_boundary])
-
-    m = sparse.coo_matrix(
-        (np.concatenate(vals_m), (np.concatenate(rows_m), np.concatenate(cols_m))),
-        shape=(n_int, n_int)).tocsr()
-    b = sparse.coo_matrix(
-        (np.concatenate(vals_b), (np.concatenate(rows_b), np.concatenate(cols_b))),
-        shape=(n_int, d.n_boundary)).tocsr()
-
-    defect_mat = (m - m.T).tocoo()
-    defect = float(np.max(np.abs(defect_mat.data))) if defect_mat.nnz else 0.0
-    m = ((m + m.T) * 0.5).tocsr()
-    return SparseOperator(field, d, m, b, defect * h2)
+    ni, nj = i + _offsets[:, :1], j + _offsets[:, 1:]
+    im, bm = d.interior_map[ni, nj], d.boundary_map[ni, nj]
+    if np.any((im < 0) & (bm < 0)):
+        raise RuntimeError("stencil of an interior node reaches an exterior node; "
+                           "classification violated 8-adjacency")
+    rows = np.broadcast_to(np.arange(d.n_interior), im.shape)
+    inn = im >= 0
+    m = sparse.csr_matrix((vals[inn], (rows[inn], im[inn])),
+                          shape=(d.n_interior, d.n_interior))
+    m.eliminate_zeros()
+    b = sparse.csr_matrix((vals[~inn], (rows[~inn], bm[~inn])),
+                          shape=(d.n_interior, d.n_boundary))
+    return SparseOperator(field, d, m, b)

@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from anisoplate.anisotropy import diag_field, identity_field, poly_field, rot_field
+from anisoplate.anisotropy import (diag_field, identity_field, poly_field, rot_field,
+                                   user_field)
 from anisoplate import grid
 from anisoplate.grid import (
     BOUNDARY,
@@ -292,19 +293,54 @@ def test_central_gradient_exact_for_linear():
 
 def test_row_sums_vanish():
     d = build_domain(disk_shape(1.0), 65)
-    op = assemble_operator(poly_field(0.5), d)
     ones_i = np.ones(d.n_interior)
     ones_b = np.ones(d.n_boundary)
-    assert np.max(np.abs(op.apply(ones_i, ones_b))) < 1e-9
+    # a12 varies along both axes in the turning field, so the four cell
+    # samples of a row differ and its diagonal must balance its corners
+    for f in (poly_field(0.5), _turning_field(0.8, 0.5)):
+        op = assemble_operator(f, d)
+        assert np.max(np.abs(op.apply(ones_i, ones_b))) < 1e-9
+
+
+def _turning_field(kx=0.8, ky=0.0):
+    """A = R(theta) diag(2,1) R(theta)^T with theta = kx x + ky y + 0.3: an
+    eigenframe that turns in space, so a11, a22 and a12 all vary.  With
+    c = cos(theta), s = sin(theta): a11 = 1 + c^2, a22 = 1 + s^2, a12 = c s,
+    with analytic derivatives."""
+
+    def frame(x):
+        x = np.asarray(x, dtype=float)
+        theta = kx * x[..., 0] + ky * x[..., 1] + 0.3
+        return np.cos(theta), np.sin(theta)
+
+    def ev(x):
+        c, s = frame(x)
+        out = np.empty(c.shape + (2, 2))
+        out[..., 0, 0] = 1.0 + c * c
+        out[..., 1, 1] = 1.0 + s * s
+        out[..., 0, 1] = out[..., 1, 0] = c * s
+        return out
+
+    def gr(x):
+        c, s = frame(x)
+        d_theta = np.empty(c.shape + (2, 2))
+        d_theta[..., 0, 0] = -2.0 * c * s
+        d_theta[..., 1, 1] = 2.0 * c * s
+        d_theta[..., 0, 1] = d_theta[..., 1, 0] = c * c - s * s
+        return np.stack([kx * d_theta, ky * d_theta], axis=-3)
+
+    return user_field("turning", ev, lam=1.0, lam_upper=2.0, grad_fn=gr)
 
 
 def test_symmetry_after_assembly():
+    # every pair of nodes shares one coefficient sample, so M = M^T holds
+    # exactly, also where the eigenframe turns
     d = build_domain(disk_shape(1.0), 65)
-    for f in (identity_field(), poly_field(0.5), rot_field(0.6, 2, 1)):
+    for f in (identity_field(), poly_field(0.5), rot_field(0.6, 2, 1),
+              _turning_field()):
         op = assemble_operator(f, d)
         defect = op.matrix - op.matrix.T
         assert abs(defect).max() == 0.0
-        assert op.asymmetry_defect <= 1e-13
 
 
 def test_bilinear_oracle_constant_shear():
@@ -439,20 +475,29 @@ def test_nonnegative_rhs_maximum_principle():
 
 def test_consistency_ratio_three_fields():
     # interior cosine mode; residual against the analytic image shrinks at
-    # second order (ratio in [3.4, 4.6]) for three coefficient fields
+    # second order (ratio in [3.4, 4.6]) for three coefficient fields and a
+    # turning frame, whose a12 varies
     cases = []
 
     def make_exact(f):
+        # L u = -(a11 u_xx + 2 a12 u_xy + a22 u_yy
+        #         + (d_x a11 + d_y a12) u_x + (d_x a12 + d_y a22) u_y)
         def exact_lu(x, y):
-            a = f.matrix(np.stack([x, y], axis=-1))
-            a11, a22 = a[..., 0, 0], a[..., 1, 1]
-            da11 = f.gradient(np.stack([x, y], axis=-1))[..., 0, 0, 0]
+            pts = np.stack([x, y], axis=-1)
+            a, g = f.matrix(pts), f.gradient(pts)
             c = np.cos(math.pi * x) * np.cos(math.pi * y)
             sx = np.sin(math.pi * x) * np.cos(math.pi * y)
-            return (a11 + a22) * math.pi**2 * c + da11 * math.pi * sx
+            sy = np.cos(math.pi * x) * np.sin(math.pi * y)
+            ss = np.sin(math.pi * x) * np.sin(math.pi * y)
+            div_x = g[..., 0, 0, 0] + g[..., 1, 0, 1]
+            div_y = g[..., 0, 0, 1] + g[..., 1, 1, 1]
+            return ((a[..., 0, 0] + a[..., 1, 1]) * math.pi**2 * c
+                    - 2.0 * a[..., 0, 1] * math.pi**2 * ss
+                    + div_x * math.pi * sx + div_y * math.pi * sy)
         return exact_lu
 
-    for f in (identity_field(), diag_field(2, 1), poly_field(0.5)):
+    for f in (identity_field(), diag_field(2, 1), poly_field(0.5),
+              _turning_field()):
         errs = []
         for res in (33, 65):
             d = build_domain(rect_shape(1.0, 1.0), res)
@@ -466,8 +511,6 @@ def test_consistency_ratio_three_fields():
 
 
 def test_incompatible_coefficients_rejected():
-    from anisoplate.anisotropy import user_field
-
     def bad_eval(x):
         out = np.zeros(np.asarray(x).shape[:-1] + (2, 2))
         out[..., 0, 0] = -1.0
@@ -482,6 +525,19 @@ def test_incompatible_coefficients_rejected():
 
 def test_stencil_is_nine_point():
     d = build_domain(disk_shape(1.0), 33)
-    op = assemble_operator(rot_field(0.3, 2, 1), d)
+    f = rot_field(0.3, 2, 1)
+    op = assemble_operator(f, d)
     per_row = np.diff(op.matrix.indptr)
     assert per_row.max() <= 9
+    # the centre row's neighbours, bit for bit: -a11/h^2 and -a22/h^2 on
+    # the axes, -a12/(2h^2) at NE and SW, +a12/(2h^2) at SE and NW
+    a = f.matrix([0.0, 0.0])
+    h2 = d.h * d.h
+    ci, cj = d.center_ij
+    want = {(1, 0): -a[0, 0] / h2, (-1, 0): -a[0, 0] / h2,
+            (0, 1): -a[1, 1] / h2, (0, -1): -a[1, 1] / h2,
+            (1, 1): -a[0, 1] / (2 * h2), (-1, -1): -a[0, 1] / (2 * h2),
+            (1, -1): a[0, 1] / (2 * h2), (-1, 1): a[0, 1] / (2 * h2)}
+    row = d.interior_map[ci, cj]
+    for (di, dj), value in want.items():
+        assert op.matrix[row, d.interior_map[ci + di, cj + dj]] == value
