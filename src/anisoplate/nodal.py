@@ -65,6 +65,7 @@ class MeasureDensity:
 
     vertices: np.ndarray   # (n, 2) segment midpoints
     weights: np.ndarray    # (n,) segment_length / (2 |grad u|)
+    grad: np.ndarray       # (n, 2) grad u at the midpoints
 
     def total_mass(self):
         return float(self.weights.sum())
@@ -226,14 +227,16 @@ def measure_density(u_field, nodal):
     """Quadrature of the stationarity measure: weight len/(2|grad u|) at
     each segment midpoint."""
     if not nodal.loops:
-        return MeasureDensity(np.zeros((0, 2)), np.zeros(0))
+        return MeasureDensity(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
     d = u_field.domain
     gx, gy = np.moveaxis(central_gradient(d, u_field.values), -1, 0)
     # segment k of a loop runs from vertex k to vertex k+1, wrapping round
     p0 = np.concatenate([lp.vertices for lp in nodal.loops])
     p1 = np.concatenate([np.roll(lp.vertices, -1, axis=0) for lp in nodal.loops])
     mids = 0.5 * (p0 + p1)
-    g = np.hypot(bilinear_sample(d, gx, mids), bilinear_sample(d, gy, mids))
+    grad = np.stack([bilinear_sample(d, gx, mids), bilinear_sample(d, gy, mids)],
+                    axis=-1)
+    g = np.hypot(grad[:, 0], grad[:, 1])
     bad = np.flatnonzero(g < _degenerate_grad)
     if bad.size:
         raise RuntimeError("degenerate gradient %g on the zero set" % g[bad[0]])
@@ -241,7 +244,7 @@ def measure_density(u_field, nodal):
     # per-segment np.linalg.norm, which norm(axis=1) and hypot are not
     seg = p1 - p0
     length = np.sqrt((seg[:, None, :] @ seg[:, :, None])[:, 0, 0])
-    return MeasureDensity(mids, length / (2.0 * g))
+    return MeasureDensity(mids, length / (2.0 * g), grad)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +314,9 @@ def domain_variation_residual(state, dens, psi_bank):
 
         - sum_{u>0} div_h(psi) w_node  =  2 sum (psi . grad u) * weight
 
-    with the weights of dens, the zero-set quadrature of state.u
-    (measure_density).  Returns one ResidualRecord per field.
+    with the weights and midpoint gradients of dens, the zero-set
+    quadrature of state.u (measure_density).  Returns one ResidualRecord
+    per field.
     """
     d = state.u.domain
     u = state.u.values
@@ -322,7 +326,6 @@ def domain_variation_residual(state, dens, psi_bank):
     w_grid.put(d.flat_index[1], wb)
     pos = (u > 0.0) & (d.mask >= 1)
 
-    gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
     out = []
     for psi in psi_bank:
         px, py = sample_on_grid(d, psi)
@@ -332,8 +335,8 @@ def domain_variation_residual(state, dens, psi_bank):
         if len(dens.weights):
             mx, my = dens.vertices[:, 0], dens.vertices[:, 1]
             pxm, pym = psi(mx, my)
-            dot = (np.asarray(pxm, dtype=float) * bilinear_sample(d, gx, dens.vertices)
-                   + np.asarray(pym, dtype=float) * bilinear_sample(d, gy, dens.vertices))
+            dot = (np.asarray(pxm, dtype=float) * dens.grad[:, 0]
+                   + np.asarray(pym, dtype=float) * dens.grad[:, 1])
             rhs = 2.0 * float(dot @ dens.weights)
         else:
             rhs = 0.0

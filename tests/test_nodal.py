@@ -373,7 +373,8 @@ def test_axis_sampling_matches_full_grid(shape):
 
 def test_mollify_point_mass_normalized():
     dom = build_domain(rect_shape(2.0, 2.0), 129)
-    dens = MeasureDensity(np.array([[0.0, 0.0]]), np.array([2.5]))
+    dens = MeasureDensity(np.array([[0.0, 0.0]]), np.array([2.5]),
+                          np.array([[1.0, 0.0]]))
     for n in (4.0, 8.0, 16.0):
         g = mollify_measure(dom, dens, n)
         mass = float(g.values.sum()) * dom.h ** 2
@@ -382,7 +383,8 @@ def test_mollify_point_mass_normalized():
 
 def test_mollify_bandwidth_guard():
     dom = build_domain(rect_shape(2.0, 2.0), 33)
-    dens = MeasureDensity(np.array([[0.0, 0.0]]), np.array([1.0]))
+    dens = MeasureDensity(np.array([[0.0, 0.0]]), np.array([1.0]),
+                          np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         mollify_measure(dom, dens, 16.0)  # 1/16 < 2h = 1/8
     with pytest.raises(ValueError):

@@ -440,6 +440,32 @@ def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
                          "error": "el: nodal set unavailable"}
 
 
+def test_el_takes_two_gradients_of_u(tmp_path, monkeypatch):
+    # one for the nodal set's |grad u|, one for the zero-set quadrature,
+    # whose midpoint gradients both domain-variation residuals read
+    from anisoplate import nodal
+    seen_u, grads = [], []
+    real_extract, real_gradient = runner.extract_nodal, nodal.central_gradient
+
+    def extract(u_field):
+        seen_u.append(u_field.values)
+        return real_extract(u_field)
+
+    def gradient(domain, values):
+        grads.append(values)
+        return real_gradient(domain, values)
+
+    monkeypatch.setattr(runner, "extract_nodal", extract)
+    monkeypatch.setattr(nodal, "central_gradient", gradient)
+    path = _write(tmp_path, "c.ini", _cfg_text("iso_disk_small_c", res=65))
+    cfg = load_config(path, checks=("minimize", "nodal", "el"),
+                      out_dir=str(tmp_path / "out"))
+    rep = _execute(cfg, write_outputs=False)
+    assert "error" not in rep["el"] and rep["el"]["empty_set"] is False
+    assert len(seen_u) == 1
+    assert sum(g is seen_u[0] for g in grads) == 2
+
+
 def test_deterministic_report():
     cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
                     resolution=65, field_spec="identity", u0_spec="10",
