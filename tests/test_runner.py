@@ -34,7 +34,7 @@ from anisoplate.runner import (
     run,
     _execute,
 )
-from anisoplate import runner
+from anisoplate import nodal, runner
 
 
 def _write(tmp_path, name, text):
@@ -412,21 +412,36 @@ def test_unavailable_dependency_fails_dependents(tmp_path, monkeypatch,
 
 def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
     # the nodal check computes the run's one zero-set quadrature and el
-    # reads it; when that quadrature raises, el has no nodal set to use
-    calls = []
+    # reads it, midpoint gradients included: grad u is taken twice, for the
+    # nodal set and for the quadrature; when that quadrature raises, el has
+    # no nodal set to use
+    calls, seen_u, grads = [], [], []
     real = runner.measure_density
+    real_extract, real_gradient = runner.extract_nodal, nodal.central_gradient
 
-    def counting(u_field, nodal):
-        calls.append(len(nodal.loops))
-        return real(u_field, nodal)
+    def counting(u_field, nod):
+        calls.append(len(nod.loops))
+        return real(u_field, nod)
+
+    def extract(u_field):
+        seen_u.append(u_field.values)
+        return real_extract(u_field)
+
+    def gradient(domain, values):
+        grads.append(values)
+        return real_gradient(domain, values)
 
     monkeypatch.setattr(runner, "measure_density", counting)
+    monkeypatch.setattr(runner, "extract_nodal", extract)
+    monkeypatch.setattr(nodal, "central_gradient", gradient)
     path = _write(tmp_path, "c.ini", _cfg_text("iso_disk_small_c", res=65))
     cfg = load_config(path, checks=("minimize", "nodal", "el"),
                       out_dir=str(tmp_path / "out"))
     rep = _execute(cfg, write_outputs=False)
     assert len(calls) == 1 and calls[0] > 0
     assert "error" not in rep["el"] and rep["el"]["empty_set"] is False
+    assert len(seen_u) == 1
+    assert sum(g is seen_u[0] for g in grads) == 2
 
     def degenerate(u_field, nodal):
         raise RuntimeError("degenerate gradient 0 on the zero set")
@@ -438,32 +453,6 @@ def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
     assert rep["nodal"]["loops"] > 0
     assert rep["el"] == {"requested": True, "pass": False,
                          "error": "el: nodal set unavailable"}
-
-
-def test_el_takes_two_gradients_of_u(tmp_path, monkeypatch):
-    # one for the nodal set's |grad u|, one for the zero-set quadrature,
-    # whose midpoint gradients both domain-variation residuals read
-    from anisoplate import nodal
-    seen_u, grads = [], []
-    real_extract, real_gradient = runner.extract_nodal, nodal.central_gradient
-
-    def extract(u_field):
-        seen_u.append(u_field.values)
-        return real_extract(u_field)
-
-    def gradient(domain, values):
-        grads.append(values)
-        return real_gradient(domain, values)
-
-    monkeypatch.setattr(runner, "extract_nodal", extract)
-    monkeypatch.setattr(nodal, "central_gradient", gradient)
-    path = _write(tmp_path, "c.ini", _cfg_text("iso_disk_small_c", res=65))
-    cfg = load_config(path, checks=("minimize", "nodal", "el"),
-                      out_dir=str(tmp_path / "out"))
-    rep = _execute(cfg, write_outputs=False)
-    assert "error" not in rep["el"] and rep["el"]["empty_set"] is False
-    assert len(seen_u) == 1
-    assert sum(g is seen_u[0] for g in grads) == 2
 
 
 def test_deterministic_report():
