@@ -291,22 +291,11 @@ def test_central_gradient_exact_for_linear():
 # operator
 
 
-def test_row_sums_vanish():
-    d = build_domain(disk_shape(1.0), 65)
-    ones_i = np.ones(d.n_interior)
-    ones_b = np.ones(d.n_boundary)
-    # a12 varies along both axes in the turning field, so the four cell
-    # samples of a row differ and its diagonal must balance its corners
-    for f in (poly_field(0.5), _turning_field(0.8, 0.5)):
-        op = assemble_operator(f, d)
-        assert np.max(np.abs(op.apply(ones_i, ones_b))) < 1e-9
-
-
 def _turning_field(kx=0.8, ky=0.0):
     """A = R(theta) diag(2,1) R(theta)^T with theta = kx x + ky y + 0.3: an
     eigenframe that turns in space, so a11, a22 and a12 all vary.  With
-    c = cos(theta), s = sin(theta): a11 = 1 + c^2, a22 = 1 + s^2, a12 = c s,
-    with analytic derivatives."""
+    c = cos(theta), s = sin(theta): a11 = 1 + c^2, a22 = 1 + s^2, a12 = c s;
+    its derivatives are analytic."""
 
     def frame(x):
         x = np.asarray(x, dtype=float)
@@ -330,6 +319,17 @@ def _turning_field(kx=0.8, ky=0.0):
         return np.stack([kx * d_theta, ky * d_theta], axis=-3)
 
     return user_field("turning", ev, lam=1.0, lam_upper=2.0, grad_fn=gr)
+
+
+def test_row_sums_vanish():
+    d = build_domain(disk_shape(1.0), 65)
+    ones_i = np.ones(d.n_interior)
+    ones_b = np.ones(d.n_boundary)
+    # a12 varies along both axes in the turning field, so the four cell
+    # samples of a row differ and its diagonal must balance its corners
+    for f in (poly_field(0.5), _turning_field(0.8, 0.5)):
+        op = assemble_operator(f, d)
+        assert np.max(np.abs(op.apply(ones_i, ones_b))) < 1e-9
 
 
 def test_symmetry_after_assembly():
