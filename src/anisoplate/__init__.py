@@ -13,15 +13,12 @@ from .anisotropy import (
     build_frame,
     d1_quadrature,
     diag_field,
-    evaluate_psi,
-    frame_div_psilog,
     identity_field,
     invert_spd2,
     m0_matrix,
     make_field,
     poly_field,
     rot_field,
-    user_field,
 )
 from .grid import (
     DiscreteDomain,
@@ -53,10 +50,8 @@ from .minimizer import (
     default_schedule,
     harmonic_extension,
     minimize,
-    semiconvexity_metric,
     sharp_energy,
     smoothed_energy,
-    strip_measure_ratio,
     supersolution_check,
     write_history,
 )
@@ -71,7 +66,6 @@ from .nodal import (
     el_residual,
     extract_nodal,
     measure_density,
-    mollify_measure,
     tensor_bump,
     write_nodal_csv,
 )

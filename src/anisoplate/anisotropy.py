@@ -1,16 +1,17 @@
-"""Coefficient matrices, the anisotropic squared distance, and the matrix frame.
+"""Coefficient matrices, the matrix frame, and the singularity constant.
 
 The objects here are pointwise-algebraic: a symmetric uniformly elliptic 2x2
-coefficient map A(x), the squared distance psi_x(y) = A(y)^{-1}(y-x).(y-x)
-induced by it, an orthonormal frame of symmetric matrices under the metric
-g(y)(M, N) = tr(A(y)^{-1} M A(y)^{-1} N), and the circle-average constant d1
-that normalizes the logarithmic kernel of the divergence-form operator.
+coefficient map A(x), an orthonormal frame of symmetric matrices under the
+metric g(y)(M, N) = tr(A(y)^{-1} M A(y)^{-1} N), and the circle-average
+constant d1 that normalizes the logarithmic kernel of the divergence-form
+operator.  The squared distance psi_x(y) = A(y)^{-1}(y-x).(y-x) that A
+induces is evaluated on the grid by greens.GreensColumn.psi.
 
 Everything is a pure function of immutable inputs and safe to call
 concurrently.
 """
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 import math
 import re
 
@@ -18,7 +19,6 @@ import numpy as np
 
 _det_floor = 1e-14
 _pivot_floor = 1e-10
-_fd_step = 1e-5
 _sqrt2 = math.sqrt(2.0)
 
 
@@ -32,27 +32,10 @@ class CoefficientField:
         Display name, e.g. ``"diag(2,1)"``.
     eval : callable
         Maps points of shape (..., 2) to matrices of shape (..., 2, 2).
-    grad : callable
-        Maps points to (..., 2, 2, 2); index k of the first matrix axis is
-        the partial derivative along coordinate k.
-    hess : callable
-        Maps points to (..., 3, 2, 2) holding the second derivatives in the
-        order (11, 12, 22).
-    lam : float
-        Uniform lower spectral bound on the evaluation box.
-    lam_upper : float
-        Upper spectral bound on the evaluation box.
-    box : float
-        Halfwidth of the square evaluation box the bounds were derived on.
     """
 
     name: str
     eval: object
-    grad: object
-    hess: object
-    lam: float
-    lam_upper: float
-    box: float = 1.5
 
     def matrix(self, x):
         """A(x) for a single point or an array of points."""
@@ -60,12 +43,6 @@ class CoefficientField:
         if not np.all(np.isfinite(a)):
             raise ValueError("coefficient field produced non-finite entries at %r" % (x,))
         return a
-
-    def gradient(self, x):
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float)
-
-    def hessian(self, x):
-        return np.asarray(self.hess(np.asarray(x, dtype=float)), dtype=float)
 
     def inverse(self, x):
         """Closed-form 2x2 inverse of A(x) (adjugate over determinant)."""
@@ -86,72 +63,40 @@ def invert_spd2(a):
     return inv / det[..., None, None]
 
 
-def _fd_grad(eval_fn, x, step=_fd_step):
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[:-1] + (2, 2, 2))
-    for k in range(2):
-        e = np.zeros(2)
-        e[k] = step
-        out[..., k, :, :] = (eval_fn(x + e) - eval_fn(x - e)) / (2.0 * step)
-    return out
-
-
-def _fd_hess(eval_fn, x, step=_fd_step):
-    x = np.asarray(x, dtype=float)
-    e1 = np.array([step, 0.0])
-    e2 = np.array([0.0, step])
-    out = np.empty(x.shape[:-1] + (3, 2, 2))
-    a0 = eval_fn(x)
-    out[..., 0, :, :] = (eval_fn(x + e1) - 2.0 * a0 + eval_fn(x - e1)) / step**2
-    out[..., 2, :, :] = (eval_fn(x + e2) - 2.0 * a0 + eval_fn(x - e2)) / step**2
-    out[..., 1, :, :] = (
-        eval_fn(x + e1 + e2) - eval_fn(x + e1 - e2) - eval_fn(x - e1 + e2) + eval_fn(x - e1 - e2)
-    ) / (4.0 * step**2)
-    return out
-
-
-def _constant_field(name, a, box):
+def _constant_field(name, a):
     a = np.asarray(a, dtype=float)
-    evals = np.linalg.eigvalsh(a)
-    if evals[0] <= 0.0:
+    if np.linalg.eigvalsh(a)[0] <= 0.0:
         raise ValueError("%s is not positive definite" % name)
 
     def ev(x):
         return np.broadcast_to(a, np.asarray(x).shape[:-1] + (2, 2)).copy()
 
-    def gr(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (2, 2, 2))
-
-    def he(x):
-        return np.zeros(np.asarray(x).shape[:-1] + (3, 2, 2))
-
-    return CoefficientField(name, ev, gr, he, float(evals[0]), float(evals[1]), box)
+    return CoefficientField(name, ev)
 
 
-def identity_field(box=1.5):
-    return _constant_field("identity", np.eye(2), box)
+def identity_field():
+    return _constant_field("identity", np.eye(2))
 
 
-def diag_field(a, b, box=1.5):
+def diag_field(a, b):
     if a <= 0.0 or b <= 0.0:
         raise ValueError("diagonal entries must be positive, got (%g, %g)" % (a, b))
-    return _constant_field("diag(%g,%g)" % (a, b), np.diag([float(a), float(b)]), box)
+    return _constant_field("diag(%g,%g)" % (a, b), np.diag([float(a), float(b)]))
 
 
-def rot_field(theta, a, b, box=1.5):
+def rot_field(theta, a, b):
     """Rotated diagonal field R(theta) diag(a,b) R(theta)^T (constant)."""
     c, s = math.cos(theta), math.sin(theta)
     r = np.array([[c, -s], [s, c]])
     return _constant_field(
-        "rot(%g,%g,%g)" % (theta, a, b), r @ np.diag([float(a), float(b)]) @ r.T, box
-    )
+        "rot(%g,%g,%g)" % (theta, a, b), r @ np.diag([float(a), float(b)]) @ r.T)
 
 
 def poly_field(alpha, box=1.5):
-    """A(x) = diag(1 + alpha*x1^2, 1), with analytic derivatives."""
+    """A(x) = diag(1 + alpha*x1^2, 1), elliptic on the square of halfwidth
+    box."""
     alpha = float(alpha)
-    a11_min = min(1.0, 1.0 + alpha * box**2)
-    if a11_min <= 0.0:
+    if min(1.0, 1.0 + alpha * box**2) <= 0.0:
         raise ValueError("poly(%g) loses ellipticity on the box of halfwidth %g" % (alpha, box))
 
     def ev(x):
@@ -161,21 +106,7 @@ def poly_field(alpha, box=1.5):
         out[..., 1, 1] = 1.0
         return out
 
-    def gr(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2, 2))
-        out[..., 0, 0, 0] = 2.0 * alpha * x[..., 0]
-        return out
-
-    def he(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (3, 2, 2))
-        out[..., 0, 0, 0] = 2.0 * alpha
-        return out
-
-    return CoefficientField(
-        "poly(%g)" % alpha, ev, gr, he, min(a11_min, 1.0), max(1.0, 1.0 + alpha * box**2), box
-    )
+    return CoefficientField("poly(%g)" % alpha, ev)
 
 
 _field_pattern = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -197,14 +128,16 @@ def make_field(spec, box=1.5):
             args = [float(t) for t in m.group(2).split(",")]
         except ValueError:
             raise ValueError("non-numeric parameter in coefficient field %r" % spec)
+        if not all(math.isfinite(t) for t in args):
+            raise ValueError("non-finite parameter in coefficient field %r" % spec)
     if kind == "identity":
         if args:
             raise ValueError("identity takes no parameters")
-        return identity_field(box)
+        return identity_field()
     if kind == "diag":
         if len(args) != 2:
             raise ValueError("diag needs two parameters, got %r" % spec)
-        return diag_field(args[0], args[1], box)
+        return diag_field(args[0], args[1])
     if kind == "poly":
         if len(args) != 1:
             raise ValueError("poly needs one parameter, got %r" % spec)
@@ -212,32 +145,8 @@ def make_field(spec, box=1.5):
     if kind == "rot":
         if len(args) != 3:
             raise ValueError("rot needs three parameters, got %r" % spec)
-        return rot_field(args[0], args[1], args[2], box)
+        return rot_field(args[0], args[1], args[2])
     raise ValueError("unknown coefficient field kind %r" % kind)
-
-
-def user_field(name, eval_fn, lam, lam_upper, grad_fn=None, hess_fn=None, box=1.5):
-    """Wrap a user evaluation map; missing derivatives fall back to central
-    finite differences with step 1e-5."""
-    gr = grad_fn if grad_fn is not None else (lambda x: _fd_grad(eval_fn, x))
-    he = hess_fn if hess_fn is not None else (lambda x: _fd_hess(eval_fn, x))
-    return CoefficientField(name, eval_fn, gr, he, float(lam), float(lam_upper), box)
-
-
-# ---------------------------------------------------------------------------
-# anisotropic squared distance
-
-
-def evaluate_psi(field, x, y):
-    """psi_x(y) = A(y)^{-1}(y-x).(y-x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = y - x
-    s = field.inverse(y)
-    val = float(z @ s @ z)
-    if not math.isfinite(val):
-        raise ValueError("psi evaluation produced a non-finite value")
-    return val
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +160,6 @@ class MatrixFrame:
     a1: np.ndarray
     a2: np.ndarray
     a3: np.ndarray
-    base_point: np.ndarray
 
     def __iter__(self):
         return iter((self.a1, self.a2, self.a3))
@@ -291,7 +199,7 @@ def build_frame(field, y):
             raise ValueError("Gram-Schmidt pivot %.3e below %.0e; coefficient matrix corrupt"
                              % (norm2, _pivot_floor))
         basis.append(v / math.sqrt(norm2))
-    return MatrixFrame(basis[0], basis[1], basis[2], y)
+    return MatrixFrame(basis[0], basis[1], basis[2])
 
 
 def m0_matrix(field, y):
@@ -318,7 +226,6 @@ def m0_matrix(field, y):
 class SingularityConstants:
     d1: float
     c1: float
-    at: np.ndarray = dataclass_field(default_factory=lambda: np.zeros(2))
 
 
 def d1_quadrature(field, x, n_nodes=256):
@@ -338,90 +245,4 @@ def d1_quadrature(field, x, n_nodes=256):
     d1 = 4.0 * math.pi * float(np.mean(1.0 / quad))
     if d1 <= 0.0:
         raise ValueError("circle average came out nonpositive; field not elliptic")
-    return SingularityConstants(d1=d1, c1=1.0 / d1, at=x)
-
-
-# ---------------------------------------------------------------------------
-# frame divergence of the psi*log(psi) kernel
-
-
-def _inverse_derivatives(field, y):
-    """S = A^{-1}, its first derivatives and second derivatives at y."""
-    a = field.matrix(y)
-    s = invert_spd2(a)
-    da = field.gradient(y)          # (2, 2, 2), axis 0 = derivative direction
-    d2a = field.hessian(y)          # (3, 2, 2), order (11, 12, 22)
-    ds = np.empty((2, 2, 2))
-    for k in range(2):
-        ds[k] = -s @ da[k] @ s
-    pair = {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
-    d2s = np.empty((2, 2, 2, 2))
-    for l in range(2):
-        for k in range(2):
-            d2s[l, k] = (-ds[l] @ da[k] @ s
-                         - s @ d2a[pair[(l, k)]] @ s
-                         - s @ da[k] @ ds[l])
-    return s, ds, d2s
-
-
-def _frame_derivatives(field, y, step=_fd_step):
-    """Central differences of the frame fields A_i(y); exact zero for
-    constant coefficients since Gram-Schmidt is then y-independent."""
-    out = np.empty((2, 3, 2, 2))
-    for l in range(2):
-        e = np.zeros(2)
-        e[l] = step
-        fp = build_frame(field, y + e)
-        fm = build_frame(field, y - e)
-        for i, (mp, mm) in enumerate(zip(fp, fm)):
-            out[l, i] = (mp - mm) / (2.0 * step)
-    return out
-
-
-def frame_div_psilog(field, x, y, i):
-    """div(A_i(y) grad(psi_x log psi_x)) at y, in closed form.
-
-    Expansion used (z = y - x, S = A^{-1}, w_k = z.(d_k S)z):
-
-        grad psi = 2 S z + w
-        div(A_i grad(psi log psi))
-            = (log psi + 1) * div(A_i grad psi)
-              + (grad psi . A_i grad psi) / psi
-
-    where div(A_i grad psi) carries the constant 2 tr(A_i S), which equals
-    2*sqrt(2) for i = 1 and vanishes for i = 2, 3 because tr(A_i S) =
-    sqrt(2) g(A_i, A_1), plus matrix-divergence terms in z and div(A_i w).
-    Frame derivatives are taken by central differences of the Gram-Schmidt
-    construction; coefficient derivatives are analytic.
-    """
-    if i not in (1, 2, 3):
-        raise ValueError("frame index must be 1, 2 or 3, got %r" % (i,))
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = y - x
-    if float(z @ z) == 0.0:
-        raise ValueError("kernel divergence is singular at y = x")
-
-    s, ds, d2s = _inverse_derivatives(field, y)
-    frame = list(build_frame(field, y))
-    dframe = _frame_derivatives(field, y)
-    ai = frame[i - 1]
-    dai = dframe[:, i - 1]          # (2, 2, 2), axis 0 = derivative direction
-
-    psi = float(z @ s @ z)
-    w = np.array([z @ ds[0] @ z, z @ ds[1] @ z])
-    gradpsi = 2.0 * (s @ z) + w
-
-    # d_l (grad psi)_k = 2 (d_l S z)_k + 2 S_{kl} + d_l w_k
-    dgradpsi = np.empty((2, 2))
-    for l in range(2):
-        dw_l = 2.0 * (ds @ z)[:, l] + np.array([z @ d2s[l, 0] @ z, z @ d2s[l, 1] @ z])
-        dgradpsi[l] = 2.0 * (ds[l] @ z) + 2.0 * s[:, l] + dw_l
-
-    # div(A_i grad psi) = sum_l [ (d_l A_i) grad psi + A_i d_l(grad psi) ]_l
-    div_ai_gradpsi = 0.0
-    for l in range(2):
-        div_ai_gradpsi += float((dai[l] @ gradpsi)[l]) + float((ai @ dgradpsi[l])[l])
-
-    quotient = float(gradpsi @ ai @ gradpsi) / psi
-    return (math.log(psi) + 1.0) * div_ai_gradpsi + quotient
+    return SingularityConstants(d1=d1, c1=1.0 / d1)

@@ -81,14 +81,15 @@ class DomainShape:
 
 
 def disk_shape(radius):
-    if radius <= 0.0:
-        raise ValueError("disk radius must be positive, got %g" % radius)
+    if not 0.0 < radius < math.inf:
+        raise ValueError("disk radius must be positive and finite, got %g" % radius)
     return DomainShape("disk", (float(radius),))
 
 
 def rect_shape(width, height):
-    if width <= 0.0 or height <= 0.0:
-        raise ValueError("rectangle sides must be positive, got (%g, %g)" % (width, height))
+    if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+        raise ValueError("rectangle sides must be positive and finite, got (%g, %g)"
+                         % (width, height))
     return DomainShape("rect", (float(width), float(height)))
 
 
@@ -183,10 +184,6 @@ class DiscreteDomain:
         xt = format_rows("%.17g,", (self.xs,)).splitlines()
         yt = format_rows("%.17g", (self.ys,)).splitlines()
         return tuple([xt[a] + yt[b] for a, b in zip(i.tolist(), j.tolist())])
-
-    def interior_area(self):
-        """Cell-counting area of the strictly-inside node set."""
-        return self.n_interior * self.h ** 2
 
 
 def _read_only(arr):

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import grid_hessian
-from .grid import ScalarField, central_gradient, write_table
+from .grid import ScalarField, write_table
 from .linsolve import solve_spd
 
 _minimizer_solve_tol = 1e-8
@@ -307,68 +306,6 @@ def supersolution_check(state):
     """Max of L_h u over interior nodes; nonpositive up to slack when the
     state satisfies the optimality condition."""
     return float(state.v.interior().max())
-
-
-def hessian_min_eig(domain, values, margin=0.1):
-    """Min over the inner subdomain (at least `margin` from the boundary)
-    of the smallest eigenvalue of the central-difference Hessian."""
-    hess = grid_hessian(domain, values)
-    pts = np.stack([domain.X, domain.Y], axis=-1)
-    sd = domain.shape.sdf(pts)
-    ok = (domain.mask == 2) & (sd <= -margin)
-    ok[:2, :] = ok[-2:, :] = ok[:, :2] = ok[:, -2:] = False
-    if not np.any(ok):
-        raise ValueError("inner subdomain is empty at margin %g" % margin)
-    a = hess[..., 0][ok]
-    b = hess[..., 1][ok]
-    c = hess[..., 2][ok]
-    mean = 0.5 * (a + c)
-    dev = np.sqrt((0.5 * (a - c)) ** 2 + b ** 2)
-    return float((mean - dev).min())
-
-
-def semiconvexity_metric(state, margin=0.1):
-    return hessian_min_eig(state.u.domain, state.u.values, margin=margin)
-
-
-def strip_measure_ratio(state, eps_probe):
-    """|{0 < u < eps_probe}| / eps_probe by weighted node counting.
-
-    Raises when the probe width cannot be resolved: it must cover at
-    least ~4 cells across the strip, i.e. eps_probe >= 4 h |grad u| there.
-    """
-    if eps_probe <= 0:
-        raise ValueError("probe width must be positive")
-    d = state.u.domain
-    u = state.u.values
-    wi, wb = d.measure_weights
-    ui, ub = state.u.interior(), state.u.boundary()
-    in_i = (ui > 0.0) & (ui < eps_probe)
-    in_b = (ub > 0.0) & (ub < eps_probe)
-    if not (np.any(in_i) or np.any(in_b)):
-        # an empty strip is genuine only when no neighbor pair jumps across
-        # the whole band; a pair bracketing (0, eps_probe) means the strip
-        # fell between nodes and the probe width is unresolvable
-        m = d.mask >= 1
-        for ax in (0, 1):
-            a = np.moveaxis(u, ax, 0)
-            ok = np.moveaxis(m, ax, 0)
-            pair = ok[:-1] & ok[1:]
-            lo, hi = a[:-1], a[1:]
-            bracket = ((lo <= 0.0) & (hi >= eps_probe)) | \
-                      ((hi <= 0.0) & (lo >= eps_probe))
-            if np.any(bracket & pair):
-                raise ValueError("probe width %g falls between grid values"
-                                 % eps_probe)
-        return 0.0
-    g = central_gradient(d, u)
-    gmag = np.hypot(g[..., 0], g[..., 1])
-    gmax = float(gmag.take(d.flat_index[0][in_i]).max()) if np.any(in_i) else 0.0
-    if gmax > 0 and eps_probe < 4.0 * d.h * gmax:
-        raise ValueError("probe width %g below grid resolvability %g"
-                         % (eps_probe, 4.0 * d.h * gmax))
-    area = float(wi @ in_i) + float(wb @ in_b)
-    return area / eps_probe
 
 
 def write_history(state, path):

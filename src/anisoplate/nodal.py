@@ -345,40 +345,6 @@ def domain_variation_residual(state, dens, psi_bank):
 
 
 # ---------------------------------------------------------------------------
-# mollification
-
-
-def mollify_measure(domain, density, n):
-    """Spread the curve measure onto the grid with a compact bump of
-    radius 1/n; the result integrates (by h^2 node sums) to the measure's
-    total mass within quadrature error.
-    """
-    if n <= 0:
-        raise ValueError("bandwidth index must be positive")
-    rad = 1.0 / float(n)
-    if rad < 2.0 * domain.h:
-        raise ValueError("bandwidth %g below grid resolution 2h = %g"
-                         % (rad, 2.0 * domain.h))
-    out = ScalarField(domain)
-    g = out.values
-    h = domain.h
-    norm = 4.0 * n * n / np.pi
-    span = int(np.ceil(rad / h)) + 1
-    nx = len(domain.xs)
-    for (vx, vy), w in zip(density.vertices, density.weights):
-        ic = int(round((vx - domain.xs[0]) / h))
-        jc = int(round((vy - domain.ys[0]) / h))
-        i0, i1 = max(0, ic - span), min(nx, ic + span + 1)
-        j0, j1 = max(0, jc - span), min(nx, jc + span + 1)
-        dx = domain.xs[i0:i1, None] - vx
-        dy = domain.ys[None, j0:j1] - vy
-        s2 = (dx * dx + dy * dy) * (n * n)
-        bump = np.where(s2 < 1.0, (1.0 - s2) ** 3, 0.0)
-        g[i0:i1, j0:j1] += w * norm * bump
-    return out
-
-
-# ---------------------------------------------------------------------------
 # test bank and output
 
 

@@ -181,6 +181,8 @@ def parse_datum(text):
                 raise ConfigError(
                     "[boundary] u0: cannot parse factor %r" % factor)
             coeff *= float(factor)
+        if not math.isfinite(coeff):
+            raise ConfigError("[boundary] u0: term %r is not finite" % raw)
         if p1 + p2 > _max_poly_degree:
             raise ConfigError("[boundary] u0: term %r exceeds degree %d"
                               % (raw, _max_poly_degree))
@@ -338,16 +340,18 @@ def _validate_specs(cfg):
     shape = _shape_for(cfg)
     _field_for(cfg, shape)
     terms = parse_datum(cfg.u0_spec)
-    # positivity on the boundary curve, by sampling
+    # finite positivity on the boundary curve, by sampling: finite terms
+    # can still sum past the float range
     th = 2.0 * math.pi * np.arange(_trace_samples) / _trace_samples
     ring = 2.0 * shape.bbox_halfwidth() * np.stack(
         [np.cos(th), np.sin(th)], axis=-1)
     pts = shape.project(ring)
-    vals = np.asarray(datum_callable(terms)(pts[:, 0], pts[:, 1]))
-    if not np.all(vals > 0.0):
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(datum_callable(terms)(pts[:, 0], pts[:, 1]))
+    if not np.all((vals > 0.0) & (vals < math.inf)):
         raise ConfigError(
-            "[boundary] u0: not positive on the boundary "
-            "(min sampled value %g)" % float(vals.min()))
+            "[boundary] u0: not finite and positive on the boundary "
+            "(sampled values in [%g, %g])" % (float(vals.min()), float(vals.max())))
 
 
 # ---------------------------------------------------------------------------

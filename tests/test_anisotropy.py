@@ -1,27 +1,29 @@
-"""Frozen oracles and invariants for coefficient fields, frames, d1, and the
-kernel divergence closed form."""
+"""Frozen oracles and invariants for coefficient fields, the anisotropic
+squared distance, frames and d1."""
 
 import math
 
 import numpy as np
 import pytest
-import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisoplate import (
+    CoefficientField,
+    GreensColumn,
+    assemble_operator,
+    build_domain,
     build_frame,
     d1_quadrature,
     diag_field,
-    evaluate_psi,
-    frame_div_psilog,
     identity_field,
     invert_spd2,
     m0_matrix,
     make_field,
+    node_near,
     poly_field,
+    rect_shape,
     rot_field,
-    user_field,
 )
 
 # frozen oracle values, computed by hand before the implementation existed
@@ -38,10 +40,9 @@ _SQRT2 = math.sqrt(2.0)
 def test_identity_eval_and_bounds():
     f = identity_field()
     assert np.allclose(f.matrix([0.3, -0.7]), np.eye(2))
-    assert f.lam == 1.0 and f.lam_upper == 1.0
     pts = np.random.default_rng(0).uniform(-1, 1, size=(5, 2))
     assert f.matrix(pts).shape == (5, 2, 2)
-    assert np.allclose(f.gradient(pts), 0.0)
+    assert np.array_equal(np.linalg.eigvalsh(f.matrix(pts)), np.ones((5, 2)))
 
 
 def test_diag_field_rejects_nonpositive():
@@ -51,45 +52,6 @@ def test_diag_field_rejects_nonpositive():
         diag_field(2.0, -1.0)
 
 
-def test_poly_field_derivatives_match_fd():
-    f = poly_field(0.5)
-    rng = np.random.default_rng(1)
-    for x in rng.uniform(-1.2, 1.2, size=(4, 2)):
-        g = f.gradient(x)
-        h = f.hessian(x)
-        step = 1e-5
-        for k in range(2):
-            e = np.zeros(2)
-            e[k] = step
-            fd = (f.matrix(x + e) - f.matrix(x - e)) / (2 * step)
-            assert np.allclose(g[k], fd, atol=1e-8)
-        e1, e2 = np.array([step, 0.0]), np.array([0.0, step])
-        fd11 = (f.matrix(x + e1) - 2 * f.matrix(x) + f.matrix(x - e1)) / step**2
-        assert np.allclose(h[0], fd11, atol=1e-4)
-
-
-def test_fd_consistency_two_steps_shrinks():
-    # user-supplied field without analytic derivatives: central differences
-    # of eval must agree with the grad callback to O(step^2)
-    def ev(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
-        out[..., 0, 0] = 2.0 + np.sin(x[..., 0])
-        out[..., 1, 1] = 1.0
-        return out
-
-    f = user_field("sin-diag", ev, lam=1.0, lam_upper=3.0)
-    x = np.array([0.4, 0.1])
-    exact = math.cos(0.4)
-    errs = []
-    for step in (1e-3, 5e-4):
-        e = np.array([step, 0.0])
-        fd = (ev(x + e) - ev(x - e))[0, 0] / (2 * step)
-        errs.append(abs(fd - exact))
-    assert errs[1] < errs[0] * 0.3  # ~0.25 for O(step^2)
-    assert abs(f.gradient(x)[0, 0, 0] - exact) < 1e-9
-
-
 def test_make_field_parses_and_rejects():
     assert make_field("identity").name == "identity"
     assert make_field("diag(2, 1)").matrix([0, 0])[0, 0] == 2.0
@@ -97,7 +59,8 @@ def test_make_field_parses_and_rejects():
     r = make_field("rot(0.7, 2, 1)")
     evals = np.linalg.eigvalsh(r.matrix([0, 0]))
     assert np.allclose(evals, [1.0, 2.0])
-    for bad in ("diag(2)", "poly()", "frob(1)", "diag(a,b)", "rot(1,2)"):
+    for bad in ("diag(2)", "poly()", "frob(1)", "diag(a,b)", "rot(1,2)",
+                "diag(inf,1)", "poly(nan)", "rot(nan,2,1)"):
         with pytest.raises(ValueError):
             make_field(bad)
 
@@ -115,30 +78,37 @@ def test_invert_spd2_closed_form_and_guard():
 
 
 # ---------------------------------------------------------------------------
-# psi
+# psi, on the grid of a column with source x
+
+
+def _psi_grid(field, x, resolution):
+    d = build_domain(rect_shape(2.0, 2.0), resolution)
+    col = GreensColumn("first_order", assemble_operator(field, d),
+                       node_near(d, *x), np.asarray(x, dtype=float), None)
+    return d, col.psi
 
 
 def test_psi_frozen_examples():
-    assert evaluate_psi(identity_field(), [0, 0], [1, 0]) == pytest.approx(1.0, abs=1e-15)
-    f = diag_field(2.0, 1.0)
-    assert evaluate_psi(f, [0, 0], [1, 0]) == pytest.approx(0.5, abs=1e-15)
-    assert evaluate_psi(f, [0, 0], [1, 1]) == pytest.approx(1.5, abs=1e-15)
+    # h = 0.5: nodes sit at (1, 0) and (1, 1)
+    d, psi = _psi_grid(identity_field(), [0.0, 0.0], 5)
+    assert psi[node_near(d, 1, 0)] == pytest.approx(1.0, abs=1e-15)
+    d, psi = _psi_grid(diag_field(2.0, 1.0), [0.0, 0.0], 5)
+    assert psi[node_near(d, 1, 0)] == pytest.approx(0.5, abs=1e-15)
+    assert psi[node_near(d, 1, 1)] == pytest.approx(1.5, abs=1e-15)
 
 
 def test_psi_positive_definite_in_offset():
-    f = poly_field(0.5)
+    # poly(0.5) has spectrum in [1, 1 + 0.5 * 1.5^2] on the padded grid
+    lam, lam_upper = 1.0, 1.0 + 0.5 * 1.5 ** 2
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = rng.uniform(-1, 1, 2)
-        y = rng.uniform(-1, 1, 2)
-        if np.allclose(x, y):
-            continue
-        v = evaluate_psi(f, x, y)
-        assert v > 0.0
+        d, psi = _psi_grid(poly_field(0.5), x, 17)
+        d2 = (d.X - x[0]) ** 2 + (d.Y - x[1]) ** 2
+        assert np.all(psi > 0.0)
         # two-sided comparability with the Euclidean distance
-        d2 = float((y - x) @ (y - x))
-        assert d2 / f.lam_upper <= v + 1e-12
-        assert v <= d2 / f.lam + 1e-12
+        assert np.all(d2 / lam_upper <= psi + 1e-12)
+        assert np.all(psi <= d2 / lam + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +156,8 @@ def test_frame_orthonormal_property(a, b, c, y1, y2):
     # positive definiteness as long as c^2 < a*b is respected
     off = c * math.sqrt(a * b)
     mat = np.array([[a, off], [off, b]])
-    evals = np.linalg.eigvalsh(mat)
-    f = user_field("rand", lambda x, m=mat: np.broadcast_to(
-        m, np.asarray(x).shape[:-1] + (2, 2)).copy(),
-        lam=evals[0], lam_upper=evals[1])
+    f = CoefficientField("rand", lambda x, m=mat: np.broadcast_to(
+        m, np.asarray(x).shape[:-1] + (2, 2)).copy())
     g = _gram(f, np.array([y1, y2]), build_frame(f, [y1, y2]))
     assert np.allclose(g, np.eye(3), atol=1e-9)
 
@@ -265,108 +233,3 @@ def test_d1_scaling_property(a, b, scale):
     one = d1_quadrature(diag_field(a, b), [0, 0]).d1
     two = d1_quadrature(diag_field(scale * a, scale * b), [0, 0]).d1
     assert two == pytest.approx(scale * one, rel=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# kernel divergence closed form
-
-
-def test_kernel_div_isotropic_closed_forms():
-    f = identity_field()
-    x = np.zeros(2)
-    rng = np.random.default_rng(4)
-    for _ in range(12):
-        z = rng.uniform(-1, 1, 2)
-        r2 = float(z @ z)
-        if r2 < 1e-3:
-            continue
-        got1 = frame_div_psilog(f, x, z, 1)
-        want1 = 2.0 * _SQRT2 * math.log(r2) + 4.0 * _SQRT2
-        assert got1 == pytest.approx(want1, abs=1e-9)
-        got2 = frame_div_psilog(f, x, z, 2)
-        want2 = 2.0 * _SQRT2 * (z[0] ** 2 - z[1] ** 2) / r2
-        assert got2 == pytest.approx(want2, abs=1e-9)
-        got3 = frame_div_psilog(f, x, z, 3)
-        want3 = 4.0 * _SQRT2 * z[0] * z[1] / r2
-        assert got3 == pytest.approx(want3, abs=1e-9)
-
-
-def test_kernel_div_offdiagonal_bounded_by_four():
-    f = identity_field()
-    x = np.zeros(2)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        z = rng.uniform(-1, 1, 2)
-        if float(z @ z) < 1e-4:
-            continue
-        for i in (2, 3):
-            assert abs(frame_div_psilog(f, x, z, i)) <= 4.0 + 1e-9
-
-
-def test_kernel_div_log_growth_split():
-    # toward the base point: the first direction grows like |log r|, the
-    # trace-free directions stay bounded
-    f = diag_field(2.0, 1.0)
-    x = np.zeros(2)
-    sup1, sup23 = [], []
-    for k in range(2, 8):
-        r = 2.0 ** (-k)
-        vals1, vals23 = [], []
-        for theta in np.linspace(0, 2 * math.pi, 17)[:-1]:
-            y = x + r * np.array([math.cos(theta), math.sin(theta)])
-            vals1.append(abs(frame_div_psilog(f, x, y, 1)))
-            vals23.append(max(abs(frame_div_psilog(f, x, y, 2)),
-                              abs(frame_div_psilog(f, x, y, 3))))
-        sup1.append(max(vals1))
-        sup23.append(max(vals23))
-    assert sup1[-1] > sup1[0] + 4.0          # unbounded growth
-    assert max(sup23) < 8.0                  # stays bounded
-
-
-def test_kernel_div_singular_at_base_point():
-    with pytest.raises(ValueError):
-        frame_div_psilog(identity_field(), [0.3, 0.3], [0.3, 0.3], 1)
-    with pytest.raises(ValueError):
-        frame_div_psilog(identity_field(), [0, 0], [0.5, 0.5], 4)
-
-
-def _sympy_kernel_div_oracle(alpha, i):
-    """Symbolic div(A_i grad(psi log psi)) for the diag(1+alpha*y1^2, 1)
-    field with base point at the origin, built independently of the
-    implementation's expansion."""
-    y1, y2 = sp.symbols("y1 y2", real=True)
-    a11 = 1 + alpha * y1**2
-    A = sp.Matrix([[a11, 0], [0, 1]])
-    S = A.inv()
-    psi = (sp.Matrix([y1, y2]).T * S * sp.Matrix([y1, y2]))[0, 0]
-
-    # Gram-Schmidt under g(M,N) = tr(S M S N), seeds as in the library
-    def gdot(m, n):
-        return sp.trace(S * m * S * n)
-
-    a1 = A / sp.sqrt(gdot(A, A))
-    d = sp.Matrix([[1, 0], [0, -1]])
-    v2 = d - gdot(d, a1) * a1
-    a2 = v2 / sp.sqrt(gdot(v2, v2))
-    o = sp.Matrix([[0, 1], [1, 0]])
-    v3 = o - gdot(o, a1) * a1 - gdot(o, a2) * a2
-    a3 = v3 / sp.sqrt(gdot(v3, v3))
-    ai = (a1, a2, a3)[i - 1]
-
-    kern = psi * sp.log(psi)
-    grad = sp.Matrix([sp.diff(kern, y1), sp.diff(kern, y2)])
-    flux = ai * grad
-    div = sp.diff(flux[0], y1) + sp.diff(flux[1], y2)
-    return sp.lambdify((y1, y2), sp.simplify(div), "numpy")
-
-
-@pytest.mark.parametrize("i", [1, 2, 3])
-def test_kernel_div_variable_coefficients_vs_symbolic(i):
-    alpha = 0.5
-    f = poly_field(alpha)
-    oracle = _sympy_kernel_div_oracle(alpha, i)
-    x = np.zeros(2)
-    for y in ([0.4, 0.3], [-0.6, 0.2], [0.15, -0.55], [0.9, 0.9]):
-        want = float(oracle(y[0], y[1]))
-        got = frame_div_psilog(f, x, np.array(y), i)
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-7)

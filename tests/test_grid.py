@@ -8,8 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from anisoplate.anisotropy import (diag_field, identity_field, poly_field, rot_field,
-                                   user_field)
+from anisoplate.anisotropy import (CoefficientField, diag_field, identity_field,
+                                   poly_field, rot_field)
 from anisoplate import grid
 from anisoplate.grid import (
     BOUNDARY,
@@ -45,10 +45,12 @@ def test_rect_counts_exact():
 
 
 def test_disk_interior_area_close():
+    # cell-counting area of the strictly-inside node set
     d = build_domain(disk_shape(1.0), 129)
-    assert abs(d.interior_area() - math.pi) / math.pi < 0.02
+    area = d.n_interior * d.h ** 2
+    assert abs(area - math.pi) / math.pi < 0.02
     d2 = build_domain(disk_shape(1.0), 257)
-    assert abs(d2.interior_area() - math.pi) < abs(d.interior_area() - math.pi)
+    assert abs(d2.n_interior * d2.h ** 2 - math.pi) < abs(area - math.pi)
 
 
 def test_grid_padded_one_cell():
@@ -291,11 +293,12 @@ def test_central_gradient_exact_for_linear():
 # operator
 
 
-def _turning_field(kx=0.8, ky=0.0):
+def _turning(kx=0.8, ky=0.0):
     """A = R(theta) diag(2,1) R(theta)^T with theta = kx x + ky y + 0.3: an
     eigenframe that turns in space, so a11, a22 and a12 all vary.  With
-    c = cos(theta), s = sin(theta): a11 = 1 + c^2, a22 = 1 + s^2, a12 = c s;
-    its derivatives are analytic."""
+    c = cos(theta), s = sin(theta): a11 = 1 + c^2, a22 = 1 + s^2, a12 = c s.
+    Returns the evaluation map and its analytic gradient, of shape
+    (..., 2, 2, 2) with the derivative direction first."""
 
     def frame(x):
         x = np.asarray(x, dtype=float)
@@ -318,7 +321,11 @@ def _turning_field(kx=0.8, ky=0.0):
         d_theta[..., 0, 1] = d_theta[..., 1, 0] = c * c - s * s
         return np.stack([kx * d_theta, ky * d_theta], axis=-3)
 
-    return user_field("turning", ev, lam=1.0, lam_upper=2.0, grad_fn=gr)
+    return ev, gr
+
+
+def _turning_field(kx=0.8, ky=0.0):
+    return CoefficientField("turning", _turning(kx, ky)[0])
 
 
 def test_row_sums_vanish():
@@ -479,12 +486,12 @@ def test_consistency_ratio_three_fields():
     # turning frame, whose a12 varies
     cases = []
 
-    def make_exact(f):
+    def make_exact(f, grad):
         # L u = -(a11 u_xx + 2 a12 u_xy + a22 u_yy
         #         + (d_x a11 + d_y a12) u_x + (d_x a12 + d_y a22) u_y)
         def exact_lu(x, y):
             pts = np.stack([x, y], axis=-1)
-            a, g = f.matrix(pts), f.gradient(pts)
+            a, g = f.matrix(pts), grad(pts)
             c = np.cos(math.pi * x) * np.cos(math.pi * y)
             sx = np.sin(math.pi * x) * np.cos(math.pi * y)
             sy = np.cos(math.pi * x) * np.sin(math.pi * y)
@@ -496,15 +503,24 @@ def test_consistency_ratio_three_fields():
                     + div_x * math.pi * sx + div_y * math.pi * sy)
         return exact_lu
 
-    for f in (identity_field(), diag_field(2, 1), poly_field(0.5),
-              _turning_field()):
+    # coefficient gradients, (..., 2, 2, 2) with the derivative direction first
+    def zero_grad(x):
+        return np.zeros(np.asarray(x).shape[:-1] + (2, 2, 2))
+
+    def poly_grad(x):
+        out = zero_grad(x)
+        out[..., 0, 0, 0] = 2.0 * 0.5 * x[..., 0]
+        return out
+
+    for f, grad in ((identity_field(), zero_grad), (diag_field(2, 1), zero_grad),
+                    (poly_field(0.5), poly_grad), (_turning_field(), _turning()[1])):
         errs = []
         for res in (33, 65):
             d = build_domain(rect_shape(1.0, 1.0), res)
             u = ScalarField.from_function(
                 d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
             lu = assemble_operator(f, d).apply_field(u)
-            want = make_exact(f)(d.interior_xy[:, 0], d.interior_xy[:, 1])
+            want = make_exact(f, grad)(d.interior_xy[:, 0], d.interior_xy[:, 1])
             errs.append(np.max(np.abs(lu - want)))
         cases.append(errs[0] / errs[1])
     assert all(3.4 <= ratio <= 4.6 for ratio in cases)
@@ -517,7 +533,7 @@ def test_incompatible_coefficients_rejected():
         out[..., 1, 1] = 1.0
         return out
 
-    f = user_field("broken", bad_eval, lam=1.0, lam_upper=1.0)
+    f = CoefficientField("broken", bad_eval)
     d = build_domain(rect_shape(1.0, 1.0), 17)
     with pytest.raises(ValueError):
         assemble_operator(f, d)

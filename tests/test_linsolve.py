@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sparse
 
 from anisoplate import linsolve
-from anisoplate.anisotropy import user_field
+from anisoplate.anisotropy import CoefficientField
 from anisoplate.grid import assemble_operator, build_domain, disk_shape
 from anisoplate.linsolve import SolveReport, solve_spd
 
@@ -154,7 +154,7 @@ def test_indefinite_operator_raises():
     dom = build_domain(disk_shape(1.0), 17)
     for fn in (neg_a11, neg_det):
         with pytest.raises(ValueError, match="positive definite"):
-            assemble_operator(user_field("indefinite", fn, lam=1.0, lam_upper=3.0), dom)
+            assemble_operator(CoefficientField("indefinite", fn), dom)
 
 
 def test_warm_start_exact_guess(monkeypatch):

@@ -17,18 +17,14 @@ from anisoplate import (
     minimize,
     minimizer,
     rect_shape,
-    semiconvexity_metric,
     sharp_energy,
     smoothed_energy,
-    strip_measure_ratio,
     supersolution_check,
     write_history,
 )
 from anisoplate.grid import ScalarField, SparseOperator, assemble_operator
 from anisoplate.minimizer import (
-    MinimizerState,
     _precond_solve,
-    hessian_min_eig,
     smoothed_heaviside,
     smoothed_heaviside_prime,
 )
@@ -60,26 +56,6 @@ def small65(op65):
 @pytest.fixture(scope="module")
 def large65(op65):
     return minimize(op65, LARGE_C)
-
-
-@pytest.fixture(scope="module")
-def dom129():
-    return build_domain(disk_shape(1.0), 129)
-
-
-@pytest.fixture(scope="module")
-def op129(iso, dom129):
-    return assemble_operator(iso, dom129)
-
-
-@pytest.fixture(scope="module")
-def small129(op129):
-    return minimize(op129, SMALL_C)
-
-
-def _mk_state(u_field):
-    """Wrap a bare field for diagnostics that only read state.u."""
-    return MinimizerState(u_field, u_field, 0.0, 0.0, 1.0, (), True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,57 +390,6 @@ def test_inward_bump_raises_energy(small65, dom65, op65):
     e0 = smoothed_energy(op65, u.interior(), u.boundary(), eps)[0]
     e1 = smoothed_energy(op65, bumped.interior(), bumped.boundary(), eps)[0]
     assert e1 > e0
-
-
-def test_hessian_min_eig_quadratic(dom65):
-    vals = dom65.X ** 2 + dom65.Y ** 2
-    assert hessian_min_eig(dom65, vals) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_hessian_min_eig_spike_negative_control(dom65):
-    r = np.hypot(dom65.X, dom65.Y)
-    vals = np.maximum(0.0, 1.0 - r / dom65.h)
-    assert hessian_min_eig(dom65, vals) <= -1.0 / dom65.h
-
-
-def test_semiconvexity_stable_under_refinement(small65, small129):
-    m_h = semiconvexity_metric(small65)
-    m_h2 = semiconvexity_metric(small129)
-    assert np.isfinite(m_h) and np.isfinite(m_h2)
-    assert m_h2 >= m_h - 0.5
-
-
-def test_strip_ratio_linear_profile(iso):
-    dom = build_domain(rect_shape(1.0, 1.0), 65)
-    u = ScalarField(dom)
-    u.values = dom.X.copy()
-    eps = 0.26
-    ratio = strip_measure_ratio(_mk_state(u), eps)
-    # node counting resolves the strip to one cell column
-    assert abs(ratio - 1.0) <= 1.5 * dom.h / eps
-
-
-def test_strip_ratio_positive_constant_is_zero(dom65):
-    u = ScalarField(dom65)
-    u.values[dom65.mask >= 1] = 1.0
-    assert strip_measure_ratio(_mk_state(u), 0.5) == 0.0
-
-
-def test_strip_ratio_resolvability_guard(iso):
-    dom = build_domain(rect_shape(1.0, 1.0), 17)
-    u = ScalarField(dom)
-    u.values = dom.X.copy()
-    with pytest.raises(ValueError):
-        strip_measure_ratio(_mk_state(u), 0.05)  # below 4 h |grad u|
-    with pytest.raises(ValueError):
-        strip_measure_ratio(_mk_state(u), -1.0)
-
-
-def test_strip_ratio_bounded_under_probe_halving(small129):
-    r1 = strip_measure_ratio(small129, 0.04)
-    r2 = strip_measure_ratio(small129, 0.02)
-    assert r1 > 0.0 and r2 > 0.0
-    assert abs(r1 - r2) <= 0.5 * max(r1, r2)
 
 
 def test_write_history_roundtrip(small65, tmp_path):

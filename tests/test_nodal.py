@@ -10,9 +10,8 @@ from scipy import ndimage
 
 from anisoplate import build_domain, disk_shape, make_field, minimize, rect_shape
 from anisoplate.grid import INTERIOR, ScalarField, assemble_operator
-from anisoplate.minimizer import MinimizerState, strip_measure_ratio
+from anisoplate.minimizer import MinimizerState
 from anisoplate.nodal import (
-    MeasureDensity,
     NodalSet,
     bilinear_sample,
     bump_bank,
@@ -21,7 +20,6 @@ from anisoplate.nodal import (
     el_residual,
     extract_nodal,
     measure_density,
-    mollify_measure,
     sample_on_grid,
     tensor_bump,
     write_nodal_csv,
@@ -250,9 +248,15 @@ def test_measure_density_matches_per_segment_loop(small129, nodal129):
 
 
 def test_strip_ratio_matches_curve_quadrature(small129, nodal129):
+    # coarea: |{0 < u < eps}| / eps -> int_{u=0} ds / |grad u|, twice the
+    # curve measure; the strip area is the weighted node count
     dens = measure_density(small129.u, nodal129)
     curve = 2.0 * dens.total_mass()
-    strip = strip_measure_ratio(small129, 0.02)
+    eps = 0.02
+    wi, wb = small129.u.domain.measure_weights
+    ui, ub = small129.u.interior(), small129.u.boundary()
+    strip = (float(wi @ ((ui > 0.0) & (ui < eps)))
+             + float(wb @ ((ub > 0.0) & (ub < eps)))) / eps
     assert abs(strip - curve) <= 0.2 * curve
 
 
@@ -365,49 +369,6 @@ def test_axis_sampling_matches_full_grid(shape):
         assert isinstance(got, tuple) and len(got) == 2
         for sampled, full in zip(got, psi(d.X, d.Y)):
             same_bits(sampled, full)
-
-
-# ---------------------------------------------------------------------------
-# mollification
-
-
-def test_mollify_point_mass_normalized():
-    dom = build_domain(rect_shape(2.0, 2.0), 129)
-    dens = MeasureDensity(np.array([[0.0, 0.0]]), np.array([2.5]),
-                          np.array([[1.0, 0.0]]))
-    for n in (4.0, 8.0, 16.0):
-        g = mollify_measure(dom, dens, n)
-        mass = float(g.values.sum()) * dom.h ** 2
-        assert abs(mass - 2.5) <= 0.01 * 2.5
-
-
-def test_mollify_bandwidth_guard():
-    dom = build_domain(rect_shape(2.0, 2.0), 33)
-    dens = MeasureDensity(np.array([[0.0, 0.0]]), np.array([1.0]),
-                          np.array([[1.0, 0.0]]))
-    with pytest.raises(ValueError):
-        mollify_measure(dom, dens, 16.0)  # 1/16 < 2h = 1/8
-    with pytest.raises(ValueError):
-        mollify_measure(dom, dens, -2.0)
-
-
-def test_mollify_converges_to_curve_sum():
-    dom, u = _circle_field(129)
-    nod = extract_nodal(u)
-    dens = measure_density(u, nod)
-    f = tensor_bump(0.5, 0.0, 0.4)
-    exact = float(np.asarray(f(dens.vertices[:, 0], dens.vertices[:, 1]))
-                  @ dens.weights)
-    errs = []
-    for n in (4.0, 8.0, 16.0):
-        g = mollify_measure(dom, dens, n)
-        integ = float((np.asarray(f(dom.X, dom.Y)) * g.values).sum()) * dom.h ** 2
-        errs.append(abs(integ - exact))
-        # mass agreement between vertex sum and mollified sum
-        mass = float(g.values.sum()) * dom.h ** 2
-        assert abs(mass - dens.total_mass()) <= 0.01 * dens.total_mass()
-    assert errs[1] <= 0.7 * errs[0]
-    assert errs[2] <= 0.7 * errs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,32 @@ def test_bad_energy_values_rejected_at_load(tmp_path, monkeypatch, line, key):
     assert built == [] and not out.exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("field", "kind", "diag(inf,1)"),
+    ("field", "kind", "poly(nan)"),
+    ("field", "kind", "poly(inf)"),
+    ("field", "kind", "rot(nan,2,1)"),
+    ("grid", "shape", "disk(nan)"),
+    ("grid", "shape", "disk(inf)"),
+    ("grid", "shape", "rect(inf,1)"),
+    ("boundary", "u0", "1e999"),
+    ("boundary", "u0", "1e308 + 1e308"),
+])
+def test_non_finite_spec_parameters_rejected(tmp_path, section, key, value):
+    # a non-finite parameter is a config error naming its key, exit 2
+    spec = {"grid": {"shape": "disk(1)", "resolution": "33"},
+            "field": {"kind": "identity"},
+            "boundary": {"u0": "0.05"},
+            "run": {"checks": "greens"}}
+    spec[section][key] = value
+    text = "".join("[%s]\n" % sec + "".join("%s = %s\n" % kv for kv in kvs.items())
+                   for sec, kvs in spec.items())
+    path = _write(tmp_path, "n.ini", text)
+    with pytest.raises(ConfigError, match=r"\[%s\] %s:" % (section, key)):
+        load_config(path)
+    assert main(["run", path, "--out", str(tmp_path / "n")]) == 2
+
+
 def test_config_syntax_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, "k.ini", "no sections here\n"))
