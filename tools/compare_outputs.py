@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash every artifact of six reference runs: "same outputs" as one command.
+"""Hash every artifact of seven reference runs: "same outputs" as one command.
 
     python3 tools/compare_outputs.py [--save MANIFEST] [--against MANIFEST]
 
@@ -11,9 +11,13 @@ The runs, each in a fresh temporary directory:
     levels2_65         iso_disk_small_c from 65^2 with --levels 2
     rot_small_65       iso_disk_small_c with rot(0.7,2,1), all checks, at 65^2
     poly_greens_129    poly(1) greens and frehse on disk(1) at 129^2
+    rect_poly_65       rect(2,1.5), diag(2,1), polynomial u0, all checks,
+                       at 65^2
 
-The last two pin the stencil where the coefficients are not multiples of
-the identity: a constant nonzero a12, and an a11 that varies along x.
+rot_small_65 and poly_greens_129 pin the stencil where the coefficients
+are not multiples of the identity: a constant nonzero a12, and an a11
+that varies along x.  rect_poly_65 pins the rectangle's projection and
+a boundary trace that varies along the curve.
 
 The two benchmark runs read their configs from `benchmarks/configs/`.
 BLAS and OpenMP run one thread each, as in the benchmark, because the
@@ -56,6 +60,9 @@ RUNS = (
     ("poly_greens_129", "[run]\nchecks = greens, frehse\n"
      "[grid]\nshape = disk(1)\nresolution = 129\n"
      "[field]\nkind = poly(1)\n[boundary]\nu0 = 0.05\n", None),
+    ("rect_poly_65", "[grid]\nshape = rect(2,1.5)\nresolution = 65\n"
+     "[field]\nkind = diag(2,1)\n"
+     "[boundary]\nu0 = 0.04 + 0.01*x1^2 - 0.005*x1*x2\n", None),
 )
 
 
