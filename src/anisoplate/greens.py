@@ -233,18 +233,23 @@ def grid_third_diff(domain, values):
     return out
 
 
+def _admissible_sup(col, nodal, r_max):
+    """Max of a nodal quantity over metric_mask's nodes within r_max, or
+    None when a coarse grid leaves none admissible."""
+    ok, _ = metric_mask(col, r_max=r_max)
+    return float(nodal[ok].max()) if ok.any() else None
+
+
 def gradient_sup(col, fld, r_max=0.5):
     """Sup of the central-difference gradient over the admissible region."""
-    ok, _ = metric_mask(col, r_max=r_max)
     g = central_gradient(col.domain, fld.values)
-    mag = np.hypot(g[..., 0], g[..., 1])
-    return float(mag[ok].max())
+    return _admissible_sup(col, np.hypot(g[..., 0], g[..., 1]), r_max)
 
 
 def third_diff_sup(col, fld, r_max=0.5):
-    d3 = grid_third_diff(col.domain, fld.values)
-    ok, _ = metric_mask(col, r_max=r_max)
-    return float(np.max(np.abs(d3[ok])))
+    """Sup of the pure third differences over the admissible region."""
+    d3 = np.abs(grid_third_diff(col.domain, fld.values)).max(axis=-1)
+    return _admissible_sup(col, d3, r_max)
 
 
 # ---------------------------------------------------------------------------

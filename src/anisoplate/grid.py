@@ -45,29 +45,15 @@ class DomainShape:
         return np.maximum(np.abs(x) - 0.5 * w, np.abs(y) - 0.5 * h)
 
     def project(self, pts):
-        """Closest point on the curve, for points outside or on it."""
+        """Closest point on the curve, for points outside or on it only
+        (sdf >= 0, as boundary nodes are by construction; an inside point
+        gets no projection).  A rectangle's on-curve points come back as is."""
         pts = np.asarray(pts, dtype=float)
         if self.kind == "disk":
             r = np.hypot(pts[..., 0], pts[..., 1])
-            r = np.where(r == 0.0, 1.0, r)
             return pts * (self.params[0] / r)[..., None]
         w, h = self.params
-        out = np.empty_like(pts)
-        out[..., 0] = np.clip(pts[..., 0], -0.5 * w, 0.5 * w)
-        out[..., 1] = np.clip(pts[..., 1], -0.5 * h, 0.5 * h)
-        # points on or inside the rectangle: push the closest coordinate
-        # out to the nearest edge so the result lies on the curve
-        inside = self.sdf(pts) <= 0.0
-        if np.any(inside):
-            gx = 0.5 * w - np.abs(out[..., 0])
-            gy = 0.5 * h - np.abs(out[..., 1])
-            push_x = inside & (gx <= gy)
-            push_y = inside & ~push_x
-            sx = np.where(out[..., 0] >= 0.0, 1.0, -1.0)
-            sy = np.where(out[..., 1] >= 0.0, 1.0, -1.0)
-            out[..., 0] = np.where(push_x, sx * 0.5 * w, out[..., 0])
-            out[..., 1] = np.where(push_y, sy * 0.5 * h, out[..., 1])
-        return out
+        return np.clip(pts, [-0.5 * w, -0.5 * h], [0.5 * w, 0.5 * h])
 
     def bbox_halfwidth(self):
         if self.kind == "disk":
@@ -154,6 +140,17 @@ class DiscreteDomain:
     def Y(self):
         """Node y-coordinates on the full grid, ij indexing; read-only."""
         return _read_only(np.meshgrid(self.xs, self.ys, indexing="ij")[1])
+
+    def trace(self, fn):
+        """The boundary datum as the operator's boundary nodes carry it: one
+        float per boundary node, fn(x, y) evaluated (vectorized) at the
+        node's closest-point projection onto the curve, boundary_proj.  A
+        constant fn is broadcast.  A node lies up to h outside a curved
+        boundary, so this rule is first order there; it is the one place
+        the rule lives."""
+        p = self.boundary_proj
+        vals = np.asarray(fn(p[:, 0], p[:, 1]), dtype=float)
+        return np.broadcast_to(vals, (self.n_boundary,))
 
     @cached_property
     def measure_weights(self):
@@ -272,16 +269,6 @@ class ScalarField:
         if values.shape != (n, n):
             raise ValueError("values shape %r does not match grid %d" % (values.shape, n))
         self.values = values
-
-    @classmethod
-    def from_function(cls, domain, fn):
-        """Evaluate fn(x, y) at interior nodes and boundary projections."""
-        out = cls(domain)
-        ii, jj = domain.interior_ij[:, 0], domain.interior_ij[:, 1]
-        out.values[ii, jj] = fn(domain.interior_xy[:, 0], domain.interior_xy[:, 1])
-        bi, bj = domain.boundary_ij[:, 0], domain.boundary_ij[:, 1]
-        out.values[bi, bj] = fn(domain.boundary_proj[:, 0], domain.boundary_proj[:, 1])
-        return out
 
     def interior(self):
         return self.values.take(self.domain.flat_index[0])

@@ -166,26 +166,15 @@ def sharp_energy(op, ui, ub, v):
 
 
 # ---------------------------------------------------------------------------
-# boundary data and initialization
-
-
-def _trace_values(domain, u0):
-    if np.isscalar(u0):
-        vals = np.full(domain.n_boundary, float(u0))
-    elif callable(u0):
-        proj = domain.boundary_proj
-        vals = np.array([float(u0(x, y)) for x, y in proj])
-    else:
-        vals = np.asarray(u0, dtype=float)
-        if vals.shape != (domain.n_boundary,):
-            raise ValueError("boundary data needs one value per boundary node")
-    return vals
+# initialization
 
 
 def harmonic_extension(op, u0):
-    """Solve L u = 0 with the given trace; the canonical starting state."""
+    """Solve L u = 0 with boundary values u0, a scalar or one value per
+    boundary node (DiscreteDomain.trace); the canonical starting state.
+    A wrong length raises ValueError."""
     domain = op.domain
-    trace = _trace_values(domain, u0)
+    trace = np.broadcast_to(np.asarray(u0, dtype=float), (domain.n_boundary,))
     sol = op.solve_dirichlet(np.zeros(domain.n_interior), trace)
     out = ScalarField(domain)
     out.values.put(domain.flat_index[1], trace)
@@ -213,8 +202,9 @@ def minimize(op, u0, cfg=None):
     """Minimize the relaxed energy over fields with the given trace.
 
     input : assembled operator (it carries the domain and the coefficient
-            field), boundary data (positive scalar, callable, or per-node
-            array), optional EnergyConfig.
+            field), boundary data (a positive scalar or one value per
+            boundary node, as DiscreteDomain.trace gives), optional
+            EnergyConfig.
     output: MinimizerState at the last ramp width.  The trace is pinned
             exactly at every iterate; per-stage energies never increase.
     Each stage first tries downward bumps (scaled solutions of L B = 1)
@@ -227,7 +217,7 @@ def minimize(op, u0, cfg=None):
     built only for the returned state.
     """
     domain = op.domain
-    trace = _trace_values(domain, u0)
+    trace = np.broadcast_to(np.asarray(u0, dtype=float), (domain.n_boundary,))
     if trace.min() <= 0:
         raise ValueError("boundary data must be positive everywhere")
     u0_max = float(trace.max())
@@ -236,7 +226,7 @@ def minimize(op, u0, cfg=None):
     if schedule[-1] < 2.0 * domain.h ** 2 - 1e-15:
         raise ValueError("final ramp width below the 2h^2 resolvability floor")
 
-    u = harmonic_extension(op, u0)
+    u = harmonic_extension(op, trace)
     ui, ub = u.interior(), u.boundary()
     bump = _precond_solve(op, np.ones(domain.n_interior))
     bump /= float(bump.max())

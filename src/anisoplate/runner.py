@@ -19,7 +19,8 @@ emptiness) apply only while its shape, field and u0 are unchanged.
 Checks and their pass rules, recorded per section in ``report.json``:
 
     greens     reciprocity defect <= 1e-9 relative, columns >= -1e-12;
-               the L^2 Hessian log fit is not assessed below two annuli
+               the L^2 Hessian log fit is not assessed below two annuli,
+               and a split sup is null when no node is admissible for it
     frehse     remainder/singular ratio at the finest annulus at most
                half the coarsest one; assessed once four dyadic annuli
                fit between 4h and 1/2 (coarser runs report the trend)
@@ -340,8 +341,8 @@ def _validate_specs(cfg):
     shape = _shape_for(cfg)
     _field_for(cfg, shape)
     terms = parse_datum(cfg.u0_spec)
-    # finite positivity on the boundary curve, by sampling: finite terms
-    # can still sum past the float range
+    # finite positivity on the boundary curve, sampled at the projections
+    # of a ring outside it (finite terms can still sum past the float range)
     th = 2.0 * math.pi * np.arange(_trace_samples) / _trace_samples
     ring = 2.0 * shape.bbox_halfwidth() * np.stack(
         [np.cos(th), np.sin(th)], axis=-1)
@@ -461,16 +462,14 @@ def _check_frehse(ctx, sec):
 def _check_minimize(ctx, sec):
     config, dom, op = ctx["config"], ctx["domain"], ctx["op"]
     terms = ctx["terms"]
-    const = datum_constant(terms)
-    u0 = const if const is not None else datum_callable(terms)
-    state = minimize(op, u0, config.energy)
+    state = minimize(op, dom.trace(datum_callable(terms)), config.energy)
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp
     sel = dom.mask >= 1
-    max_dev = None
-    if const is not None:
-        max_dev = float(np.abs(state.u.values[sel] - const).max())
+    const = datum_constant(terms)
+    max_dev = None if const is None else float(
+        np.abs(state.u.values[sel] - const).max())
 
     sec.update(
         energy_final=e_sharp,
@@ -726,9 +725,9 @@ def _level_metrics(report):
     out = {"area_err": abs(report["area_discrete"] - report["area_exact"])}
     g = report.get("greens")
     if g and "split_refinement" in g:
-        out["f1_grad_sup"] = g["split_refinement"][0]["f1_grad_sup"]
-        out["f2_third_diff_sup"] = g["split_refinement"][0][
-            "f2_third_diff_sup"]
+        for key in ("f1_grad_sup", "f2_third_diff_sup"):
+            if g["split_refinement"][0][key] is not None:
+                out[key] = g["split_refinement"][0][key]
     for section, key in _study_metrics:
         s = report.get(section)
         if not s:

@@ -9,14 +9,6 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "anisoplate"
 
-# qualified name -> why it stays without a non-test caller
-ALLOWED = {
-    "ScalarField.from_function": (
-        "manufactured-solution evaluator of the tests; it lives in src/ "
-        "because it follows the domain's boundary-data convention"),
-}
-
-
 def _definitions():
     """(path, qualified name, node) of every top-level function and every
     non-dunder method of a top-level class."""
@@ -59,6 +51,6 @@ def test_every_function_has_a_non_test_caller():
         callers = [(p, line) for p, line in refs.get(short, ())
                    if not (p == path
                            and node.lineno <= line <= node.end_lineno)]
-        if not callers and qual not in ALLOWED:
+        if not callers:
             orphans.append("%s:%s" % (path.name, qual))
     assert not orphans, "only tests call: %s" % ", ".join(orphans)

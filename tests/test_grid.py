@@ -101,17 +101,54 @@ def test_domain_input_validation():
     assert parse_shape("rect(2, 1)").params == (2.0, 1.0)
 
 
-def test_scalar_field_boundary_uses_projection():
+def _manufactured(d, fn):
+    """fn at the interior nodes, and the datum d.trace(fn) on the boundary
+    nodes, as the operator's Dirichlet rule carries it."""
+    u = ScalarField(d)
+    u.values.put(d.flat_index[1], d.trace(fn))
+    return u.replace_interior(fn(d.interior_xy[:, 0], d.interior_xy[:, 1]))
+
+
+def test_trace_evaluates_the_datum_at_projections():
+    def fn(x, y):
+        return np.exp(x) * np.sin(3 * y) + x * y
+
+    # on rect(1.3, 0.7) at 33 the edges y = +-0.35 fall between nodes
+    for shape in (disk_shape(1.0), rect_shape(1.3, 0.7)):
+        d = build_domain(shape, 33)
+        tr = d.trace(fn)
+        p, xy = d.boundary_proj, d.boundary_xy
+        assert tr.shape == (d.n_boundary,)
+        assert np.array_equal(tr, fn(p[:, 0], p[:, 1]))
+        # the nodes themselves are off the curve, so their own values differ
+        assert d.shape.sdf(xy).max() > 1e-6
+        assert not np.array_equal(tr, fn(xy[:, 0], xy[:, 1]))
+        const = d.trace(lambda x, y: 0.5)
+        assert const.shape == (d.n_boundary,) and np.all(const == 0.5)
     d = build_domain(disk_shape(1.0), 33)
-    f = ScalarField.from_function(d, lambda x, y: x**2 + y**2)
-    assert np.allclose(f.boundary(), 1.0, atol=1e-14)   # on the circle
-    node_r2 = d.boundary_xy[:, 0] ** 2 + d.boundary_xy[:, 1] ** 2
-    assert np.max(node_r2) > 1.0 + 1e-6                 # nodes themselves are off it
+    assert np.allclose(d.trace(lambda x, y: x**2 + y**2), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("res", [5, 9, 33, 65, 129])
+@pytest.mark.parametrize("shape", [disk_shape(1.0), rect_shape(2.0, 1.0),
+                                   rect_shape(1.3, 0.7)],
+                         ids=["disk", "rect_on_nodes", "rect_off_nodes"])
+def test_boundary_nodes_meet_the_projection_precondition(shape, res):
+    # project is defined for points outside or on the curve only; boundary
+    # nodes are, and a rectangle's on-curve nodes project to themselves
+    d = build_domain(shape, res)
+    sd = d.shape.sdf(d.boundary_xy)
+    assert np.all(sd >= 0.0)
+    if shape.kind == "rect":
+        on = sd == 0.0
+        assert np.array_equal(d.boundary_proj[on], d.boundary_xy[on])
+        # rect(2, 1): every boundary node lies on an edge
+        assert on.all() or shape.params != (2.0, 1.0)
 
 
 def test_scalar_field_csv_roundtrip(tmp_path):
     d = build_domain(rect_shape(1.0, 1.0), 9)
-    f = ScalarField.from_function(d, lambda x, y: x + 2 * y)
+    f = _manufactured(d, lambda x, y: x + 2 * y)
     p = tmp_path / "field.csv"
     f.write_csv(p)
     lines = p.read_text().strip().split("\n")
@@ -200,7 +237,7 @@ def test_write_table_rejects_ragged_columns(tmp_path):
 
 def test_scalar_field_write_csv_masked_disk(tmp_path):
     d = build_domain(disk_shape(1.0), 33)
-    f = ScalarField.from_function(d, lambda x, y: np.exp(x) * np.sin(3 * y))
+    f = _manufactured(d, lambda x, y: np.exp(x) * np.sin(3 * y))
     f.values[d.center_ij] = -0.0
     p = tmp_path / "u.csv"
     f.write_csv(p, "u")
@@ -265,7 +302,7 @@ def test_node_text_built_once_and_immutable(tmp_path, monkeypatch):
 
     monkeypatch.setattr(grid, "format_rows", counting)
     for k, column in enumerate(("u", "Lu", "G")):
-        f = ScalarField.from_function(d, lambda x, y: k + x * y)
+        f = _manufactured(d, lambda x, y: k + x * y)
         f.write_csv(tmp_path / ("%s.csv" % column), column)
     # one coordinate formatting per axis for the domain, one value column
     # per file
@@ -357,7 +394,7 @@ def test_bilinear_oracle_constant_shear():
     f = rot_field(0.6, 2.0, 1.0)
     a12 = f.matrix([0.0, 0.0])[0, 1]
     assert abs(a12) > 0.1
-    u = ScalarField.from_function(d, lambda x, y: x * y)
+    u = _manufactured(d, lambda x, y: x * y)
     lu = assemble_operator(f, d).apply_field(u)
     assert np.allclose(lu, -2.0 * a12, atol=1e-8)
 
@@ -365,7 +402,7 @@ def test_bilinear_oracle_constant_shear():
 def test_quadratic_oracle_diagonal():
     d = build_domain(rect_shape(1.0, 1.0), 33)
     f = diag_field(2.0, 1.0)
-    u = ScalarField.from_function(d, lambda x, y: x**2 + 3.0 * y**2)
+    u = _manufactured(d, lambda x, y: x**2 + 3.0 * y**2)
     lu = assemble_operator(f, d).apply_field(u)
     assert np.allclose(lu, -10.0, atol=1e-8)
 
@@ -385,7 +422,7 @@ def test_variable_coefficient_second_order_consistency():
     errs = []
     for res in (33, 65):
         d = build_domain(rect_shape(1.0, 1.0), res)
-        u = ScalarField.from_function(d, lambda x, y: np.sin(math.pi * x) * np.cos(math.pi * y))
+        u = _manufactured(d, lambda x, y: np.sin(math.pi * x) * np.cos(math.pi * y))
         lu = assemble_operator(f, d).apply_field(u)
         want = exact_lu(d.interior_xy[:, 0], d.interior_xy[:, 1])
         errs.append(np.max(np.abs(lu - want)))
@@ -396,7 +433,7 @@ def test_discrete_eigenfunction_ratio():
     # cos(pi x) cos(pi y) is an exact discrete eigenfunction of the
     # five-point stencil on the aligned unit square
     d = build_domain(rect_shape(1.0, 1.0), 33)
-    u = ScalarField.from_function(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
+    u = _manufactured(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
     lu = assemble_operator(identity_field(), d).apply_field(u)
     ratio = lu / u.interior()
     lam_h = 4.0 * (1.0 - math.cos(math.pi * d.h)) / d.h**2
@@ -407,7 +444,7 @@ def test_discrete_eigenfunction_ratio():
 def test_maximum_principle():
     d = build_domain(disk_shape(1.0), 65)
     op = assemble_operator(poly_field(0.5), d)
-    g = np.sin(3.0 * np.arctan2(d.boundary_proj[:, 1], d.boundary_proj[:, 0]))
+    g = d.trace(lambda x, y: np.sin(3.0 * np.arctan2(y, x)))
     u = op.solve_dirichlet(np.zeros(d.n_interior), g)
     assert u.max() <= g.max() + 1e-9
     assert u.min() >= g.min() - 1e-9
@@ -420,7 +457,7 @@ def test_dirichlet_reproduces_smooth_solution():
     errs = []
     for res in (33, 65):
         d = build_domain(rect_shape(1.0, 1.0), res)
-        exact = ScalarField.from_function(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
+        exact = _manufactured(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
         rhs = (2.0 + 1.0) * math.pi**2 * exact.interior()
         op = assemble_operator(f, d)
         u = op.solve_dirichlet(rhs, exact.boundary(), tol=1e-12)
@@ -517,7 +554,7 @@ def test_consistency_ratio_three_fields():
         errs = []
         for res in (33, 65):
             d = build_domain(rect_shape(1.0, 1.0), res)
-            u = ScalarField.from_function(
+            u = _manufactured(
                 d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
             lu = assemble_operator(f, d).apply_field(u)
             want = make_exact(f, grad)(d.interior_xy[:, 0], d.interior_xy[:, 1])

@@ -174,14 +174,14 @@ def test_harmonic_extension_constant(dom65, op65):
 
 
 def test_harmonic_extension_linear_trace(dom65, op65):
-    u = harmonic_extension(op65, lambda x, y: x)
+    u = harmonic_extension(op65, dom65.trace(lambda x, y: x))
     ij = dom65.interior_ij
     err = np.abs(u.values[ij[:, 0], ij[:, 1]] - dom65.interior_xy[:, 0]).max()
     assert err <= dom65.h  # boundary-mask error is first order
 
 
 def test_harmonic_extension_maximum_principle(dom65, op65):
-    u = harmonic_extension(op65, lambda x, y: 1.0 + 0.5 * y)
+    u = harmonic_extension(op65, dom65.trace(lambda x, y: 1.0 + 0.5 * y))
     inner = u.values[dom65.mask == 2]
     assert inner.min() >= 0.5 - 1e-10
     assert inner.max() <= 1.5 + 1e-10
@@ -300,11 +300,11 @@ def test_positive_collar_near_boundary(small65, dom65):
     assert small65.u.values[collar].min() > 0.0
 
 
-def test_minimize_input_validation(op65):
+def test_minimize_input_validation(op65, dom65):
     with pytest.raises(ValueError):
         minimize(op65, 0.0)
     with pytest.raises(ValueError):
-        minimize(op65, lambda x, y: x)  # changes sign
+        minimize(op65, dom65.trace(lambda x, y: x))  # changes sign
     with pytest.raises(ValueError):
         minimize(op65, np.ones(3))  # wrong node count
     with pytest.raises(ValueError):

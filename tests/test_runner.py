@@ -380,6 +380,27 @@ def test_coarse_disk2_run_reports_not_assessed(tmp_path):
     assert "test-bump" in rep["el"]["note"]
 
 
+@pytest.mark.parametrize("shape, res", [("disk(1)", 5), ("disk(1)", 9),
+                                        ("rect(100,1)", 33),
+                                        ("rect(1e-6,1)", 33)])
+def test_coarse_greens_run_reports_null_sups(tmp_path, shape, res):
+    # no node is admissible for the split sups on these grids: the sups
+    # are null, and reciprocity and positivity still decide the check
+    cfg = RunConfig(scenario="custom", shape_spec=shape, resolution=res,
+                    field_spec="identity", u0_spec="0.05",
+                    checks=("greens",), out_dir=str(tmp_path / "g"))
+    assert run(cfg) == 0
+    with open(tmp_path / "g" / "report.json") as f:
+        rep = json.load(f)
+    assert rep["failures"] == [] and "error" not in rep["greens"]
+    assert rep["split_refinement"] == [{"h": rep["h"], "f1_grad_sup": None,
+                                        "f2_third_diff_sup": None}]
+    assert rep["symmetry_max_err"] <= 1e-9 and rep["min_GL"] >= -1e-12
+    level = runner._level_metrics(rep)
+    assert "f1_grad_sup" not in level and "f2_third_diff_sup" not in level
+    assert level["symmetry_max_err"] == rep["symmetry_max_err"]
+
+
 def test_empty_set_el_bank_lies_inside_small_disk():
     # with an empty zero set the EL identity is tested on a bank placed
     # inside the domain, so on disk(0.5) it reads a roundoff-sized left
