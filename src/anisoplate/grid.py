@@ -2,11 +2,11 @@
 rectangles.
 
 Nodes are classified interior (strictly inside), boundary (outside-or-on
-nodes 8-adjacent to an interior node, carrying data at their exact
-projection onto the curve) or exterior.  The operator L u = -div(A grad u)
-is assembled in flux form on the interior nodes with a nine-point stencil,
-symmetric by construction; Dirichlet solves go through the sparse LU of
-linsolve, factored once per operator."""
+nodes 8-adjacent to an interior node, carrying the datum of their
+projection onto the curve: DiscreteDomain.trace) or exterior.  The
+operator L u = -div(A grad u) is assembled in flux form on the interior
+nodes with a nine-point stencil, symmetric by construction; Dirichlet
+solves go through the sparse LU of linsolve, factored once per operator."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,7 +100,7 @@ class DiscreteDomain:
     resolution + 2 nodes per side; an odd resolution puts a node exactly at
     the origin.  interior_map / boundary_map give each node its packed
     ordinal or -1; boundary_proj holds the on-curve projection of each
-    boundary node."""
+    boundary node, where trace evaluates the boundary datum."""
 
     shape: DomainShape
     resolution: int
@@ -143,11 +143,11 @@ class DiscreteDomain:
 
     def trace(self, fn):
         """The boundary datum as the operator's boundary nodes carry it: one
-        float per boundary node, fn(x, y) evaluated (vectorized) at the
-        node's closest-point projection onto the curve, boundary_proj.  A
-        constant fn is broadcast.  A node lies up to h outside a curved
-        boundary, so this rule is first order there; it is the one place
-        the rule lives."""
+        float per boundary node (read-only), fn(x, y) evaluated, vectorized,
+        at the node's closest-point projection onto the curve.  A constant
+        fn is broadcast.  A node can lie about a cell outside a curved
+        boundary, so this rule is first order there; this method is the
+        one place it lives."""
         p = self.boundary_proj
         vals = np.asarray(fn(p[:, 0], p[:, 1]), dtype=float)
         return np.broadcast_to(vals, (self.n_boundary,))

@@ -9,6 +9,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "anisoplate"
 
+
 def _definitions():
     """(path, qualified name, node) of every top-level function and every
     non-dunder method of a top-level class."""

@@ -142,8 +142,8 @@ def test_boundary_nodes_meet_the_projection_precondition(shape, res):
     if shape.kind == "rect":
         on = sd == 0.0
         assert np.array_equal(d.boundary_proj[on], d.boundary_xy[on])
-        # rect(2, 1): every boundary node lies on an edge
-        assert on.all() or shape.params != (2.0, 1.0)
+    if shape == rect_shape(2.0, 1.0):
+        assert np.all(sd == 0.0)   # every boundary node lies on an edge
 
 
 def test_scalar_field_csv_roundtrip(tmp_path):
