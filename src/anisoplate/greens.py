@@ -234,10 +234,10 @@ def grid_third_diff(domain, values):
 
 
 def _admissible_sup(col, nodal, r_max):
-    """Max of a nodal quantity over metric_mask's nodes within r_max, or
-    None when a coarse grid leaves none admissible."""
+    """Max of |nodal| over metric_mask's nodes within r_max, or None when a
+    coarse grid leaves none admissible."""
     ok, _ = metric_mask(col, r_max=r_max)
-    return float(nodal[ok].max()) if ok.any() else None
+    return float(np.abs(nodal[ok]).max()) if ok.any() else None
 
 
 def gradient_sup(col, fld, r_max=0.5):
@@ -248,8 +248,7 @@ def gradient_sup(col, fld, r_max=0.5):
 
 def third_diff_sup(col, fld, r_max=0.5):
     """Sup of the pure third differences over the admissible region."""
-    d3 = np.abs(grid_third_diff(col.domain, fld.values)).max(axis=-1)
-    return _admissible_sup(col, d3, r_max)
+    return _admissible_sup(col, grid_third_diff(col.domain, fld.values), r_max)
 
 
 # ---------------------------------------------------------------------------
