@@ -205,9 +205,11 @@ def build_domain(shape, resolution):
                          % resolution)
     half = shape.bbox_halfwidth()
     h = 2.0 * half / (resolution - 1)
-    # bounding box padded by one cell on every side
-    xs = np.linspace(-half - h, half + h, resolution + 2)
-    ys = np.linspace(-half - h, half + h, resolution + 2)
+    # bounding box padded by one cell on every side; built from exact
+    # ratios, so the nodes are mirror-symmetric bit for bit and exact at
+    # +-half, where a rectangle's long sides lie
+    k = (resolution - 1) // 2
+    xs = ys = half * (np.arange(-k - 1, k + 2) / k)
 
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)

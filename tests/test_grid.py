@@ -146,6 +146,20 @@ def test_boundary_nodes_meet_the_projection_precondition(shape, res):
         assert np.all(sd == 0.0)   # every boundary node lies on an edge
 
 
+@pytest.mark.parametrize("res", [5, 33, 65])
+def test_off_node_rect_is_mirror_symmetric(res):
+    # h = 1.3 / (res - 1) is not a power of two, yet the nodes of the long
+    # sides x = +-0.65 sit exactly on them and the classification mirrors
+    d = build_domain(rect_shape(1.3, 0.7), res)
+    assert np.array_equal(d.mask, d.mask[::-1, :])
+    assert np.array_equal(d.mask, d.mask[:, ::-1])
+    assert d.xs[1] == -0.65 and d.xs[-2] == 0.65
+    edge = (np.abs(d.X) == 0.65) & (np.abs(d.Y) <= 0.35)
+    assert edge.sum() == 2 * (np.abs(d.ys) <= 0.35).sum()
+    assert np.all(d.mask[edge] == BOUNDARY)
+    assert np.all(d.shape.sdf(np.stack([d.X[edge], d.Y[edge]], -1)) == 0.0)
+
+
 def test_scalar_field_csv_roundtrip(tmp_path):
     d = build_domain(rect_shape(1.0, 1.0), 9)
     f = _manufactured(d, lambda x, y: x + 2 * y)
