@@ -40,7 +40,7 @@ def test_differences_name_each_artifact():
 
 
 def test_outputs_match_the_golden_manifest():
-    # every artifact of the seven reference runs keeps its committed hash;
+    # every artifact of the eight reference runs keeps its committed hash;
     # a change of Python, numpy or scipy fails here too, naming both
     # version sets, since it alone can move solver roundoff
     proc = subprocess.run([sys.executable, _path, "--against", _golden],

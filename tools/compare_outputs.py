@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash every artifact of seven reference runs: "same outputs" as one command.
+"""Hash every artifact of eight reference runs: "same outputs" as one command.
 
     python3 tools/compare_outputs.py [--save MANIFEST] [--against MANIFEST]
 
@@ -13,11 +13,14 @@ The runs, each in a fresh temporary directory:
     poly_greens_129    poly(1) greens and frehse on disk(1) at 129^2
     rect_poly_65       rect(2,1.5), diag(2,1), polynomial u0, all checks,
                        at 65^2
+    rect_offnode_65    rect(1.3,0.7), rot(0.7,2,1), all checks, at 65^2
 
 rot_small_65 and poly_greens_129 pin the stencil where the coefficients
 are not multiples of the identity: a constant nonzero a12, and an a11
 that varies along x.  rect_poly_65 pins the rectangle's projection and
-a boundary trace that varies along the curve.
+a boundary trace that varies along the curve.  rect_offnode_65 pins a
+rectangle whose edges are not at multiples of a power-of-two h: its long
+sides lie on nodes only because the coordinates are exact at +-halfwidth.
 
 The two benchmark runs read their configs from `benchmarks/configs/`.
 BLAS and OpenMP run one thread each, as in the benchmark, because the
@@ -63,6 +66,8 @@ RUNS = (
     ("rect_poly_65", "[grid]\nshape = rect(2,1.5)\nresolution = 65\n"
      "[field]\nkind = diag(2,1)\n"
      "[boundary]\nu0 = 0.04 + 0.01*x1^2 - 0.005*x1*x2\n", None),
+    ("rect_offnode_65", "[grid]\nshape = rect(1.3,0.7)\nresolution = 65\n"
+     "[field]\nkind = rot(0.7,2,1)\n[boundary]\nu0 = 0.05\n", None),
 )
 
 
