@@ -79,8 +79,6 @@ def identity_field():
 
 
 def diag_field(a, b):
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("diagonal entries must be positive, got (%g, %g)" % (a, b))
     return _constant_field("diag(%g,%g)" % (a, b), np.diag([float(a), float(b)]))
 
 
@@ -96,8 +94,8 @@ def poly_field(alpha, box=1.5):
     """A(x) = diag(1 + alpha*x1^2, 1), elliptic on the square of halfwidth
     box."""
     alpha = float(alpha)
-    if min(1.0, 1.0 + alpha * box**2) <= 0.0:
-        raise ValueError("poly(%g) loses ellipticity on the box of halfwidth %g" % (alpha, box))
+    if not 0.0 < 1.0 + alpha * box * box < math.inf:
+        raise ValueError("poly(%g) is not finite and elliptic on the box |x| <= %g" % (alpha, box))
 
     def ev(x):
         x = np.asarray(x, dtype=float)
@@ -109,44 +107,39 @@ def poly_field(alpha, box=1.5):
     return CoefficientField("poly(%g)" % alpha, ev)
 
 
-_field_pattern = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
+_spec_pattern = re.compile(r"^\s*([a-z_]+)\s*(?:\(([^)]*)\))?\s*$")
+
+
+def parse_spec(spec, what, kinds):
+    """The one grammar of shapes and fields: ``name`` or ``name(a,b,...)``
+    with finite float arguments, built by kinds[name] = (arity,
+    constructor).  Raises ValueError naming `what` on any other text."""
+    m = _spec_pattern.match(str(spec))
+    if m is None:
+        raise ValueError("cannot parse %s %r" % (what, spec))
+    kind, inner = m.groups()
+    if kind not in kinds:
+        raise ValueError("unknown %s kind %r (have %s)" % (what, kind, ", ".join(kinds)))
+    arity, build = kinds[kind]
+    args = inner.split(",") if inner else []
+    if len(args) != arity:
+        raise ValueError("%s takes %d parameter(s), got %r" % (kind, arity, spec))
+    try:
+        args = [float(t) for t in args]
+    except ValueError:
+        raise ValueError("non-numeric parameter in %s %r" % (what, spec))
+    if not all(math.isfinite(t) for t in args):
+        raise ValueError("non-finite parameter in %s %r" % (what, spec))
+    return build(*args)
 
 
 def make_field(spec, box=1.5):
-    """Build a coefficient field from a name string.
-
-    Accepted forms: ``identity``, ``diag(a,b)``, ``poly(alpha)``,
-    ``rot(theta,a,b)``.
-    """
-    m = _field_pattern.match(spec)
-    if m is None:
-        raise ValueError("cannot parse coefficient field %r" % spec)
-    kind = m.group(1)
-    args = []
-    if m.group(2):
-        try:
-            args = [float(t) for t in m.group(2).split(",")]
-        except ValueError:
-            raise ValueError("non-numeric parameter in coefficient field %r" % spec)
-        if not all(math.isfinite(t) for t in args):
-            raise ValueError("non-finite parameter in coefficient field %r" % spec)
-    if kind == "identity":
-        if args:
-            raise ValueError("identity takes no parameters")
-        return identity_field()
-    if kind == "diag":
-        if len(args) != 2:
-            raise ValueError("diag needs two parameters, got %r" % spec)
-        return diag_field(args[0], args[1])
-    if kind == "poly":
-        if len(args) != 1:
-            raise ValueError("poly needs one parameter, got %r" % spec)
-        return poly_field(args[0], box)
-    if kind == "rot":
-        if len(args) != 3:
-            raise ValueError("rot needs three parameters, got %r" % spec)
-        return rot_field(args[0], args[1], args[2])
-    raise ValueError("unknown coefficient field kind %r" % kind)
+    """Build a coefficient field from its spec: ``identity``, ``diag(a,b)``,
+    ``poly(alpha)`` (elliptic on the square of halfwidth box) or
+    ``rot(theta,a,b)``."""
+    return parse_spec(spec, "coefficient field", {
+        "identity": (0, identity_field), "diag": (2, diag_field),
+        "poly": (1, lambda alpha: poly_field(alpha, box)), "rot": (3, rot_field)})
 
 
 # ---------------------------------------------------------------------------

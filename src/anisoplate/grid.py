@@ -16,6 +16,7 @@ import os
 import numpy as np
 import scipy.sparse as sparse
 
+from .anisotropy import parse_spec
 from .linsolve import solve_spd
 
 _min_resolution = 5
@@ -80,16 +81,8 @@ def rect_shape(width, height):
 
 
 def parse_shape(spec):
-    """'disk(R)' or 'rect(W,H)'."""
-    spec = spec.strip()
-    if spec.startswith("disk(") and spec.endswith(")"):
-        return disk_shape(float(spec[5:-1]))
-    if spec.startswith("rect(") and spec.endswith(")"):
-        parts = spec[5:-1].split(",")
-        if len(parts) != 2:
-            raise ValueError("rect needs two sides, got %r" % spec)
-        return rect_shape(float(parts[0]), float(parts[1]))
-    raise ValueError("cannot parse domain shape %r" % spec)
+    """A DomainShape from its spec, ``disk(R)`` or ``rect(W,H)``."""
+    return parse_spec(spec, "domain shape", {"disk": (1, disk_shape), "rect": (2, rect_shape)})
 
 
 @dataclass(frozen=True)
@@ -192,11 +185,9 @@ def build_domain(shape, resolution):
     """Classify the nodes of a (resolution x resolution) grid on the shape's
     bounding box.
 
-    input : DomainShape or spec string, odd resolution >= 5.
+    input : DomainShape, odd resolution >= 5.
     output: DiscreteDomain.
     """
-    if isinstance(shape, str):
-        shape = parse_shape(shape)
     resolution = int(resolution)
     if resolution < _min_resolution:
         raise ValueError("resolution must be at least %d, got %d" % (_min_resolution, resolution))
@@ -390,7 +381,8 @@ def assemble_operator(field, domain):
     nothing on the axes.  Only faces and cells touching an interior node
     are sampled.  Raises ValueError unless A is positive definite (a11 > 0,
     det > 0) at every sample, since the sparse LU solve would not notice an
-    indefinite operator.
+    indefinite operator, and names the first stencil entry (in the offset
+    order centre, E, W, N, S, NE, SW, NW, SE) that overflows.
     """
     d = domain
     h = d.h
@@ -418,10 +410,15 @@ def assemble_operator(field, domain):
     ae, aw, an, as_ = a11[i, j], a11[i - 1, j], a22[i, j], a22[i, j - 1]
     b_ne, b_sw, b_nw, b_se = a12[i, j], a12[i - 1, j - 1], a12[i - 1, j], a12[i, j - 1]
     h2 = h * h
-    vals = np.stack([
-        (ae + aw + an + as_) / h2 + (b_ne + b_sw - b_se - b_nw) / (2 * h2),
-        -ae / h2, -aw / h2, -an / h2, -as_ / h2,
-        -b_ne / (2 * h2), -b_sw / (2 * h2), b_nw / (2 * h2), b_se / (2 * h2)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.stack([
+            (ae + aw + an + as_) / h2 + (b_ne + b_sw - b_se - b_nw) / (2 * h2),
+            -ae / h2, -aw / h2, -an / h2, -as_ / h2,
+            -b_ne / (2 * h2), -b_sw / (2 * h2), b_nw / (2 * h2), b_se / (2 * h2)])
+    if not np.isfinite(vals).all():
+        r, k = np.argwhere(~np.isfinite(vals.T))[0]
+        raise ValueError("stencil entry %d of the interior node at (%g, %g) is %g"
+                         % (k, *d.interior_xy[r], vals[k, r]))
 
     ni, nj = i + _offsets[:, :1], j + _offsets[:, 1:]
     im, bm = d.interior_map[ni, nj], d.boundary_map[ni, nj]

@@ -10,6 +10,8 @@ Config grammar (UTF-8 ``key = value`` lines under bracketed sections):
                 max_outer (all optional)
     [output]    dir = output directory
 
+Shape and field share one ``name(args)`` grammar; RunConfig parses the
+three specs once, however built, and rejects sizes outside the float range.
 Any other section or key is rejected.  Builtin scenarios fill whatever
 keys the file omits: ``iso_disk_small_c`` (disk(1), identity
 coefficients, u0 = 0.05, resolution 129) and ``iso_disk_large_c`` (same
@@ -47,7 +49,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -215,6 +217,10 @@ def datum_callable(terms):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated run: every constructor (load_config, a direct call,
+    dataclasses.replace) parses the three specs once, into shape, coeff and
+    terms, and raises ConfigError naming the key of any it rejects."""
+
     scenario: str
     shape_spec: str
     resolution: int
@@ -223,6 +229,9 @@ class RunConfig:
     checks: tuple
     out_dir: str
     energy: EnergyConfig = EnergyConfig()
+    shape: object = field(init=False, repr=False, compare=False)
+    coeff: object = field(init=False, repr=False, compare=False)
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.resolution
@@ -235,6 +244,38 @@ class RunConfig:
             if c not in _all_checks:
                 raise ConfigError("[run] checks: unknown %r (choose from %s)"
                                   % (c, ", ".join(_all_checks)))
+        try:
+            shape = parse_shape(self.shape_spec)
+        except ValueError as e:
+            raise ConfigError("[grid] shape: %s" % e)
+        # h^2 and 1/h^2 enter every stencil and delta, the area every bound
+        half = shape.bbox_halfwidth()
+        h = 2.0 * half / (n - 1)
+        if not (0.0 < h * h and 1.0 / (h * h) < math.inf
+                and 4.0 * half * half < math.inf):
+            raise ConfigError("[grid] shape: %s at resolution %d gives "
+                              "h = %g, outside the float range"
+                              % (self.shape_spec, n, h))
+        try:
+            coeff = make_field(self.field_spec, box=max(1.5, half + 0.1))
+        except ValueError as e:
+            raise ConfigError("[field] kind: %s" % e)
+        terms = parse_datum(self.u0_spec)
+        # u0 finite and positive on the curve, sampled at the projections
+        # of a ring outside it (finite terms can still sum to inf)
+        th = 2.0 * math.pi * np.arange(_trace_samples) / _trace_samples
+        ring = 2.0 * half * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        pts = shape.project(ring)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = np.asarray(datum_callable(terms)(pts[:, 0], pts[:, 1]))
+        if not np.all((vals > 0.0) & (vals < math.inf)):
+            raise ConfigError(
+                "[boundary] u0: not finite and positive on the boundary "
+                "(sampled values in [%g, %g])"
+                % (float(vals.min()), float(vals.max())))
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "terms", terms)
 
 
 def _get(cp, section, key, default=None):
@@ -314,45 +355,10 @@ def load_config(path, checks=None, out_dir=None):
     except ValueError as e:
         raise ConfigError("[energy]: %s" % e)
 
-    cfg = RunConfig(scenario=scenario, shape_spec=shape_spec,
-                    resolution=resolution, field_spec=field_spec,
-                    u0_spec=u0_spec, checks=checks, out_dir=out,
-                    energy=energy)
-    _validate_specs(cfg)
-    return cfg
-
-
-def _shape_for(cfg):
-    try:
-        return parse_shape(cfg.shape_spec)
-    except ValueError as e:
-        raise ConfigError("[grid] shape: %s" % e)
-
-
-def _field_for(cfg, shape):
-    box = max(1.5, shape.bbox_halfwidth() + 0.1)
-    try:
-        return make_field(cfg.field_spec, box=box)
-    except ValueError as e:
-        raise ConfigError("[field] kind: %s" % e)
-
-
-def _validate_specs(cfg):
-    shape = _shape_for(cfg)
-    _field_for(cfg, shape)
-    terms = parse_datum(cfg.u0_spec)
-    # finite positivity on the boundary curve, sampled at the projections
-    # of a ring outside it (finite terms can still sum past the float range)
-    th = 2.0 * math.pi * np.arange(_trace_samples) / _trace_samples
-    ring = 2.0 * shape.bbox_halfwidth() * np.stack(
-        [np.cos(th), np.sin(th)], axis=-1)
-    pts = shape.project(ring)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(datum_callable(terms)(pts[:, 0], pts[:, 1]))
-    if not np.all((vals > 0.0) & (vals < math.inf)):
-        raise ConfigError(
-            "[boundary] u0: not finite and positive on the boundary "
-            "(sampled values in [%g, %g])" % (float(vals.min()), float(vals.max())))
+    return RunConfig(scenario=scenario, shape_spec=shape_spec,
+                     resolution=resolution, field_spec=field_spec,
+                     u0_spec=u0_spec, checks=checks, out_dir=out,
+                     energy=energy)
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +467,13 @@ def _check_frehse(ctx, sec):
 
 def _check_minimize(ctx, sec):
     config, dom, op = ctx["config"], ctx["domain"], ctx["op"]
-    terms = ctx["terms"]
-    state = minimize(op, dom.trace(datum_callable(terms)), config.energy)
+    state = minimize(op, dom.trace(datum_callable(config.terms)),
+                     config.energy)
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp
     sel = dom.mask >= 1
-    const = datum_constant(terms)
+    const = datum_constant(config.terms)
     max_dev = None if const is None else float(
         np.abs(state.u.values[sel] - const).max())
 
@@ -603,11 +609,11 @@ _check_fns = {
 def _execute(config, write_outputs=True):
     """Run the configured checks; returns the report dict."""
     t0 = time.time()
-    shape = _shape_for(config)
-    field = _field_for(config, shape)
-    terms = parse_datum(config.u0_spec)
-    domain = build_domain(shape, config.resolution)
-    op = assemble_operator(field, domain)
+    domain = build_domain(config.shape, config.resolution)
+    try:
+        op = assemble_operator(config.coeff, domain)
+    except ValueError as e:
+        raise ConfigError("[field] kind: %s on this grid" % e)
 
     requested = tuple(c for c in _all_checks if c in config.checks)
     needed = set(requested)
@@ -619,7 +625,7 @@ def _execute(config, write_outputs=True):
     area = float(wi.sum() + wb.sum())
     # a builtin's expectations hold for its own problem at any resolution
     expected = _builtins.get(config.scenario, {})
-    if expected and (shape, field.name, terms) != (
+    if expected and (config.shape, config.coeff.name, config.terms) != (
             parse_shape(expected["shape"]), make_field(expected["field"]).name,
             parse_datum(expected["u0"])):
         expected = {}
@@ -645,7 +651,7 @@ def _execute(config, write_outputs=True):
         },
         "h": domain.h,
         "area_discrete": area,
-        "area_exact": shape.area(),
+        "area_exact": config.shape.area(),
         "symmetry_max_err": None,
         "min_GL": None,
         "frehse": None,
@@ -659,7 +665,7 @@ def _execute(config, write_outputs=True):
 
     ctx = {
         "config": config, "domain": domain, "op": op,
-        "terms": terms, "area": area, "write": write_outputs,
+        "area": area, "write": write_outputs,
         "expected": expected,
         "out_dir": out_dir, "fields_dir": fields_dir,
         "nodal_dir": nodal_dir,

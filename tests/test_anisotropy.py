@@ -2,6 +2,7 @@
 squared distance, frames and d1."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from anisoplate import (
     m0_matrix,
     make_field,
     node_near,
+    parse_shape,
     poly_field,
     rect_shape,
     rot_field,
@@ -65,9 +67,27 @@ def test_make_field_parses_and_rejects():
             make_field(bad)
 
 
+def test_one_spec_grammar_for_shapes_and_fields():
+    # shapes and fields share one parser: the same spacing rules and the
+    # same message for a wrong argument count, whatever the kind
+    assert parse_shape(" rect (2, 1) ") == parse_shape("rect(2,1)")
+    assert make_field(" diag (2, 1) ").name == "diag(2,1)"
+    assert make_field("identity()").name == "identity"
+    for build, spec, msg in ((parse_shape, "disk(1,2)", "disk takes 1 "),
+                             (parse_shape, "rect(1)", "rect takes 2 "),
+                             (make_field, "identity(1)", "identity takes 0 "),
+                             (make_field, "rot(1,2)", "rot takes 3 "),
+                             (parse_shape, "ellipse(1,2)", "unknown domain shape"),
+                             (make_field, "disk(1)", "unknown coefficient field")):
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            build(spec)
+
+
 def test_poly_ellipticity_guard():
     with pytest.raises(ValueError):
         poly_field(-1.0, box=1.5)   # 1 - 2.25 < 0
+    with pytest.raises(ValueError):
+        poly_field(1e308, box=1.5)  # 1 + 2.25e308 overflows
 
 
 def test_invert_spd2_closed_form_and_guard():

@@ -4,6 +4,7 @@ oracles."""
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,17 @@ def test_symmetry_after_assembly():
         op = assemble_operator(f, d)
         defect = op.matrix - op.matrix.T
         assert abs(defect).max() == 0.0
+
+
+def test_assembly_names_an_overflowing_stencil_entry():
+    # a finite coefficient can still overflow a / h^2; the first such
+    # entry is named, with no overflow warning on the way
+    d = build_domain(disk_shape(1.0), 33)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"stencil entry 0 of the "
+                           r"interior node at \(-0.9375, -0.3125\) is inf"):
+            assemble_operator(diag_field(1e306, 1.0), d)
 
 
 def test_bilinear_oracle_constant_shear():

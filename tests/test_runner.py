@@ -1,13 +1,18 @@
 """Config parsing, scenario execution, artifacts, and the CLI surface."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from anisoplate import (
     DivergenceError,
@@ -195,9 +200,15 @@ def test_bad_energy_values_rejected_at_load(tmp_path, monkeypatch, line, key):
     ("grid", "shape", "rect(inf,1)"),
     ("boundary", "u0", "1e999"),
     ("boundary", "u0", "1e308 + 1e308"),
+    ("grid", "shape", "disk(1e-300)"),   # h^2 underflows to 0
+    ("grid", "shape", "disk(1e155)"),    # the area overflows
+    ("grid", "shape", "disk(1e300)"),
+    ("field", "kind", "poly(1e308)"),    # 1 + alpha * box^2 overflows
+    ("grid", "shape", "disk(1,2)"),      # a wrong argument count
 ])
 def test_non_finite_spec_parameters_rejected(tmp_path, section, key, value):
-    # a non-finite parameter is a config error naming its key, exit 2
+    # a non-finite parameter, or a finite one whose sizes leave the float
+    # range, is a config error naming its key, exit 2, not a traceback
     spec = {"grid": {"shape": "disk(1)", "resolution": "33"},
             "field": {"kind": "identity"},
             "boundary": {"u0": "0.05"},
@@ -209,6 +220,80 @@ def test_non_finite_spec_parameters_rejected(tmp_path, section, key, value):
     with pytest.raises(ConfigError, match=r"\[%s\] %s:" % (section, key)):
         load_config(path)
     assert main(["run", path, "--out", str(tmp_path / "n")]) == 2
+
+
+def test_overflowing_operator_is_a_config_error(tmp_path):
+    # diag(1e306,1) passes every spec check; its stencil overflows at
+    # h = 1/16, so the run stops with exit 2 naming the key
+    text = ("[run]\nchecks = greens\n[grid]\nshape = disk(1)\n"
+            "resolution = 33\n[field]\nkind = diag(1e306,1)\n"
+            "[boundary]\nu0 = 0.05\n")
+    cfg = load_config(_write(tmp_path, "o.ini", text))
+    with pytest.raises(ConfigError, match=r"\[field\] kind: stencil entry"):
+        run(cfg)
+    assert main(["run", _write(tmp_path, "o.ini", text),
+                 "--out", str(tmp_path / "o")]) == 2
+
+
+def _direct(**changes):
+    base = dict(scenario="custom", shape_spec="disk(1)", resolution=33,
+                field_spec="identity", u0_spec="0.05", checks=("greens",),
+                out_dir="unused")
+    return RunConfig(**dict(base, **changes))
+
+
+@pytest.mark.parametrize("key, change", [
+    ("[grid] shape", {"shape_spec": "blob(1)"}),
+    ("[grid] shape", {"shape_spec": "disk(1e-300)"}),
+    ("[field] kind", {"field_spec": "diag(2)"}),
+    ("[field] kind", {"field_spec": "poly(-1)"}),
+    ("[boundary] u0", {"u0_spec": "x1"}),
+    ("[boundary] u0", {"u0_spec": "1e308 + 1e308"}),
+])
+def test_run_config_validates_however_built(key, change):
+    # a direct RunConfig and dataclasses.replace pass the same checks as
+    # load_config, and the parsed specs ride along unseen by == and repr
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        _direct(**change)
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        dataclasses.replace(_direct(), **change)
+    cfg = _direct(field_spec="diag(2, 1)")
+    assert cfg.shape == disk_shape(1.0) and cfg.coeff.name == "diag(2,1)"
+    assert cfg.terms == ((0.05, 0, 0),)
+    assert cfg == _direct(field_spec="diag(2, 1)") and "coeff" not in repr(cfg)
+
+
+_fuzz_numbers = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, 1e300, -1e300,
+                     1e-300, -1e-300, 1e308, math.nan, math.inf, -math.inf]))
+_fuzz_calls = st.builds(
+    lambda kind, args, bare: (kind if bare and not args else
+                              "%s(%s)" % (kind, ",".join(map(repr, args)))),
+    st.sampled_from(("disk", "rect", "identity", "diag", "poly", "rot")),
+    st.lists(_fuzz_numbers, max_size=4), st.booleans())
+_fuzz_specs = st.one_of(
+    _fuzz_calls, st.text(max_size=16),
+    st.sampled_from(["", "(", ")", "disk(", "rect(1,2", "diag(1,2))",
+                     "poly(1)(2)", "rot((1),2,1)", "disk(1e-300"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=_fuzz_specs, kind=_fuzz_specs,
+       res=st.sampled_from([5, 33, 1025]))
+@example(shape="disk(1e-300)", kind="identity", res=33)
+@example(shape="disk(1e155)", kind="identity", res=33)
+@example(shape="disk(1e300)", kind="identity", res=33)
+@example(shape="disk(1)", kind="poly(1e308)", res=33)
+@example(shape="disk(1,2)", kind="identity", res=33)
+def test_spec_grammar_fuzz(shape, kind, res):
+    # any shape and field text either builds a config or is a ConfigError;
+    # the configs are built, never run
+    try:
+        cfg = _direct(shape_spec=shape, field_spec=kind, resolution=res)
+    except ConfigError:
+        return
+    assert cfg.shape is not None and cfg.coeff is not None
 
 
 def test_config_syntax_error(tmp_path):
