@@ -198,9 +198,9 @@ def build_domain(shape, resolution):
     h = 2.0 * half / (resolution - 1)
     # bounding box padded by one cell on every side; built from exact
     # ratios, so the nodes are mirror-symmetric bit for bit and exact at
-    # +-half, where a rectangle's long sides lie
+    # +-half, where a rectangle's long sides lie (one read-only array)
     k = (resolution - 1) // 2
-    xs = ys = half * (np.arange(-k - 1, k + 2) / k)
+    xs = ys = _read_only(half * (np.arange(-k - 1, k + 2) / k))
 
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx, gy], axis=-1)
