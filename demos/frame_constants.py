@@ -45,7 +45,7 @@ def main():
     print("-" * 60)
     for a, b in ((1, 1), (2, 1), (4, 9)):
         fld = make_field("diag(%d,%d)" % (a, b))
-        consts = d1_quadrature(fld, np.zeros(2), n_nodes=256)
+        consts = d1_quadrature(fld, np.zeros(2))
         exact = 4.0 * math.pi * math.sqrt(a * b)
         print("diag(%d,%d): d1 = %.15f, exact = %.15f, err = %.1e"
               % (a, b, consts.d1, exact, abs(consts.d1 - exact)))

@@ -45,7 +45,6 @@ from .greens import (
 from .linsolve import SolveReport, solve_spd
 from .minimizer import (
     DivergenceError,
-    EnergyConfig,
     MinimizerState,
     default_schedule,
     harmonic_extension,

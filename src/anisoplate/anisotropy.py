@@ -20,6 +20,7 @@ import numpy as np
 _det_floor = 1e-14
 _pivot_floor = 1e-10
 _sqrt2 = math.sqrt(2.0)
+_d1_nodes = 256
 
 
 @dataclass(frozen=True)
@@ -221,18 +222,16 @@ class SingularityConstants:
     c1: float
 
 
-def d1_quadrature(field, x, n_nodes=256):
+def d1_quadrature(field, x):
     """Circle average 4*pi * avg_{|z|=1} 1/(A(x)^{-1} z . z), trapezoid rule.
 
-    Equispaced nodes on the unit circle; the integrand is smooth and
-    periodic, so the rule converges spectrally.  For constant diag(a,b) the
-    closed form is 4*pi*sqrt(a*b).
+    _d1_nodes equispaced nodes on the unit circle; the integrand is smooth
+    and periodic, so the rule converges spectrally.  For constant diag(a,b)
+    the closed form is 4*pi*sqrt(a*b).
     """
-    if n_nodes < 16:
-        raise ValueError("need at least 16 quadrature nodes, got %d" % n_nodes)
     x = np.asarray(x, dtype=float)
     s = field.inverse(x)
-    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * math.pi * np.arange(_d1_nodes) / _d1_nodes
     z = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     quad = np.einsum("ki,ij,kj->k", z, s, z)
     d1 = 4.0 * math.pi * float(np.mean(1.0 / quad))

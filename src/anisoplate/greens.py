@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import invert_spd2
-from .grid import EXTERIOR, ScalarField, central_gradient
+from .grid import EXTERIOR, ScalarField, central_gradient, grow
 from .linsolve import solve_spd
 
 FIRST_ORDER = "first_order"
@@ -36,6 +36,10 @@ BILAPLACIAN = "navier_bilaplacian"
 _column_accept = 1e-9
 _positivity_floor = -1e-12
 _metric_margin_cells = 2
+# split sups are taken within this radius of the source, and the innermost
+# dyadic annulus starts at least this many cells out
+_sup_radius = 0.5
+_annulus_floor_cells = 4
 
 
 @dataclass(frozen=True)
@@ -48,7 +52,6 @@ class GreensColumn:
     source_ij: tuple
     source_xy: np.ndarray
     values: ScalarField
-    intermediate: ScalarField = None
 
     @property
     def domain(self):
@@ -84,7 +87,6 @@ class FrehseReport:
     radii: np.ndarray
     sup_remainder: np.ndarray
     sup_singular: np.ndarray
-    h: float
     pairing: str
     notes: tuple = ()
 
@@ -96,8 +98,6 @@ class FrehseReport:
 class LogFitReport:
     slope: float
     overshoot: float
-    radii: np.ndarray
-    sups: np.ndarray
 
 
 def node_near(domain, x, y):
@@ -140,11 +140,11 @@ def greens_column_L(op, source_ij):
 
 def greens_column_L2(op, source_ij):
     """Column of the fourth-order Green's function with both traces zero;
-    its intermediate is greens_column_L's column on the same source."""
+    its intermediate stage is greens_column_L's column on the same source."""
     first = greens_column_L(op, source_ij)
     g2, _ = solve_spd(op.matrix, first.values.interior(), _column_accept)
     return GreensColumn(BILAPLACIAN, op, first.source_ij, first.source_xy,
-                        _as_field(op.domain, g2), intermediate=first.values)
+                        _as_field(op.domain, g2))
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +180,17 @@ def singular_split(col, consts):
 # sup metrics on the grid
 
 
-def _footprint_ok(domain, cells):
-    """Nodes whose full (2*cells+1)-square stencil stays non-exterior."""
-    ok = domain.mask != EXTERIOR
-    out = ok.copy()
-    n = ok.shape[0]
-    for di in range(-cells, cells + 1):
-        for dj in range(-cells, cells + 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.zeros_like(ok)
-            shifted[max(0, -di):n - max(0, di), max(0, -dj):n - max(0, dj)] = \
-                ok[max(0, di):n - max(0, -di), max(0, dj):n - max(0, -dj)]
-            out &= shifted
-    return out
-
-
-def metric_mask(col, r_min=None, r_max=None):
-    """Interior nodes admissible for sup metrics: farther than 2h from the
-    source and the boundary, full difference footprint available."""
+def metric_mask(col):
+    """Interior nodes admissible for sup metrics, with every node's distance
+    r to the source: farther than 2h from the source and the boundary, and
+    no exterior node in the (2*_metric_margin_cells+1)-square around it, so
+    the full difference footprint is available."""
     d = col.domain
     h = d.h
     r = np.hypot(d.X - col.source_xy[0], d.Y - col.source_xy[1])
     sd = d.shape.sdf(np.stack([d.X, d.Y], axis=-1))
     ok = (d.mask == 2) & (r > 2.0 * h) & (sd <= -2.0 * h)
-    ok &= _footprint_ok(d, _metric_margin_cells)
-    if r_min is not None:
-        ok &= r >= r_min
-    if r_max is not None:
-        ok &= r < r_max
+    ok &= ~grow(d.mask == EXTERIOR, _metric_margin_cells)
     return ok, r
 
 
@@ -233,34 +215,35 @@ def grid_third_diff(domain, values):
     return out
 
 
-def _admissible_sup(col, nodal, r_max):
-    """Max of |nodal| over metric_mask's nodes within r_max, or None when a
-    coarse grid leaves none admissible."""
-    ok, _ = metric_mask(col, r_max=r_max)
+def _admissible_sup(col, nodal):
+    """Max of |nodal| over metric_mask's nodes within _sup_radius, or None
+    when a coarse grid leaves none admissible."""
+    ok, r = metric_mask(col)
+    ok &= r < _sup_radius
     return float(np.abs(nodal[ok]).max()) if ok.any() else None
 
 
-def gradient_sup(col, fld, r_max=0.5):
+def gradient_sup(col, fld):
     """Sup of the central-difference gradient over the admissible region."""
     g = central_gradient(col.domain, fld.values)
-    return _admissible_sup(col, np.hypot(g[..., 0], g[..., 1]), r_max)
+    return _admissible_sup(col, np.hypot(g[..., 0], g[..., 1]))
 
 
-def third_diff_sup(col, fld, r_max=0.5):
+def third_diff_sup(col, fld):
     """Sup of the pure third differences over the admissible region."""
-    return _admissible_sup(col, grid_third_diff(col.domain, fld.values), r_max)
+    return _admissible_sup(col, grid_third_diff(col.domain, fld.values))
 
 
 # ---------------------------------------------------------------------------
 # dyadic annulus protocol
 
 
-def dyadic_annuli(h, r_floor_cells=4):
+def dyadic_annuli(h):
     """Inner radii 2^-k, k = 2..K, with the innermost at least
-    r_floor_cells*h; each annulus spans [2^-k, 2^-k+1)."""
+    _annulus_floor_cells*h; each annulus spans [2^-k, 2^-k+1)."""
     ks = []
     k = 2
-    while 2.0 ** (-k) >= r_floor_cells * h:
+    while 2.0 ** (-k) >= _annulus_floor_cells * h:
         ks.append(k)
         k += 1
     return ks
@@ -345,7 +328,7 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     radii, sups, notes = _annulus_sups(col_l2, [remainder_inf, singular], d.h)
     if radii.size == 0:
         raise RuntimeError("no admissible annuli; grid too coarse")
-    rep = FrehseReport(radii, sups[:, 0], sups[:, 1], d.h, pairing, tuple(notes))
+    rep = FrehseReport(radii, sups[:, 0], sups[:, 1], pairing, tuple(notes))
     if not (np.all(np.isfinite(rep.sup_remainder)) and np.all(np.isfinite(rep.sup_singular))):
         raise RuntimeError("non-finite annulus sups")
     return rep
@@ -368,4 +351,4 @@ def log_bound_check(col):
     x = np.abs(np.log(radii)) + 1.0
     slope = float((x * y).sum() / (x * x).sum())
     overshoot = float(np.max((y - slope * x) / (slope * x)))
-    return LogFitReport(slope, overshoot, radii, y)
+    return LogFitReport(slope, overshoot)

@@ -181,6 +181,19 @@ def _read_only(arr):
     return arr
 
 
+def grow(mask, cells):
+    """A boolean node mask dilated by the (2*cells+1)-square: a node is set
+    when any node within `cells` steps along both axes is, nodes outside
+    the array counting as unset.  Built from shifted copies."""
+    out = mask.copy()
+    n0, n1 = mask.shape
+    for di in range(-cells, cells + 1):
+        for dj in range(-cells, cells + 1):
+            out[max(0, di):n0 + min(0, di), max(0, dj):n1 + min(0, dj)] |= \
+                mask[max(0, -di):n0 - max(0, di), max(0, -dj):n1 - max(0, dj)]
+    return out
+
+
 def build_domain(shape, resolution):
     """Classify the nodes of a (resolution x resolution) grid on the shape's
     bounding box.
@@ -209,21 +222,10 @@ def build_domain(shape, resolution):
     if np.any(inside[0, :]) or np.any(inside[-1, :]) or np.any(inside[:, 0]) or np.any(inside[:, -1]):
         raise ValueError("interior reaches the edge of the grid; bounding box too tight")
 
-    # 8-adjacency dilation of the inside set via shifted copies
-    adj = np.zeros_like(inside)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            src = inside[max(0, -di):inside.shape[0] - max(0, di),
-                         max(0, -dj):inside.shape[1] - max(0, dj)]
-            adj[max(0, di):adj.shape[0] - max(0, -di),
-                max(0, dj):adj.shape[1] - max(0, -dj)] |= src
-
     n_nodes = xs.shape[0]
     mask = np.zeros((n_nodes, n_nodes), dtype=np.int8)
     mask[inside] = INTERIOR
-    mask[(~inside) & adj] = BOUNDARY
+    mask[(~inside) & grow(inside, 1)] = BOUNDARY
 
     interior_ij = np.argwhere(mask == INTERIOR)
     boundary_ij = np.argwhere(mask == BOUNDARY)
@@ -354,12 +356,13 @@ class SparseOperator:
         """L_h of a ScalarField, as an interior vector."""
         return self.apply(fld.interior(), fld.boundary())
 
-    def solve_dirichlet(self, rhs_interior, boundary_values, tol=1e-10):
+    def solve_dirichlet(self, rhs_interior, boundary_values):
         """Interior solve of L u = rhs with prescribed boundary values;
-        raises when the relative residual exceeds tol."""
+        raises when the relative residual exceeds solve_spd's default
+        bound, 1e-10."""
         rhs = np.asarray(rhs_interior, dtype=float) - self.coupling @ np.asarray(
             boundary_values, dtype=float)
-        return solve_spd(self.matrix, rhs, tol=tol)[0]
+        return solve_spd(self.matrix, rhs)[0]
 
 
 # stencil offsets: centre, E, W, N, S, NE, SW, NW, SE

@@ -49,16 +49,19 @@ def solve_spd(matrix, rhs, tol=_default_tol):
             changed in place after its first solve.
     output: (x, SolveReport).  Raises RuntimeError when the true relative
             residual ||matrix x - rhs|| / ||rhs|| is non-finite or above tol
-            (or SuperLU finds the matrix singular).
+            (or SuperLU finds the matrix singular).  Both norms are taken
+            of vectors divided by max|rhs| first, so neither under- nor
+            overflows however large or small the system's entries are.
     """
     if not 0.0 < tol <= 1e-2:
         raise ValueError("tolerance must lie in (0, 1e-2], got %g" % tol)
     rhs = np.asarray(rhs, dtype=float)
-    bnorm = float(np.linalg.norm(rhs))
-    if bnorm == 0.0:
+    if not rhs.any():
         return np.zeros(rhs.shape[0]), SolveReport(0, 0.0)
     x = _factors(matrix).solve(rhs)
-    res = float(np.linalg.norm(matrix @ x - rhs)) / bnorm
+    s = np.abs(rhs).max()
+    res = float(np.linalg.norm((matrix @ x - rhs) / s)
+                / np.linalg.norm(rhs / s))
     if not res <= tol:   # false for NaN as well
         raise RuntimeError("sparse LU solve left relative residual %.3e above %.1e"
                            % (res, tol))

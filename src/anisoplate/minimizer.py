@@ -26,10 +26,14 @@ _max_backtracks = 50
 _probe_scales = (1.0, 2.0, 4.0)
 _schedule_floor_abs = 1e-4
 _schedule_floor_cells = 6.0
+# a stage stops once the euclidean norm of the energy gradient over
+# interior unknowns falls below _tol_grad, or after _max_outer steps
+_tol_grad = 1e-7
+_max_outer = 200
 # A stage also ends, converged, once the energy is stationary: the drop over
 # the last _stationary_window accepted steps averages below _stationary_rtol
 # relative.  A windowed average is robust to step-to-step oscillation of the
-# decrement, and even a full max_outer budget at that rate moves the energy
+# decrement, and even a full _max_outer budget at that rate moves the energy
 # by under 200 * 1e-10 * (1 + E), orders below any quantity read off the
 # returned state.
 _stationary_rtol = 1e-10
@@ -42,38 +46,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, message, history):
         super().__init__(message)
         self.history = tuple(history)
-
-
-@dataclass(frozen=True)
-class EnergyConfig:
-    """Continuation schedule and descent controls.
-
-    epsilon_schedule: strictly decreasing positive ramp widths, or None for
-        the automatic schedule default_schedule(domain, max trace).
-    tol_grad: stage stops when the euclidean norm of the energy gradient
-        over interior unknowns falls below this.
-    max_outer: iteration cap per stage.
-    """
-
-    epsilon_schedule: tuple = None
-    tol_grad: float = 1e-7
-    max_outer: int = 200
-
-    def __post_init__(self):
-        if self.epsilon_schedule is not None:
-            sched = tuple(float(e) for e in self.epsilon_schedule)
-            if not sched:
-                raise ValueError("epsilon_schedule is empty")
-            if any(e <= 0 for e in sched):
-                raise ValueError("epsilon_schedule must be positive")
-            if any(b >= a for a, b in zip(sched, sched[1:])):
-                raise ValueError(
-                    "epsilon_schedule must be strictly decreasing")
-            object.__setattr__(self, "epsilon_schedule", sched)
-        if self.tol_grad <= 0:
-            raise ValueError("tol_grad must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
 
 
 def default_schedule(domain, u0_max):
@@ -198,15 +170,15 @@ def _direction(op, v, grad_measure_over_weight):
     return -_precond_solve(op, v + inner)
 
 
-def minimize(op, u0, cfg=None):
+def minimize(op, u0):
     """Minimize the relaxed energy over fields with the given trace.
 
     input : assembled operator (it carries the domain and the coefficient
             field), boundary data (a positive scalar or one value per
-            boundary node, as DiscreteDomain.trace gives), optional
-            EnergyConfig.
-    output: MinimizerState at the last ramp width.  The trace is pinned
-            exactly at every iterate; per-stage energies never increase.
+            boundary node, as DiscreteDomain.trace gives).
+    output: MinimizerState at the last width of default_schedule.  The
+            trace is pinned exactly at every iterate; per-stage energies
+            never increase.
     Each stage first tries downward bumps (scaled solutions of L B = 1)
     from the pre-probe state and keeps the best strict improvement, since
     descent alone never leaves a positive constant; then each step starts
@@ -221,10 +193,7 @@ def minimize(op, u0, cfg=None):
     if trace.min() <= 0:
         raise ValueError("boundary data must be positive everywhere")
     u0_max = float(trace.max())
-    cfg = cfg or EnergyConfig()
-    schedule = cfg.epsilon_schedule or default_schedule(domain, u0_max)
-    if schedule[-1] < 2.0 * domain.h ** 2 - 1e-15:
-        raise ValueError("final ramp width below the 2h^2 resolvability floor")
+    schedule = default_schedule(domain, u0_max)
 
     u = harmonic_extension(op, trace)
     ui, ub = u.interior(), u.boundary()
@@ -245,9 +214,9 @@ def minimize(op, u0, cfg=None):
         e_sharp = sharp_energy(op, ui, ub, v)[0]
         history.append((stage, 0, energy, e_sharp, float(v.max())))
 
-        for it in range(1, cfg.max_outer + 1):
+        for it in range(1, _max_outer + 1):
             gnorm = float(np.linalg.norm(grad))
-            if gnorm <= cfg.tol_grad:
+            if gnorm <= _tol_grad:
                 break
             hp = smoothed_heaviside_prime(ui, eps)
             d_vec = _direction(op, v, hp)

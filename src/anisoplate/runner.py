@@ -6,8 +6,6 @@ Config grammar (UTF-8 ``key = value`` lines under bracketed sections):
     [grid]      shape = disk(r) | rect(w,h); resolution = 2^k + 1
     [field]     kind = identity | diag(a,b) | poly(alpha) | rot(theta,a,b)
     [boundary]  u0 = constant or polynomial in x1, x2 of degree <= 4
-    [energy]    epsilon_schedule = auto | comma floats; tol_grad;
-                max_outer (all optional)
     [output]    dir = output directory
 
 Shape and field share one ``name(args)`` grammar; RunConfig parses the
@@ -67,12 +65,7 @@ from .greens import (
 )
 from .grid import (assemble_operator, build_domain, open_fresh, parse_shape,
                    write_table)
-from .minimizer import (
-    EnergyConfig,
-    minimize,
-    supersolution_check,
-    write_history,
-)
+from .minimizer import minimize, supersolution_check, write_history
 from .nodal import (
     bump_bank,
     domain_variation_residual,
@@ -113,7 +106,6 @@ _known_keys = {
     "grid": ("shape", "resolution"),
     "field": ("kind",),
     "boundary": ("u0",),
-    "energy": ("epsilon_schedule", "tol_grad", "max_outer"),
     "output": ("dir",),
 }
 
@@ -228,7 +220,6 @@ class RunConfig:
     u0_spec: str
     checks: tuple
     out_dir: str
-    energy: EnergyConfig = EnergyConfig()
     shape: object = field(init=False, repr=False, compare=False)
     coeff: object = field(init=False, repr=False, compare=False)
     terms: tuple = field(init=False, repr=False, compare=False)
@@ -248,10 +239,12 @@ class RunConfig:
             shape = parse_shape(self.shape_spec)
         except ValueError as e:
             raise ConfigError("[grid] shape: %s" % e)
-        # h^2 and 1/h^2 enter every stencil and delta, the area every bound
+        # 1/h^2 enters every stencil and delta, the area every bound, and
+        # 2 h^3 (the third differences) is the highest power of h a run forms
         half = shape.bbox_halfwidth()
         h = 2.0 * half / (n - 1)
-        if not (0.0 < h * h and 1.0 / (h * h) < math.inf
+        h3 = h * h * h
+        if not (0.0 < h3 and 2.0 * h3 < math.inf and 1.0 / h3 < math.inf
                 and 4.0 * half * half < math.inf):
             raise ConfigError("[grid] shape: %s at resolution %d gives "
                               "h = %g, outside the float range"
@@ -336,29 +329,9 @@ def load_config(path, checks=None, out_dir=None):
         checks = tuple(checks)
     out = out_dir if out_dir is not None else _get(cp, "output", "dir", "out")
 
-    schedule = None
-    sched_text = _get(cp, "energy", "epsilon_schedule", "auto")
-    if sched_text != "auto":
-        try:
-            schedule = tuple(float(t) for t in sched_text.split(","))
-        except ValueError:
-            raise ConfigError(
-                "[energy] epsilon_schedule: %r is neither 'auto' nor a "
-                "comma-separated float list" % sched_text)
-    try:
-        tol_grad = float(_get(cp, "energy", "tol_grad",
-                              EnergyConfig.tol_grad))
-        max_outer = int(_get(cp, "energy", "max_outer",
-                             EnergyConfig.max_outer))
-        energy = EnergyConfig(schedule, tol_grad=tol_grad,
-                              max_outer=max_outer)
-    except ValueError as e:
-        raise ConfigError("[energy]: %s" % e)
-
     return RunConfig(scenario=scenario, shape_spec=shape_spec,
                      resolution=resolution, field_spec=field_spec,
-                     u0_spec=u0_spec, checks=checks, out_dir=out,
-                     energy=energy)
+                     u0_spec=u0_spec, checks=checks, out_dir=out)
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +440,7 @@ def _check_frehse(ctx, sec):
 
 def _check_minimize(ctx, sec):
     config, dom, op = ctx["config"], ctx["domain"], ctx["op"]
-    state = minimize(op, dom.trace(datum_callable(config.terms)),
-                     config.energy)
+    state = minimize(op, dom.trace(datum_callable(config.terms)))
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp

@@ -238,14 +238,6 @@ def test_d1_pointwise_for_variable_field():
     assert got == pytest.approx(4.0 * math.pi * math.sqrt(1.125), abs=1e-10)
 
 
-def test_d1_node_guard_and_convergence():
-    with pytest.raises(ValueError):
-        d1_quadrature(identity_field(), [0, 0], n_nodes=8)
-    coarse = d1_quadrature(diag_field(4, 9), [0, 0], n_nodes=64).d1
-    fine = d1_quadrature(diag_field(4, 9), [0, 0], n_nodes=256).d1
-    assert abs(fine - _D1_DIAG49) <= abs(coarse - _D1_DIAG49) + 1e-12
-
-
 @settings(max_examples=40, deadline=None)
 @given(a=st.floats(0.3, 4.0), b=st.floats(0.3, 4.0), scale=st.floats(0.5, 3.0))
 def test_d1_scaling_property(a, b, scale):

@@ -1,10 +1,16 @@
-"""Every function in the package has a caller outside the tests.
+"""Every function in the package has a caller outside the tests, every
+dataclass field a reader, and every config key a config that sets it.
 
 A function that only tests call audits nothing a run reports; it either
-gets a caller in a check, demo or tool, or it goes."""
+gets a caller in a check, demo or tool, or it goes.  So do a result field
+that nothing reads and a setting that no run sets."""
 
 import ast
+import configparser
+import importlib.util
 import pathlib
+
+from anisoplate.runner import _known_keys
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "anisoplate"
@@ -55,3 +61,68 @@ def test_every_function_has_a_non_test_caller():
         if not callers:
             orphans.append("%s:%s" % (path.name, qual))
     assert not orphans, "only tests call: %s" % ", ".join(orphans)
+
+
+def _dataclass_fields():
+    """(path, class name, field name) of every annotated field of every
+    @dataclass class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(dec)
+                    for dec in node.decorator_list):
+                for sub in node.body:
+                    if isinstance(sub, ast.AnnAssign):
+                        yield path, node.name, sub.target.id
+
+
+def _attribute_reads():
+    """Names read as attributes (x.name, loaded) anywhere in src/, demos/,
+    tools/ or benchmarks/."""
+    names = set()
+    for top in ("src", "demos", "tools", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_dataclass_field_is_read():
+    # by name only, so a field sharing its name with a field read elsewhere
+    # passes unseen
+    reads = _attribute_reads()
+    unread = ["%s:%s.%s" % (path.name, cls, name)
+              for path, cls, name in _dataclass_fields() if name not in reads]
+    assert not unread, "fields nothing reads: %s" % ", ".join(unread)
+
+
+def _configured_keys():
+    """(section, key) of every key that a benchmark config or a reference
+    run of tools/compare_outputs.py sets."""
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", ROOT / "tools" / "compare_outputs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    sources = sorted(str(p) for p in (ROOT / "benchmarks" / "configs").glob("*.ini"))
+    sources += [source for _, source, _ in tool.RUNS]
+    keys = set()
+    for source in sources:
+        cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        if source.endswith(".ini"):
+            with open(source, encoding="utf-8") as f:
+                cp.read_file(f)
+        else:
+            cp.read_string(source)
+        keys.update((sec, key) for sec in cp.sections() for key in cp.options(sec))
+    return keys
+
+
+def test_every_config_key_is_set_by_some_run():
+    # [output] dir names a path, which the runs pass on the command line
+    configured = _configured_keys()
+    unset = ["[%s] %s" % (sec, key) for sec, keys in _known_keys.items()
+             for key in keys
+             if (sec, key) not in configured and (sec, key) != ("output", "dir")]
+    assert not unset, "config keys no run sets: %s" % ", ".join(unset)

@@ -78,6 +78,17 @@ def test_mask_codes_partition():
         assert np.any(block == INTERIOR)
 
 
+@pytest.mark.parametrize("cells", [1, 2, 3])
+def test_grow_sets_the_square_neighbourhood(cells):
+    # a node is set when any node within `cells` steps along both axes is;
+    # nodes off the array count as unset
+    mask = np.random.default_rng(cells).random((9, 12)) < 0.1
+    want = np.zeros_like(mask)
+    for i, j in np.argwhere(mask):
+        want[max(0, i - cells):i + cells + 1, max(0, j - cells):j + cells + 1] = True
+    assert np.array_equal(grid.grow(mask, cells), want)
+
+
 def test_boundary_projection_lands_on_curve():
     d = build_domain(disk_shape(1.0), 65)
     r = np.hypot(d.boundary_proj[:, 0], d.boundary_proj[:, 1])
@@ -486,7 +497,7 @@ def test_dirichlet_reproduces_smooth_solution():
         exact = _manufactured(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
         rhs = (2.0 + 1.0) * math.pi**2 * exact.interior()
         op = assemble_operator(f, d)
-        u = op.solve_dirichlet(rhs, exact.boundary(), tol=1e-12)
+        u = op.solve_dirichlet(rhs, exact.boundary())
         errs.append(np.max(np.abs(u - exact.interior())))
     assert errs[1] < errs[0] / 3.0
     assert errs[1] < 5e-3
@@ -498,8 +509,8 @@ def test_navier_biharmonic_disk_profile():
     d = build_domain(disk_shape(1.0), 129)
     op = assemble_operator(identity_field(), d)
     zero = np.zeros(d.n_boundary)
-    w = op.solve_dirichlet(np.ones(d.n_interior), zero, tol=1e-11)
-    u = op.solve_dirichlet(w, zero, tol=1e-11)
+    w = op.solve_dirichlet(np.ones(d.n_interior), zero)
+    u = op.solve_dirichlet(w, zero)
     ci, cj = d.center_ij
     center = d.interior_map[ci, cj]
     assert center >= 0
@@ -528,8 +539,8 @@ def test_nested_solve_operator_symmetric_by_probing():
     for j in range(n):
         e = np.zeros(n)
         e[j] = 1.0
-        w = op.solve_dirichlet(e, zero, tol=1e-13)
-        cols[:, j] = op.solve_dirichlet(w, zero, tol=1e-13)
+        w = op.solve_dirichlet(e, zero)
+        cols[:, j] = op.solve_dirichlet(w, zero)
     defect = np.max(np.abs(cols - cols.T)) / np.max(np.abs(cols))
     assert defect <= 1e-10
 

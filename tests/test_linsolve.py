@@ -54,6 +54,22 @@ def test_tridiagonal_matches_thomas():
     assert np.allclose(got, want, atol=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_scaled_system_solves_like_the_unscaled_one(scale):
+    # a delta right-hand side on a disk of radius 1e100 is 2.56e-198: its
+    # squared norm underflows and the zero-rhs test must not see zero,
+    # nor may the residual norms over- or underflow on either scale
+    n = 200
+    rng = np.random.default_rng(11)
+    diag = 4.0 + rng.uniform(0, 1, n)
+    off = -1.0 + 0.2 * rng.uniform(0, 1, n - 1)
+    mat = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+    rhs = rng.standard_normal(n)
+    x, _ = solve_spd(mat, rhs, tol=1e-12)
+    xs, _ = solve_spd(scale * mat, scale * rhs, tol=1e-12)
+    assert np.abs(xs - x).max() <= 1e-14 * np.abs(x).max()
+
+
 def test_true_residual_reported_relative():
     n = 50
     rng = np.random.default_rng(8)

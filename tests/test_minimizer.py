@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from anisoplate import (
-    EnergyConfig,
     DivergenceError,
     build_domain,
     default_schedule,
@@ -134,24 +133,7 @@ def test_smoothed_energy_gradient_matches_directional_fd(iso):
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-def test_energy_config_validation():
-    with pytest.raises(ValueError):
-        EnergyConfig(())
-    with pytest.raises(ValueError):
-        EnergyConfig((0.5, 0.0))
-    with pytest.raises(ValueError):
-        EnergyConfig((0.5, 0.5))
-    with pytest.raises(ValueError):
-        EnergyConfig((0.25, 0.5))
-    with pytest.raises(ValueError):
-        EnergyConfig((0.5,), tol_grad=0.0)
-    with pytest.raises(ValueError):
-        EnergyConfig((0.5,), max_outer=0)
-    # None leaves the schedule to minimize (automatic continuation)
-    assert EnergyConfig().epsilon_schedule is None
+# continuation schedule
 
 
 def test_default_schedule(dom65):
@@ -307,19 +289,14 @@ def test_minimize_input_validation(op65, dom65):
         minimize(op65, dom65.trace(lambda x, y: x))  # changes sign
     with pytest.raises(ValueError):
         minimize(op65, np.ones(3))  # wrong node count
-    with pytest.raises(ValueError):
-        # schedule ends below the 2h^2 resolvability floor
-        minimize(op65, SMALL_C, cfg=EnergyConfig((1e-5,)))
 
 
 def test_exhausted_backtracking_aborts_with_history(iso, monkeypatch):
     # no step can meet an Armijo slope this steep, so every halving fails
     monkeypatch.setattr(minimizer, "_armijo_slope", 1e6)
     dom = build_domain(disk_shape(1.0), 17)
-    sched = tuple(np.geomspace(0.3, 0.06, 60))
-    cfg = EnergyConfig(sched)
     with pytest.raises(DivergenceError) as err:
-        minimize(assemble_operator(iso, dom), SMALL_C, cfg=cfg)
+        minimize(assemble_operator(iso, dom), SMALL_C)
     assert isinstance(err.value.history, tuple)
     assert len(err.value.history) > 0
 
@@ -338,8 +315,9 @@ def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
         monkeypatch.setattr(cls, name, counting)
     runs = []
     for max_outer in (2, 200):
+        monkeypatch.setattr(minimizer, "_max_outer", max_outer)
         counts.update(replace_interior=0, apply_field=0)
-        state = minimize(op65, SMALL_C, EnergyConfig(max_outer=max_outer))
+        state = minimize(op65, SMALL_C)
         runs.append((len(state.history), dict(counts)))
     (few, work_few), (many, work_many) = runs
     assert many > 4 * few

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,47 +148,18 @@ def test_trace_positivity_sampled(tmp_path):
     assert cfg.u0_spec == "2 + x1"
 
 
-def test_energy_overrides_parsed(tmp_path):
-    text = _cfg_text("iso_disk_small_c") + \
-        "[energy]\nepsilon_schedule = 0.1, 0.05\nmax_outer = 50\n"
-    cfg = load_config(_write(tmp_path, "i.ini", text))
-    assert cfg.energy.epsilon_schedule == (0.1, 0.05)
-    assert cfg.energy.max_outer == 50
-    text = _cfg_text("iso_disk_small_c") + \
-        "[energy]\nepsilon_schedule = pancake\n"
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, "j.ini", text))
-
-
 def test_unknown_section_or_key_rejected(tmp_path):
-    text = _cfg_text("iso_disk_small_c") + "[energy]\nstep_rule = fixed(0.1)\n"
+    text = _cfg_text("iso_disk_small_c") + "[grid]\nstep_rule = fixed(0.1)\n"
     path = _write(tmp_path, "u.ini", text)
     with pytest.raises(ConfigError, match="step_rule"):
         load_config(path)
     assert main(["run", path, "--out", str(tmp_path / "u")]) == 2
-    text = _cfg_text("iso_disk_small_c") + "[solver]\ntol = 1e-8\n"
-    with pytest.raises(ConfigError, match="solver"):
-        load_config(_write(tmp_path, "v.ini", text))
-
-
-@pytest.mark.parametrize("line, key", [
-    ("epsilon_schedule = 0.1, 0.2", "epsilon_schedule"),
-    ("tol_grad = 0", "tol_grad"),
-    ("max_outer = 0", "max_outer"),
-])
-def test_bad_energy_values_rejected_at_load(tmp_path, monkeypatch, line, key):
-    # the minimizer's settings are validated with the rest of the config:
-    # exit 2 naming the key, before a domain is built or a check runs
-    built = []
-    monkeypatch.setattr(runner, "build_domain",
-                        lambda *a: built.append(a))
-    text = _cfg_text("iso_disk_large_c", res=33) + "[energy]\n%s\n" % line
-    path = _write(tmp_path, "e.ini", text)
-    with pytest.raises(ConfigError, match=r"\[energy\].*" + key):
-        load_config(path)
-    out = tmp_path / "e"
-    assert main(["run", path, "--out", str(out)]) == 2
-    assert built == [] and not out.exists()
+    for section, line in (("solver", "tol = 1e-8"), ("energy", "max_outer = 50")):
+        text = _cfg_text("iso_disk_small_c") + "[%s]\n%s\n" % (section, line)
+        path = _write(tmp_path, section + ".ini", text)
+        with pytest.raises(ConfigError, match=r"\[%s\]: unknown section" % section):
+            load_config(path)
+        assert main(["run", path, "--out", str(tmp_path / section)]) == 2
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -294,6 +266,64 @@ def test_spec_grammar_fuzz(shape, kind, res):
     except ConfigError:
         return
     assert cfg.shape is not None and cfg.coeff is not None
+
+
+_datum_atoms = st.one_of(
+    st.sampled_from(["0.05", "2", ".5", "5.", "-0", "1e308", "1e309",
+                     "1e-320", "5e-324", "nan", "inf", "1e", "e5", "x1", "x2",
+                     "x1^", "x1^5", "x2^2", "x1^0", "x1^99999999999", "\u0663",
+                     "x2^\u0662", "\uff11", "(x1)", "x1x2", " "]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(max_size=4))
+_datum_texts = st.lists(
+    st.tuples(st.sampled_from(["", "+", "-", "--", "*", "**", " + ", "*-"]),
+              _datum_atoms),
+    min_size=1, max_size=5).map(lambda terms: "".join(j + a for j, a in terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(u0=_datum_texts,
+       shape=st.sampled_from(["disk(1)", "rect(2,1.5)", "disk(1e100)",
+                              "disk(1e-100)"]))
+@example(u0="1e309", shape="disk(1)")
+@example(u0="1e-320", shape="disk(1)")
+@example(u0="1e200*x1^2", shape="disk(1e100)")
+@example(u0="1 + x1^4", shape="disk(1e100)")
+@example(u0="1 - 1e-320*x2", shape="disk(1e-100)")
+def test_datum_fuzz(u0, shape):
+    # any [boundary] u0 text either builds a config or is a ConfigError,
+    # with no numpy warning on the way; the configs are built, never run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            cfg = _direct(shape_spec=shape, u0_spec=u0)
+        except ConfigError:
+            return
+    assert cfg.terms and all(math.isfinite(c) for c, _, _ in cfg.terms)
+
+
+@pytest.mark.parametrize("radius, status", [("1e150", 2), ("1e-150", 2),
+                                            ("1e100", 0), ("1e-100", 0)])
+def test_extreme_disk_greens_run_or_config_error(tmp_path, capsys, radius,
+                                                 status):
+    # 2 h^3, the third differences' divisor, is the highest power of h a
+    # run forms: a disk whose h^3 or 1/h^3 leaves the float range is a
+    # config error; inside it the greens check runs as on the unit disk,
+    # whose Green's function it is up to a constant
+    text = ("[run]\nchecks = greens\n[grid]\nshape = disk(%s)\n"
+            "resolution = 33\n[boundary]\nu0 = 0.05\n" % radius)
+    out = tmp_path / "x"
+    assert main(["run", _write(tmp_path, "x.ini", text), "--out", str(out)]) == status
+    if status == 2:
+        assert "config error: [grid] shape: disk(%s)" % radius in capsys.readouterr().err
+        assert not out.exists()
+        return
+    with open(out / "report.json") as f:
+        rep = json.load(f)
+    unit = _execute(_direct(), write_outputs=False)
+    assert rep["symmetry_max_err"] <= 1e-12
+    assert rep["greens"]["kernel_log_slope"] == pytest.approx(
+        unit["greens"]["kernel_log_slope"], rel=1e-12)
 
 
 def test_config_syntax_error(tmp_path):
@@ -410,25 +440,6 @@ def test_polynomial_trace_through_minimizer(tmp_path):
     assert rep["minimize"]["max_dev_from_const"] is None
 
 
-def test_energy_override_matches_default_descent(tmp_path):
-    # an [energy] section that only lowers max_outer below any stage's
-    # iteration count runs the same automatic schedule and descent
-    base = ("[run]\nchecks = minimize, nodal, el\n[grid]\nshape = disk(1)\n"
-            "resolution = 65\n[boundary]\nu0 = 0.05 + 0.01*x1 - 0.02*x2^2\n")
-    reports = []
-    for name, extra in (("plain", ""), ("capped", "[energy]\nmax_outer = 199\n")):
-        cfg = load_config(_write(tmp_path, name + ".ini", base + extra),
-                          out_dir=str(tmp_path / name))
-        assert run(cfg) == 0
-        with open(tmp_path / name / "report.json") as f:
-            rep = json.load(f)
-        rep.pop("timestamp")
-        reports.append(rep)
-    assert reports[0] == reports[1]
-    assert ((tmp_path / "plain" / "history.csv").read_bytes()
-            == (tmp_path / "capped" / "history.csv").read_bytes())
-
-
 @pytest.mark.parametrize("override", ["[field]\nkind = rot(0.7,2,1)\n",
                                       "[grid]\nshape = disk(0.5)\n"],
                          ids=["rot_field", "small_disk"])
@@ -500,7 +511,7 @@ def test_empty_set_el_bank_lies_inside_small_disk():
     assert 0.0 < e["el_lhs_max"] <= 1e-8
 
 
-def _stalled_minimize(op, u0, config):
+def _stalled_minimize(op, u0):
     raise DivergenceError("descent stalled", ())
 
 
