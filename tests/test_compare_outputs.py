@@ -40,9 +40,10 @@ def test_differences_name_each_artifact():
 
 
 def test_outputs_match_the_golden_manifest():
-    # every artifact of the eight reference runs keeps its committed hash;
-    # a change of Python, numpy or scipy fails here too, naming both
-    # version sets, since it alone can move solver roundoff
+    # every artifact of the eight reference runs, and the printout of each
+    # of the five demos, keeps its committed hash; a change of Python,
+    # numpy or scipy fails here too, naming both version sets, since it
+    # alone can move solver roundoff
     proc = subprocess.run([sys.executable, _path, "--against", _golden],
                           capture_output=True, text=True, timeout=600)
     # the tool prints the manifest as indented JSON, then its verdict lines
@@ -50,6 +51,11 @@ def test_outputs_match_the_golden_manifest():
                if not line.startswith(("{", "}", " "))]
     with open(_golden, encoding="utf-8") as f:
         golden = json.load(f)
+    demos = sorted(n[:-3] for n in os.listdir(os.path.join(_root, "demos"))
+                   if n.endswith(".py"))
+    assert len(demos) == 5
+    assert sorted(k for k in golden["artifacts"] if k.startswith("demos/")) \
+        == ["demos/%s.txt" % n for n in demos]
     assert not [v for v in verdict if v.startswith("versions differ")], \
         "\n".join(verdict)
     assert proc.returncode == 0, "\n".join(verdict) + proc.stderr

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Hash every artifact of eight reference runs: "same outputs" as one command.
+"""Hash every artifact of eight reference runs and the printout of the five
+demos: "same outputs" as one command.
 
     python3 tools/compare_outputs.py [--save MANIFEST] [--against MANIFEST]
 
@@ -23,9 +24,11 @@ rectangle whose edges are not at multiples of a power-of-two h: its long
 sides lie on nodes only because the coordinates are exact at +-halfwidth.
 
 The two benchmark runs read their configs from `benchmarks/configs/`.
-BLAS and OpenMP run one thread each, as in the benchmark, because the
-thread count can change a solve's last bits.  Every artifact is hashed
-with SHA-256: a CSV by its bytes, `report.json` without its volatile
+Each script in `demos/` then runs in this process with no arguments, and
+its standard output is the artifact `demos/<name>.txt`.  BLAS and OpenMP
+run one thread each, as in the benchmark, because the thread count can
+change a solve's last bits.  Every artifact is hashed with SHA-256: a CSV
+or a demo's output by its bytes, `report.json` without its volatile
 `timestamp` as `json.dumps(report, sort_keys=True)`.
 
 The manifest, printed as JSON, holds the hashes plus the Python, numpy and
@@ -36,15 +39,19 @@ it alone can move solver roundoff.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
+import runpy
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_CONFIGS = os.path.join(ROOT, "benchmarks", "configs")
+DEMOS = os.path.join(ROOT, "demos")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
                "NUMEXPR_NUM_THREADS")
@@ -95,8 +102,30 @@ def tree_digests(prefix, top):
     return out
 
 
+def demo_digests():
+    """{demos/<name>.txt: digest of its standard output} for every demo,
+    each run in this process as `__main__` with no arguments."""
+    out = {}
+    argv = sys.argv
+    for name in sorted(os.listdir(DEMOS)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(DEMOS, name)
+        buf = io.StringIO()
+        sys.argv = [path]
+        try:
+            with contextlib.redirect_stdout(buf):
+                runpy.run_path(path, run_name="__main__")
+        finally:
+            sys.argv = argv
+        digest = hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest()
+        out["demos/" + name[:-3] + ".txt"] = digest
+    return out
+
+
 def run_all(work):
-    """Execute the reference runs under `work`; returns their manifest."""
+    """Execute the reference runs under `work`, then the demos; returns
+    their manifest."""
     import numpy
     import scipy
     from anisoplate.runner import convergence_study, load_config, run
@@ -115,6 +144,7 @@ def run_all(work):
         if status != 0:
             raise SystemExit("%s: run exited with status %d" % (name, status))
         artifacts.update(tree_digests(name, out))
+    artifacts.update(demo_digests())
     return {
         "versions": {"python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__},
