@@ -6,9 +6,9 @@ trace-matched pairing does not.
 Usage: python3 demos/pairing_dichotomy.py
 
 Runs the constant diagonal field diag(2,1) on the unit disk at resolution
-257 (about 15 s). The remainder/singular ratio sequence is printed from the
-coarsest annulus to the finest; the structural question is whether it keeps
-shrinking.
+257, in under a second on a 2-core machine. The remainder/singular ratio
+sequence is printed from the coarsest annulus to the finest; the
+structural question is whether it keeps shrinking.
 """
 
 import numpy as np

@@ -22,18 +22,18 @@ def main():
     dom = build_domain(disk_shape(1.0), RES)
     op = assemble_operator(fld, dom)
     state = minimize(op, 0.05)
-    nod = extract_nodal(state.u)
+    nod = extract_nodal(dom, state.u)
     bank = bump_bank(dom, nod)
     print("resolution %d, zero curve length %.4f" % (RES, nod.length))
 
     print("\ninner variations (5 scalar windows riding the curve):")
-    dens = measure_density(state.u, nod)
+    dens = measure_density(dom, state.u, nod)
     for k, rec in enumerate(el_residual(op, state, dens, bank.scalars)):
         print("  #%d  bending side %+.5f  curve side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))
 
     print("\ndomain variations (5 vector windows on the same centres):")
-    for k, rec in enumerate(domain_variation_residual(state, dens,
+    for k, rec in enumerate(domain_variation_residual(op, state, dens,
                                                       bank.pushes)):
         print("  #%d  energy side %+.5f  measure side %+.5f  rel %.4f"
               % (k, rec.lhs, rec.rhs, rec.rel))

@@ -22,7 +22,6 @@ from .anisotropy import (
 )
 from .grid import (
     DiscreteDomain,
-    ScalarField,
     SparseOperator,
     assemble_operator,
     build_domain,
@@ -47,7 +46,6 @@ from .minimizer import (
     DivergenceError,
     MinimizerState,
     default_schedule,
-    harmonic_extension,
     minimize,
     sharp_energy,
     smoothed_energy,

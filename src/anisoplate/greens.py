@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .anisotropy import invert_spd2
-from .grid import EXTERIOR, ScalarField, central_gradient, grow
+from .grid import EXTERIOR, INTERIOR, central_gradient, grow
 from .linsolve import solve_spd
 
 FIRST_ORDER = "first_order"
@@ -51,7 +51,7 @@ class GreensColumn:
     op: object
     source_ij: tuple
     source_xy: np.ndarray
-    values: ScalarField
+    values: np.ndarray      # the column on the full grid
 
     @property
     def domain(self):
@@ -116,10 +116,6 @@ def _delta_rhs(domain, source_ij):
     return rhs
 
 
-def _as_field(domain, interior_vec):
-    return ScalarField(domain).replace_interior(interior_vec)
-
-
 def greens_column_L(op, source_ij):
     """Column of the second-order Green's function, zero Dirichlet trace.
     Its solve is kept on the operator per source, so the fourth-order
@@ -135,16 +131,18 @@ def greens_column_L(op, source_ij):
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
     src = np.array([d.xs[key[0]], d.ys[key[1]]])
-    return GreensColumn(FIRST_ORDER, op, key, src, _as_field(d, g))
+    return GreensColumn(FIRST_ORDER, op, key, src, d.field(g))
 
 
 def greens_column_L2(op, source_ij):
     """Column of the fourth-order Green's function with both traces zero;
     its intermediate stage is greens_column_L's column on the same source."""
+    d = op.domain
     first = greens_column_L(op, source_ij)
-    g2, _ = solve_spd(op.matrix, first.values.interior(), _column_accept)
+    g2, _ = solve_spd(op.matrix, first.values.take(d.flat_index[0]),
+                      _column_accept)
     return GreensColumn(BILAPLACIAN, op, first.source_ij, first.source_xy,
-                        _as_field(op.domain, g2))
+                        d.field(g2))
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +150,8 @@ def greens_column_L2(op, source_ij):
 
 
 def singular_split(col, consts):
-    """Remove the explicit logarithmic kernel from a column.
+    """Remove the explicit logarithmic kernel from a column; returns a new
+    full-grid array.
 
     First-order kind: G + c1 log psi; fourth-order kind: G - c1 psi log psi.
     The source node itself is set to zero (first-order) or kept at the raw
@@ -163,16 +162,15 @@ def singular_split(col, consts):
     psi = col.psi.copy()
     si, sj = col.source_ij
     psi[si, sj] = 1.0   # placeholder; the true kernel value is excluded
-    out = col.values.copy()
     if col.kind == FIRST_ORDER:
-        out.values = out.values + consts.c1 * np.log(psi)
-        out.values[si, sj] = 0.0
+        out = col.values + consts.c1 * np.log(psi)
+        out[si, sj] = 0.0
     elif col.kind == BILAPLACIAN:
-        out.values = out.values - consts.c1 * psi * np.log(psi)
-        out.values[si, sj] = col.values.values[si, sj]
+        out = col.values - consts.c1 * psi * np.log(psi)
+        out[si, sj] = col.values[si, sj]
     else:
         raise ValueError("unknown column kind %r" % col.kind)
-    out.values[d.mask == EXTERIOR] = 0.0
+    out[d.mask == EXTERIOR] = 0.0
     return out
 
 
@@ -189,7 +187,7 @@ def metric_mask(col):
     h = d.h
     r = np.hypot(d.X - col.source_xy[0], d.Y - col.source_xy[1])
     sd = d.shape.sdf(np.stack([d.X, d.Y], axis=-1))
-    ok = (d.mask == 2) & (r > 2.0 * h) & (sd <= -2.0 * h)
+    ok = (d.mask == INTERIOR) & (r > 2.0 * h) & (sd <= -2.0 * h)
     ok &= ~grow(d.mask == EXTERIOR, _metric_margin_cells)
     return ok, r
 
@@ -223,15 +221,17 @@ def _admissible_sup(col, nodal):
     return float(np.abs(nodal[ok]).max()) if ok.any() else None
 
 
-def gradient_sup(col, fld):
-    """Sup of the central-difference gradient over the admissible region."""
-    g = central_gradient(col.domain, fld.values)
+def gradient_sup(col, values):
+    """Sup of the central-difference gradient of a full-grid array over the
+    admissible region."""
+    g = central_gradient(col.domain, values)
     return _admissible_sup(col, np.hypot(g[..., 0], g[..., 1]))
 
 
-def third_diff_sup(col, fld):
-    """Sup of the pure third differences over the admissible region."""
-    return _admissible_sup(col, grid_third_diff(col.domain, fld.values))
+def third_diff_sup(col, values):
+    """Sup of the pure third differences of a full-grid array over the
+    admissible region."""
+    return _admissible_sup(col, grid_third_diff(col.domain, values))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +255,6 @@ def _annulus_sups(col, nodal_quantities, h):
     radii, sups, notes = [], [], []
     for k in dyadic_annuli(h):
         inner, outer = 2.0 ** (-k), 2.0 ** (-k + 1)
-        if outer - inner < 2.0 * h:
-            notes.append("annulus k=%d thinner than two cells, skipped" % k)
-            continue
         sel = ok & (r >= inner) & (r < outer)
         if not np.any(sel):
             notes.append("annulus k=%d has no admissible nodes, skipped" % k)
@@ -299,11 +296,10 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     if note:
         raise ValueError(note)
 
-    div_flux = -col_l2.op.apply_field(col_l2.values)   # div(A grad G) = -L G
-    div_grid = np.zeros_like(col_l2.values.values)
-    div_grid.put(d.flat_index[0], div_flux)
+    # div(A grad G) = -L G
+    div_grid = d.field(-col_l2.op.apply_field(col_l2.values))
 
-    hess = grid_hessian(d, col_l2.values.values)
+    hess = grid_hessian(d, col_l2.values)
 
     s = invert_spd2(col_l2.coeff.matrix(np.stack([d.X, d.Y], axis=-1)))
     if pairing == "inverse":
@@ -342,7 +338,7 @@ def log_bound_check(col):
     is the standard negative control (the fit overshoots badly because the
     Hessian there grows like a power of 1/r, not a log)."""
     d = col.domain
-    hess = grid_hessian(d, col.values.values)
+    hess = grid_hessian(d, col.values)
     hess_inf = np.max(np.abs(hess), axis=-1)
     radii, sups, _ = _annulus_sups(col, [hess_inf], d.h)
     if radii.size < 2:

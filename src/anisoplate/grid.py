@@ -93,7 +93,9 @@ class DiscreteDomain:
     resolution + 2 nodes per side; an odd resolution puts a node exactly at
     the origin.  interior_map / boundary_map give each node its packed
     ordinal or -1; boundary_proj holds the on-curve projection of each
-    boundary node, where trace evaluates the boundary datum."""
+    boundary node, where trace evaluates the boundary datum.  A field on
+    the grid is a plain full-grid array: field builds one from packed
+    values and write_field writes one as CSV."""
 
     shape: DomainShape
     resolution: int
@@ -160,7 +162,8 @@ class DiscreteDomain:
     @cached_property
     def flat_index(self):
         """Flat (row-major) grid indices of the (interior, boundary) nodes,
-        in packed order, for take/put gathers; built once and read-only."""
+        in packed order, for gathers (take) and field; built once and
+        read-only."""
         n = self.mask.shape[1]
         return tuple(_read_only(ij[:, 0] * n + ij[:, 1])
                      for ij in (self.interior_ij, self.boundary_ij))
@@ -174,6 +177,24 @@ class DiscreteDomain:
         xt = format_rows("%.17g,", (self.xs,)).splitlines()
         yt = format_rows("%.17g", (self.ys,)).splitlines()
         return tuple([xt[a] + yt[b] for a, b in zip(i.tolist(), j.tolist())])
+
+    def field(self, interior, boundary=0.0):
+        """A new full-grid array holding the packed values at their nodes:
+        interior one per interior node, boundary a scalar or one per
+        boundary node, and zero at exterior nodes.  A vector of the wrong
+        length raises ValueError."""
+        out = np.zeros(self.mask.shape)
+        flat = out.reshape(-1)
+        flat[self.flat_index[0]] = interior
+        flat[self.flat_index[1]] = boundary
+        return out
+
+    def write_field(self, path, column, values):
+        """CSV x,y,<column> of a full-grid array over the non-exterior
+        nodes, row-major in x then y; only the value column is formatted,
+        the x,y text is node_text."""
+        write_table(path, "x,y," + column, "%s,%.17g",
+                    (self.node_text, values[self.mask != EXTERIOR]))
 
 
 def _read_only(arr):
@@ -246,49 +267,6 @@ def build_domain(shape, resolution):
                           interior_xy, boundary_xy, boundary_proj)
 
 
-# ---------------------------------------------------------------------------
-# scalar fields on the grid
-
-
-class ScalarField:
-    """Node values on the full grid; exterior entries are kept at zero.
-    interior(), boundary() and replace_interior() index through the
-    domain's cached flat indices."""
-
-    def __init__(self, domain, values=None):
-        self.domain = domain
-        n = domain.xs.shape[0]
-        if values is None:
-            values = np.zeros((n, n))
-        values = np.asarray(values, dtype=float)
-        if values.shape != (n, n):
-            raise ValueError("values shape %r does not match grid %d" % (values.shape, n))
-        self.values = values
-
-    def interior(self):
-        return self.values.take(self.domain.flat_index[0])
-
-    def boundary(self):
-        return self.values.take(self.domain.flat_index[1])
-
-    def replace_interior(self, vec):
-        """A new field with interior values vec (one per interior node);
-        boundary and exterior entries are copied, self is unchanged."""
-        values = self.values.copy()
-        values.reshape(-1)[self.domain.flat_index[0]] = vec
-        return ScalarField(self.domain, values)
-
-    def copy(self):
-        return ScalarField(self.domain, self.values.copy())
-
-    def write_csv(self, path, column="value"):
-        """CSV x,y,<column> over non-exterior nodes, row-major in x then y;
-        only the value column is formatted, the x,y text is node_text."""
-        d = self.domain
-        write_table(path, "x,y," + column, "%s,%.17g",
-                    (d.node_text, self.values[d.mask != EXTERIOR]))
-
-
 def format_rows(row_format, columns):
     """The rows of a table as one string: one row_format line, "\n"
     terminated, per row.  This is the package's one row formatter.
@@ -352,9 +330,10 @@ class SparseOperator:
     def apply(self, u_interior, u_boundary):
         return self.matrix @ u_interior + self.coupling @ u_boundary
 
-    def apply_field(self, fld):
-        """L_h of a ScalarField, as an interior vector."""
-        return self.apply(fld.interior(), fld.boundary())
+    def apply_field(self, values):
+        """L_h of a full-grid array, as an interior vector."""
+        fi, fb = self.domain.flat_index
+        return self.apply(values.take(fi), values.take(fb))
 
     def solve_dirichlet(self, rhs_interior, boundary_values):
         """Interior solve of L u = rhs with prescribed boundary values;

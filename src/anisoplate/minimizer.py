@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ScalarField, write_table
+from .grid import write_table
 from .linsolve import solve_spd
 
 _minimizer_solve_tol = 1e-8
@@ -70,8 +70,8 @@ def default_schedule(domain, u0_max):
 
 @dataclass(frozen=True)
 class MinimizerState:
-    u: ScalarField
-    v: ScalarField            # L_h u on interior nodes
+    u: np.ndarray             # the state on the full grid
+    v: np.ndarray             # L_h u, one value per interior node
     energy_bending: float
     energy_measure: float     # sharp positivity measure
     epsilon: float
@@ -138,22 +138,6 @@ def sharp_energy(op, ui, ub, v):
 
 
 # ---------------------------------------------------------------------------
-# initialization
-
-
-def harmonic_extension(op, u0):
-    """Solve L u = 0 with boundary values u0, a scalar or one value per
-    boundary node (DiscreteDomain.trace); the canonical starting state.
-    A wrong length raises ValueError."""
-    domain = op.domain
-    trace = np.broadcast_to(np.asarray(u0, dtype=float), (domain.n_boundary,))
-    sol = op.solve_dirichlet(np.zeros(domain.n_interior), trace)
-    out = ScalarField(domain)
-    out.values.put(domain.flat_index[1], trace)
-    return out.replace_interior(sol)
-
-
-# ---------------------------------------------------------------------------
 # descent
 
 
@@ -179,14 +163,15 @@ def minimize(op, u0):
     output: MinimizerState at the last width of default_schedule.  The
             trace is pinned exactly at every iterate; per-stage energies
             never increase.
-    Each stage first tries downward bumps (scaled solutions of L B = 1)
-    from the pre-probe state and keeps the best strict improvement, since
-    descent alone never leaves a positive constant; then each step starts
+    The descent starts from the solution of L u = 0 with the trace.  Each
+    stage first tries downward bumps (scaled solutions of L B = 1) from the
+    pre-probe state and keeps the best strict improvement, since descent
+    alone never leaves a positive constant; then each step starts
     at t = 1 and halves it until the Armijo condition holds, and running
     out of halvings raises DivergenceError.  The loop works on the
     interior vector beside the pinned trace: each trial evaluates the
-    energy once, its L_h u serves the accepted step, and ScalarFields are
-    built only for the returned state.
+    energy once, its L_h u serves the accepted step, and the full-grid u
+    is built only for the returned state.
     """
     domain = op.domain
     trace = np.broadcast_to(np.asarray(u0, dtype=float), (domain.n_boundary,))
@@ -195,8 +180,7 @@ def minimize(op, u0):
     u0_max = float(trace.max())
     schedule = default_schedule(domain, u0_max)
 
-    u = harmonic_extension(op, trace)
-    ui, ub = u.interior(), u.boundary()
+    ui, ub = op.solve_dirichlet(0.0, trace), trace
     bump = _precond_solve(op, np.ones(domain.n_interior))
     bump /= float(bump.max())
 
@@ -252,9 +236,8 @@ def minimize(op, u0):
             converged = False
 
     _, bending, measure = sharp_energy(op, ui, ub, v)
-    return MinimizerState(u.replace_interior(ui),
-                          ScalarField(domain).replace_interior(v), bending,
-                          measure, schedule[-1], tuple(history), converged)
+    return MinimizerState(domain.field(ui, ub), v, bending, measure,
+                          schedule[-1], tuple(history), converged)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +247,7 @@ def minimize(op, u0):
 def supersolution_check(state):
     """Max of L_h u over interior nodes; nonpositive up to slack when the
     state satisfies the optimality condition."""
-    return float(state.v.interior().max())
+    return float(state.v.max())
 
 
 def write_history(state, path):

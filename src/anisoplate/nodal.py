@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .grid import ScalarField, central_gradient, write_table
+from .grid import BOUNDARY, EXTERIOR, central_gradient, write_table
 
 _degenerate_grad = 1e-8
 
@@ -119,24 +119,23 @@ def _label_components(mask):
     return labels, int(count)
 
 
-def extract_nodal(u_field):
+def extract_nodal(domain, u):
     """Marching-squares zero contour plus negative-component census.
 
-    input : ScalarField, positive on the domain boundary nodes.
+    input : the domain and a full-grid array on it, positive on the
+            domain's boundary nodes.
     output: NodalSet.  Loops are closed; each carries the label of the
             negative region it bounds.
     raises: ValueError when the zero set reaches the domain boundary (a
             nonpositive boundary node, or a sign change in a rim cell).
     """
-    d = u_field.domain
-    vals = u_field.values
-    mask = d.mask
-    neg = (vals < 0.0) & (mask >= 1)
-    if np.any(neg & (mask == 1)):
+    d = domain
+    inside = d.mask != EXTERIOR
+    neg = (u < 0.0) & inside
+    if np.any(neg & (d.mask == BOUNDARY)):
         raise ValueError("field is nonpositive on a domain boundary node")
 
     labels, n_comp = _label_components(neg)
-    inside = mask >= 1
 
     # candidate cells: any corner sign differs
     c_neg = neg[:-1, :-1].astype(int) + neg[1:, :-1] + neg[1:, 1:] + neg[:-1, 1:]
@@ -153,8 +152,8 @@ def extract_nodal(u_field):
         idx = vert_of_edge.get(key)
         if idx is not None:
             return idx
-        a = vals[i0, j0]
-        b = vals[i1, j1]
+        a = u[i0, j0]
+        b = u[i1, j1]
         t = a / (a - b)
         x = d.xs[i0] + t * (d.xs[i1] - d.xs[i0])
         y = d.ys[j0] + t * (d.ys[j1] - d.ys[j0])
@@ -174,7 +173,7 @@ def extract_nodal(u_field):
         if len(crossing) == 2:
             pairs = (tuple(crossing),)
         else:
-            avg = float(sum(vals[p] for p in nodes)) / 4.0
+            avg = float(sum(u[p] for p in nodes)) / 4.0
             pairs = _saddle_pairs(flags[0], avg)
         for ea, eb in pairs:
             va = edge_vertex(*nodes[_edges[ea][0]], *nodes[_edges[ea][1]])
@@ -195,7 +194,7 @@ def extract_nodal(u_field):
             raise RuntimeError("zero set is not a closed curve at vertex %d" % v)
 
     vert_pos = np.asarray(vert_pos)
-    gx, gy = np.moveaxis(central_gradient(d, vals), -1, 0)
+    gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
     used = [False] * len(segments)
     loops = []
     total_len = 0.0
@@ -223,13 +222,13 @@ def extract_nodal(u_field):
     return NodalSet(tuple(loops), total_len, int(n_comp))
 
 
-def measure_density(u_field, nodal):
-    """Quadrature of the stationarity measure: weight len/(2|grad u|) at
-    each segment midpoint."""
+def measure_density(domain, u, nodal):
+    """Quadrature of the stationarity measure of the full-grid array u:
+    weight len/(2|grad u|) at each segment midpoint of its zero set."""
     if not nodal.loops:
         return MeasureDensity(np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)))
-    d = u_field.domain
-    gx, gy = np.moveaxis(central_gradient(d, u_field.values), -1, 0)
+    d = domain
+    gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
     # segment k of a loop runs from vertex k to vertex k+1, wrapping round
     p0 = np.concatenate([lp.vertices for lp in nodal.loops])
     p1 = np.concatenate([np.roll(lp.vertices, -1, axis=0) for lp in nodal.loops])
@@ -291,11 +290,10 @@ def el_residual(op, state, dens, test_bank):
     (measure_density).  Returns one ResidualRecord per test function.
     """
     d = op.domain
-    v = state.v.interior()
     out = []
     for fn in test_bank:
-        lf = op.apply_field(ScalarField(d, sample_on_grid(d, fn)))
-        lhs = 2.0 * d.h ** 2 * float(v @ lf)
+        lf = op.apply_field(sample_on_grid(d, fn))
+        lhs = 2.0 * d.h ** 2 * float(state.v @ lf)
         if len(dens.weights):
             f_mid = np.asarray(fn(dens.vertices[:, 0], dens.vertices[:, 1]),
                                dtype=float)
@@ -306,7 +304,7 @@ def el_residual(op, state, dens, test_bank):
     return out
 
 
-def domain_variation_residual(state, dens, psi_bank):
+def domain_variation_residual(op, state, dens, psi_bank):
     """Outer variation against vector fields with interior support.
 
     Sliding the domain by psi trades the measure of the positive region
@@ -318,13 +316,9 @@ def domain_variation_residual(state, dens, psi_bank):
     quadrature of state.u (measure_density).  Returns one ResidualRecord
     per field.
     """
-    d = state.u.domain
-    u = state.u.values
-    wi, wb = d.measure_weights
-    w_grid = np.zeros_like(u)
-    w_grid.put(d.flat_index[0], wi)
-    w_grid.put(d.flat_index[1], wb)
-    pos = (u > 0.0) & (d.mask >= 1)
+    d = op.domain
+    w_grid = d.field(*d.measure_weights)
+    pos = (state.u > 0.0) & (d.mask != EXTERIOR)
 
     out = []
     for psi in psi_bank:

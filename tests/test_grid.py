@@ -16,7 +16,6 @@ from anisoplate.grid import (
     BOUNDARY,
     EXTERIOR,
     INTERIOR,
-    ScalarField,
     assemble_operator,
     build_domain,
     central_gradient,
@@ -116,9 +115,7 @@ def test_domain_input_validation():
 def _manufactured(d, fn):
     """fn at the interior nodes, and the datum d.trace(fn) on the boundary
     nodes, as the operator's Dirichlet rule carries it."""
-    u = ScalarField(d)
-    u.values.put(d.flat_index[1], d.trace(fn))
-    return u.replace_interior(fn(d.interior_xy[:, 0], d.interior_xy[:, 1]))
+    return d.field(fn(d.interior_xy[:, 0], d.interior_xy[:, 1]), d.trace(fn))
 
 
 def test_trace_evaluates_the_datum_at_projections():
@@ -176,7 +173,7 @@ def test_scalar_field_csv_roundtrip(tmp_path):
     d = build_domain(rect_shape(1.0, 1.0), 9)
     f = _manufactured(d, lambda x, y: x + 2 * y)
     p = tmp_path / "field.csv"
-    f.write_csv(p)
+    d.write_field(p, "value", f)
     lines = p.read_text().strip().split("\n")
     assert lines[0] == "x,y,value"
     assert len(lines) - 1 == int((d.mask != EXTERIOR).sum())
@@ -261,18 +258,18 @@ def test_write_table_rejects_ragged_columns(tmp_path):
                     (np.zeros(3), np.zeros(2)))
 
 
-def test_scalar_field_write_csv_masked_disk(tmp_path):
+def test_write_field_masked_disk(tmp_path):
     d = build_domain(disk_shape(1.0), 33)
     f = _manufactured(d, lambda x, y: np.exp(x) * np.sin(3 * y))
-    f.values[d.center_ij] = -0.0
+    f[d.center_ij] = -0.0
     p = tmp_path / "u.csv"
-    f.write_csv(p, "u")
+    d.write_field(p, "u", f)
     lines = ["x,y,u\n"]
     for i in range(d.mask.shape[0]):
         for j in range(d.mask.shape[1]):
             if d.mask[i, j] >= 1:
                 lines.append("%.17g,%.17g,%.17g\n"
-                             % (d.xs[i], d.ys[j], f.values[i, j]))
+                             % (d.xs[i], d.ys[j], f[i, j]))
     assert p.read_bytes() == "".join(lines).encode()
     # exterior nodes are left out: the disk does not fill its box
     assert 1 < len(lines) - 1 < d.mask.size
@@ -282,39 +279,44 @@ def test_scalar_field_write_csv_masked_disk(tmp_path):
 def test_flat_gathers_match_fancy_indexing(shape):
     d = build_domain(shape, 33)
     rng = np.random.default_rng(3)
-    f = ScalarField(d, rng.standard_normal(d.mask.shape))
+    f = rng.standard_normal(d.mask.shape)
     ij, bj = d.interior_ij, d.boundary_ij
-    assert np.array_equal(f.interior(), f.values[ij[:, 0], ij[:, 1]])
-    assert np.array_equal(f.boundary(), f.values[bj[:, 0], bj[:, 1]])
-    # a strided view gathers the same values as its contiguous copy
-    t = ScalarField(d, f.values.T)
-    assert np.array_equal(t.interior(), f.values.T[ij[:, 0], ij[:, 1]])
     fi, fb = d.flat_index
+    assert np.array_equal(f.take(fi), f[ij[:, 0], ij[:, 1]])
+    assert np.array_equal(f.take(fb), f[bj[:, 0], bj[:, 1]])
+    # apply_field gathers a strided view as fancy indexing does
+    op = assemble_operator(identity_field(), d)
+    t = f.T
+    assert np.array_equal(op.apply_field(t), op.apply(t[ij[:, 0], ij[:, 1]],
+                                                      t[bj[:, 0], bj[:, 1]]))
     assert d.flat_index is d.flat_index
     for arr in (fi, fb):
         with pytest.raises(ValueError):
             arr[0] = 0
 
 
-def test_replace_interior_copies_and_keeps_rim():
+def test_field_places_packed_values_in_a_new_array():
     d = build_domain(disk_shape(1.0), 33)
     rng = np.random.default_rng(4)
-    before = rng.standard_normal(d.mask.shape)   # exterior nonzero too
-    f = ScalarField(d, before.copy())
     vec = rng.standard_normal(d.n_interior)
-    g = f.replace_interior(vec)
-    assert not np.shares_memory(g.values, f.values)
-    assert not np.shares_memory(g.values, vec)
-    assert np.array_equal(f.values, before)
-    inside = d.mask == INTERIOR
-    assert np.array_equal(g.values[~inside], before[~inside])
-    ij = d.interior_ij
-    assert np.array_equal(g.values[ij[:, 0], ij[:, 1]], vec)
+    bvec = rng.standard_normal(d.n_boundary)
+    g = d.field(vec, bvec)
+    assert g.shape == d.mask.shape and g.dtype == float
+    assert not np.shares_memory(g, vec) and not np.shares_memory(g, bvec)
+    ij, bj = d.interior_ij, d.boundary_ij
+    want = vec.copy()
     vec[:] = 0.0
-    assert np.array_equal(g.interior(), g.values[ij[:, 0], ij[:, 1]])
-    assert not np.any(g.interior() == 0.0)
-    with pytest.raises(ValueError):
-        f.replace_interior(np.zeros(3))
+    assert np.array_equal(g[ij[:, 0], ij[:, 1]], want)
+    assert np.array_equal(g[bj[:, 0], bj[:, 1]], bvec)
+    assert np.all(g[d.mask == EXTERIOR] == 0.0)
+    # the boundary defaults to zero, and a scalar fills every boundary node
+    assert np.all(d.field(want)[d.mask != INTERIOR] == 0.0)
+    assert np.all(d.field(want, 0.5)[d.mask == BOUNDARY] == 0.5)
+    # a vector of the wrong length raises instead of being repeated
+    for args in ((np.zeros(3),), (np.zeros(d.n_interior + 1),),
+                 (want, np.zeros(3))):
+        with pytest.raises(ValueError):
+            d.field(*args)
 
 
 def test_node_text_built_once_and_immutable(tmp_path, monkeypatch):
@@ -329,7 +331,7 @@ def test_node_text_built_once_and_immutable(tmp_path, monkeypatch):
     monkeypatch.setattr(grid, "format_rows", counting)
     for k, column in enumerate(("u", "Lu", "G")):
         f = _manufactured(d, lambda x, y: k + x * y)
-        f.write_csv(tmp_path / ("%s.csv" % column), column)
+        d.write_field(tmp_path / ("%s.csv" % column), column, f)
     # one coordinate formatting per axis for the domain, one value column
     # per file
     assert calls == ["%.17g,", "%.17g"] + ["%s,%.17g"] * 3
@@ -472,7 +474,7 @@ def test_discrete_eigenfunction_ratio():
     d = build_domain(rect_shape(1.0, 1.0), 33)
     u = _manufactured(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
     lu = assemble_operator(identity_field(), d).apply_field(u)
-    ratio = lu / u.interior()
+    ratio = lu / u.take(d.flat_index[0])
     lam_h = 4.0 * (1.0 - math.cos(math.pi * d.h)) / d.h**2
     assert np.allclose(ratio, lam_h, rtol=1e-10)
     assert lam_h == pytest.approx(2.0 * math.pi**2, rel=5e-3)
@@ -495,10 +497,11 @@ def test_dirichlet_reproduces_smooth_solution():
     for res in (33, 65):
         d = build_domain(rect_shape(1.0, 1.0), res)
         exact = _manufactured(d, lambda x, y: np.cos(math.pi * x) * np.cos(math.pi * y))
-        rhs = (2.0 + 1.0) * math.pi**2 * exact.interior()
+        fi, fb = d.flat_index
+        rhs = (2.0 + 1.0) * math.pi**2 * exact.take(fi)
         op = assemble_operator(f, d)
-        u = op.solve_dirichlet(rhs, exact.boundary())
-        errs.append(np.max(np.abs(u - exact.interior())))
+        u = op.solve_dirichlet(rhs, exact.take(fb))
+        errs.append(np.max(np.abs(u - exact.take(fi))))
     assert errs[1] < errs[0] / 3.0
     assert errs[1] < 5e-3
 

@@ -10,7 +10,6 @@ from anisoplate import (
     build_domain,
     default_schedule,
     disk_shape,
-    harmonic_extension,
     linsolve,
     make_field,
     minimize,
@@ -21,7 +20,8 @@ from anisoplate import (
     supersolution_check,
     write_history,
 )
-from anisoplate.grid import ScalarField, SparseOperator, assemble_operator
+from anisoplate.grid import (EXTERIOR, INTERIOR, DiscreteDomain,
+                             SparseOperator, assemble_operator)
 from anisoplate.minimizer import (
     _precond_solve,
     smoothed_heaviside,
@@ -30,6 +30,16 @@ from anisoplate.minimizer import (
 
 SMALL_C = 0.05
 LARGE_C = 10.0
+
+
+def _packed(dom, u):
+    """The interior and boundary vectors of a full-grid array."""
+    return tuple(u.take(f) for f in dom.flat_index)
+
+
+def _harmonic(op, trace):
+    """The descent's starting state: L u = 0 with the given trace."""
+    return op.domain.field(op.solve_dirichlet(0.0, trace), trace)
 
 
 @pytest.fixture(scope="module")
@@ -79,9 +89,8 @@ def test_smoothed_heaviside_shape():
 
 
 def test_smoothed_energy_all_negative_is_zero(op65, dom65):
-    u = ScalarField(dom65)
-    u.values[dom65.mask >= 1] = -1.0
-    e, g, _ = smoothed_energy(op65, u.interior(), u.boundary(), 0.3)
+    u = np.where(dom65.mask != EXTERIOR, -1.0, 0.0)
+    e, g, _ = smoothed_energy(op65, *_packed(dom65, u), 0.3)
     assert abs(e) < 1e-20
     assert np.all(g == 0.0)
 
@@ -89,44 +98,43 @@ def test_smoothed_energy_all_negative_is_zero(op65, dom65):
 def test_smoothed_energy_positive_constant_unit_square(iso):
     dom = build_domain(rect_shape(1.0, 1.0), 65)
     op = assemble_operator(iso, dom)
-    u = ScalarField(dom)
-    u.values[dom.mask >= 1] = 1.0
-    e, g, _ = smoothed_energy(op, u.interior(), u.boundary(), 0.5)
+    u = np.where(dom.mask != EXTERIOR, 1.0, 0.0)
+    e, g, _ = smoothed_energy(op, *_packed(dom, u), 0.5)
     assert abs(e - 1.0) <= 0.02
     assert np.all(g == 0.0)  # flat above eps, bending zero on constants
-    total, bending, measure = sharp_energy(op, u.interior(), u.boundary(),
+    total, bending, measure = sharp_energy(op, *_packed(dom, u),
                                            op.apply_field(u))
     assert bending == 0.0
     assert abs(measure - 1.0) <= 0.02
 
 
 def test_smoothed_energy_rejects_bad_eps(op65, dom65):
-    u = ScalarField(dom65)
+    ui, ub = np.zeros(dom65.n_interior), np.zeros(dom65.n_boundary)
     with pytest.raises(ValueError):
-        smoothed_energy(op65, u.interior(), u.boundary(), 0.0)
+        smoothed_energy(op65, ui, ub, 0.0)
     with pytest.raises(ValueError):
-        smoothed_energy(op65, u.interior(), u.boundary(), -0.1)
+        smoothed_energy(op65, ui, ub, -0.1)
 
 
 def test_smoothed_energy_gradient_matches_directional_fd(iso):
     dom = build_domain(disk_shape(1.0), 17)
     op = assemble_operator(iso, dom)
     rng = np.random.default_rng(7)
-    u = ScalarField(dom)
-    u.values[dom.mask >= 1] = rng.uniform(-1.0, 1.0, (dom.mask >= 1).sum())
+    u = np.zeros(dom.mask.shape)
+    u[dom.mask >= 1] = rng.uniform(-1.0, 1.0, (dom.mask >= 1).sum())
     eps = 0.5
     ij = dom.interior_ij
-    _, grad, _ = smoothed_energy(op, u.interior(), u.boundary(), eps)
+    _, grad, _ = smoothed_energy(op, *_packed(dom, u), eps)
     step = 1e-6
     for _ in range(10):
         d = rng.standard_normal(dom.n_interior)
         d /= np.linalg.norm(d)
         up = u.copy()
-        up.values[ij[:, 0], ij[:, 1]] += step * d
+        up[ij[:, 0], ij[:, 1]] += step * d
         um = u.copy()
-        um.values[ij[:, 0], ij[:, 1]] -= step * d
-        ep = smoothed_energy(op, up.interior(), up.boundary(), eps)[0]
-        em = smoothed_energy(op, um.interior(), um.boundary(), eps)[0]
+        um[ij[:, 0], ij[:, 1]] -= step * d
+        ep = smoothed_energy(op, *_packed(dom, up), eps)[0]
+        em = smoothed_energy(op, *_packed(dom, um), eps)[0]
         fd = (ep - em) / (2.0 * step)
         an = float(grad @ d)
         assert abs(fd - an) <= 1e-6 * max(1.0, abs(fd))
@@ -147,24 +155,25 @@ def test_default_schedule(dom65):
 
 
 # ---------------------------------------------------------------------------
-# initialization
+# initialization: the harmonic extension of the trace, solve_dirichlet with
+# a zero right-hand side placed on the grid by DiscreteDomain.field
 
 
 def test_harmonic_extension_constant(dom65, op65):
-    u = harmonic_extension(op65, 3.0)
-    assert np.abs(u.values[dom65.mask >= 1] - 3.0).max() < 1e-8
+    u = _harmonic(op65, np.full(dom65.n_boundary, 3.0))
+    assert np.abs(u[dom65.mask >= 1] - 3.0).max() < 1e-8
 
 
 def test_harmonic_extension_linear_trace(dom65, op65):
-    u = harmonic_extension(op65, dom65.trace(lambda x, y: x))
+    u = _harmonic(op65, dom65.trace(lambda x, y: x))
     ij = dom65.interior_ij
-    err = np.abs(u.values[ij[:, 0], ij[:, 1]] - dom65.interior_xy[:, 0]).max()
+    err = np.abs(u[ij[:, 0], ij[:, 1]] - dom65.interior_xy[:, 0]).max()
     assert err <= dom65.h  # boundary-mask error is first order
 
 
 def test_harmonic_extension_maximum_principle(dom65, op65):
-    u = harmonic_extension(op65, dom65.trace(lambda x, y: 1.0 + 0.5 * y))
-    inner = u.values[dom65.mask == 2]
+    u = _harmonic(op65, dom65.trace(lambda x, y: 1.0 + 0.5 * y))
+    inner = u[dom65.mask == INTERIOR]
     assert inner.min() >= 0.5 - 1e-10
     assert inner.max() <= 1.5 + 1e-10
 
@@ -198,12 +207,12 @@ def test_descent_solve_above_bound_raises(monkeypatch, iso):
 
 
 def test_large_trace_returns_constant(large65, dom65):
-    dev = np.abs(large65.u.values[dom65.mask >= 1] - LARGE_C).max()
+    dev = np.abs(large65.u[dom65.mask >= 1] - LARGE_C).max()
     assert dev <= 1e-3
     assert large65.converged
     area = np.pi
     assert abs(large65.energy_sharp - area) <= 0.02 * area
-    assert large65.u.values[dom65.mask >= 1].min() > 0.0
+    assert large65.u[dom65.mask >= 1].min() > 0.0
     assert supersolution_check(large65) <= 1e-6
 
 
@@ -215,10 +224,9 @@ def test_small_trace_beats_comparison_paraboloid(small65, dom65, op65):
     # candidate 2c|x|^2 - c sampled at grid coordinates; its exact energy is
     # 64 pi c^2 + pi/2 ~ 2.0735 and the discrete value lands within O(h)
     c = SMALL_C
-    cand = ScalarField(dom65)
-    cand.values = 2.0 * c * (dom65.X ** 2 + dom65.Y ** 2) - c
-    cand.values[dom65.mask == 0] = 0.0
-    e_cand = sharp_energy(op65, cand.interior(), cand.boundary(),
+    cand = 2.0 * c * (dom65.X ** 2 + dom65.Y ** 2) - c
+    cand[dom65.mask == EXTERIOR] = 0.0
+    e_cand = sharp_energy(op65, *_packed(dom65, cand),
                           op65.apply_field(cand))[0]
     assert abs(e_cand - 2.0735) <= 0.05
     assert small65.energy_sharp <= e_cand
@@ -226,7 +234,7 @@ def test_small_trace_beats_comparison_paraboloid(small65, dom65, op65):
 
 
 def test_small_trace_opens_negative_set(small65, dom65):
-    assert small65.u.values[dom65.mask == 2].min() < 0.0
+    assert small65.u[dom65.mask == INTERIOR].min() < 0.0
     assert small65.converged
 
 
@@ -238,12 +246,12 @@ def test_small_trace_upper_bound_every_scenario(small65, large65):
 
 def test_trace_pinned_exactly(small65, dom65):
     bj = dom65.boundary_ij
-    assert np.all(small65.u.values[bj[:, 0], bj[:, 1]] == SMALL_C)
+    assert np.all(small65.u[bj[:, 0], bj[:, 1]] == SMALL_C)
 
 
 def test_bending_energy_consistent_with_v(small65, dom65):
-    ij = dom65.interior_ij
-    v = small65.v.values[ij[:, 0], ij[:, 1]]
+    v = small65.v
+    assert v.shape == (dom65.n_interior,)
     recomputed = dom65.h ** 2 * float(v @ v)
     assert abs(recomputed - small65.energy_bending) <= 1e-12 * recomputed
 
@@ -266,12 +274,11 @@ def test_sharp_energy_nonincreasing_across_stages(small65):
         assert by_stage[b][0] <= by_stage[a][-1] * 1.01
 
 
-def test_final_relaxed_energy_below_initial(small65, op65):
-    init = harmonic_extension(op65, SMALL_C)
+def test_final_relaxed_energy_below_initial(small65, dom65, op65):
+    init = _harmonic(op65, np.full(dom65.n_boundary, SMALL_C))
     eps = small65.epsilon
-    e_init = smoothed_energy(op65, init.interior(), init.boundary(), eps)[0]
-    u = small65.u
-    e_final = smoothed_energy(op65, u.interior(), u.boundary(), eps)[0]
+    e_init = smoothed_energy(op65, *_packed(dom65, init), eps)[0]
+    e_final = smoothed_energy(op65, *_packed(dom65, small65.u), eps)[0]
     assert e_final <= e_init + 1e-12
 
 
@@ -279,7 +286,7 @@ def test_positive_collar_near_boundary(small65, dom65):
     pts = np.stack([dom65.X, dom65.Y], axis=-1)
     sd = dom65.shape.sdf(pts)
     collar = (dom65.mask >= 1) & (sd >= -0.1)
-    assert small65.u.values[collar].min() > 0.0
+    assert small65.u[collar].min() > 0.0
 
 
 def test_minimize_input_validation(op65, dom65):
@@ -307,7 +314,7 @@ def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
     # applications of L_h happen at set-up and for the returned state only,
     # never once per Armijo trial
     counts = {}
-    for cls, name in ((ScalarField, "replace_interior"),
+    for cls, name in ((DiscreteDomain, "field"),
                       (SparseOperator, "apply_field")):
         def counting(self, *args, _real=getattr(cls, name), _name=name):
             counts[_name] += 1
@@ -316,7 +323,7 @@ def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
     runs = []
     for max_outer in (2, 200):
         monkeypatch.setattr(minimizer, "_max_outer", max_outer)
-        counts.update(replace_interior=0, apply_field=0)
+        counts.update(field=0, apply_field=0)
         state = minimize(op65, SMALL_C)
         runs.append((len(state.history), dict(counts)))
     (few, work_few), (many, work_many) = runs
@@ -349,9 +356,8 @@ def test_supersolution_sign(small65):
     assert supersolution_check(small65) <= 1e-6
 
 
-def test_supersolution_nontrivial_bending(small65, dom65):
-    ij = dom65.interior_ij
-    assert small65.v.values[ij[:, 0], ij[:, 1]].min() < -0.1
+def test_supersolution_nontrivial_bending(small65):
+    assert small65.v.min() < -0.1
 
 
 def test_inward_bump_raises_energy(small65, dom65, op65):
@@ -360,13 +366,12 @@ def test_inward_bump_raises_energy(small65, dom65, op65):
     eps = small65.epsilon
     pts = np.stack([dom65.X, dom65.Y], axis=-1)
     sd = dom65.shape.sdf(pts)
-    support = (dom65.mask == 2) & (small65.u.values > 2 * eps) & (sd <= -0.05)
+    support = (dom65.mask == INTERIOR) & (small65.u > 2 * eps) & (sd <= -0.05)
     assert support.sum() > 0
     bumped = small65.u.copy()
-    bumped.values[support] += 0.3 * eps
-    u = small65.u
-    e0 = smoothed_energy(op65, u.interior(), u.boundary(), eps)[0]
-    e1 = smoothed_energy(op65, bumped.interior(), bumped.boundary(), eps)[0]
+    bumped[support] += 0.3 * eps
+    e0 = smoothed_energy(op65, *_packed(dom65, small65.u), eps)[0]
+    e1 = smoothed_energy(op65, *_packed(dom65, bumped), eps)[0]
     assert e1 > e0
 
 

@@ -9,7 +9,7 @@ import pytest
 from scipy import ndimage
 
 from anisoplate import build_domain, disk_shape, make_field, minimize, rect_shape
-from anisoplate.grid import INTERIOR, ScalarField, assemble_operator
+from anisoplate.grid import EXTERIOR, INTERIOR, assemble_operator
 from anisoplate.minimizer import MinimizerState
 from anisoplate.nodal import (
     NodalSet,
@@ -51,13 +51,13 @@ def small129(op129):
 
 
 @pytest.fixture(scope="module")
-def nodal129(small129):
-    return extract_nodal(small129.u)
+def nodal129(dom129, small129):
+    return extract_nodal(dom129, small129.u)
 
 
 @pytest.fixture(scope="module")
-def dens129(small129, nodal129):
-    return measure_density(small129.u, nodal129)
+def dens129(dom129, small129, nodal129):
+    return measure_density(dom129, small129.u, nodal129)
 
 
 @pytest.fixture(scope="module")
@@ -67,15 +67,18 @@ def bank129(dom129, nodal129):
 
 def _circle_field(res):
     dom = build_domain(rect_shape(2.0, 2.0), res)
-    u = ScalarField(dom)
-    u.values = dom.X ** 2 + dom.Y ** 2 - 0.25
-    return dom, u
+    return dom, dom.X ** 2 + dom.Y ** 2 - 0.25
 
 
-def _state_of(u_field, v_field=None):
-    if v_field is None:
-        v_field = ScalarField(u_field.domain)
-    return MinimizerState(u_field, v_field, 0.0, 0.0, 1.0, (), True)
+def _state_of(dom, u):
+    """A state with the full-grid u and L_h u = 0."""
+    return MinimizerState(u, np.zeros(dom.n_interior), 0.0, 0.0, 1.0, (),
+                          True)
+
+
+def _constant_field(dom, value):
+    """value at the non-exterior nodes, zero elsewhere."""
+    return np.where(dom.mask != EXTERIOR, value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -85,24 +88,22 @@ def _state_of(u_field, v_field=None):
 @pytest.mark.parametrize("res,tol", [(129, 0.02), (257, 0.02)])
 def test_circle_oracle(res, tol):
     dom, u = _circle_field(res)
-    nod = extract_nodal(u)
+    nod = extract_nodal(dom, u)
     assert len(nod.loops) == 1
     assert nod.components_negative == 1
     assert abs(nod.length - np.pi) <= tol * np.pi
     # |grad| = 2r = 1 on the curve
     assert abs(nod.min_grad() - 1.0) <= 0.05
     # vertices re-interpolate to zero
-    scale = np.abs(u.values).max()
+    scale = np.abs(u).max()
     for lp in nod.loops:
-        reint = np.abs(bilinear_sample(dom, u.values, lp.vertices))
+        reint = np.abs(bilinear_sample(dom, u, lp.vertices))
         assert reint.max() <= 1e-8 * scale
 
 
 def test_empty_nodal_set():
     dom = build_domain(rect_shape(2.0, 2.0), 33)
-    u = ScalarField(dom)
-    u.values[dom.mask >= 1] = 1.0
-    nod = extract_nodal(u)
+    nod = extract_nodal(dom, _constant_field(dom, 1.0))
     assert nod.loops == ()
     assert nod.length == 0.0
     assert nod.components_negative == 0
@@ -112,9 +113,8 @@ def test_two_wells_two_components():
     dom = build_domain(rect_shape(2.0, 2.0), 129)
     b1 = tensor_bump(-0.5, 0.0, 0.35)
     b2 = tensor_bump(0.5, 0.0, 0.35)
-    u = ScalarField(dom)
-    u.values = 0.1 - 0.5 * b1(dom.X, dom.Y) - 0.5 * b2(dom.X, dom.Y)
-    nod = extract_nodal(u)
+    u = 0.1 - 0.5 * b1(dom.X, dom.Y) - 0.5 * b2(dom.X, dom.Y)
+    nod = extract_nodal(dom, u)
     assert nod.components_negative == 2
     assert len(nod.loops) == 2
     assert len({lp.component for lp in nod.loops}) == 2
@@ -146,10 +146,8 @@ def test_label_components_matches_ndimage(mask):
 
 def test_boundary_touch_raises():
     dom = build_domain(rect_shape(2.0, 2.0), 33)
-    u = ScalarField(dom)
-    u.values = dom.X.copy()
     with pytest.raises(ValueError):
-        extract_nodal(u)
+        extract_nodal(dom, dom.X.copy())
 
 
 def test_saddle_pairing_rules():
@@ -164,11 +162,10 @@ def test_saddle_cell_end_to_end():
     # two isolated negative nodes sharing one cell diagonally; the positive
     # average keeps them apart: two loops, two components
     dom = build_domain(rect_shape(2.0, 2.0), 17)
-    u = ScalarField(dom)
-    u.values[dom.mask >= 1] = 2.0
-    u.values[8, 8] = -1.0
-    u.values[9, 9] = -1.0
-    nod = extract_nodal(u)
+    u = _constant_field(dom, 2.0)
+    u[8, 8] = -1.0
+    u[9, 9] = -1.0
+    nod = extract_nodal(dom, u)
     assert nod.components_negative == 2
     assert len(nod.loops) == 2
 
@@ -195,12 +192,11 @@ def test_min_grad_positive(nodal129):
 # measure quadrature
 
 
-def _per_segment_density(u_field, nodal):
+def _per_segment_density(d, u, nodal):
     # the per-segment loop that measure_density replaced, kept as an oracle;
     # returns the midpoints, weights and gradients in segment order
-    d = u_field.domain
-    gx = np.gradient(u_field.values, d.h, axis=0, edge_order=1)
-    gy = np.gradient(u_field.values, d.h, axis=1, edge_order=1)
+    gx = np.gradient(u, d.h, axis=0, edge_order=1)
+    gy = np.gradient(u, d.h, axis=1, edge_order=1)
     mids, wts, grads = [], [], []
     for lp in nodal.loops:
         pts = lp.vertices
@@ -217,8 +213,8 @@ def _per_segment_density(u_field, nodal):
 
 def test_measure_density_circle():
     dom, u = _circle_field(129)
-    nod = extract_nodal(u)
-    dens = measure_density(u, nod)
+    nod = extract_nodal(dom, u)
+    dens = measure_density(dom, u, nod)
     assert np.all(dens.weights > 0)
     assert np.all(np.isfinite(dens.weights))
     # mass = len / (2 |grad|) = pi / 2 on the circle
@@ -227,34 +223,35 @@ def test_measure_density_circle():
 
 def test_degenerate_gradient_guard():
     dom = build_domain(rect_shape(2.0, 2.0), 33)
-    u = ScalarField(dom)
-    u.values = 1e-12 * (dom.X ** 2 + dom.Y ** 2 - 0.25)
-    nod = extract_nodal(u)
+    u = 1e-12 * (dom.X ** 2 + dom.Y ** 2 - 0.25)
+    nod = extract_nodal(dom, u)
     with pytest.raises(RuntimeError) as err:
-        measure_density(u, nod)
+        measure_density(dom, u, nod)
     # the first offending segment is the one reported
-    first = _per_segment_density(u, nod)[2][0]
+    first = _per_segment_density(dom, u, nod)[2][0]
     assert str(err.value) == "degenerate gradient %g on the zero set" % first
 
 
-def test_measure_density_matches_per_segment_loop(small129, nodal129):
-    circle = _circle_field(129)[1]
-    for u, nod in ((small129.u, nodal129), (circle, extract_nodal(circle))):
-        dens = measure_density(u, nod)
-        mids, wts, _ = _per_segment_density(u, nod)
+def test_measure_density_matches_per_segment_loop(dom129, small129,
+                                                  nodal129):
+    cdom, circle = _circle_field(129)
+    for d, u, nod in ((dom129, small129.u, nodal129),
+                      (cdom, circle, extract_nodal(cdom, circle))):
+        dens = measure_density(d, u, nod)
+        mids, wts, _ = _per_segment_density(d, u, nod)
         assert len(wts) > 100
         assert np.array_equal(dens.vertices, mids)
         assert dens.weights.tobytes() == wts.tobytes()
 
 
-def test_strip_ratio_matches_curve_quadrature(small129, nodal129):
+def test_strip_ratio_matches_curve_quadrature(dom129, small129, nodal129):
     # coarea: |{0 < u < eps}| / eps -> int_{u=0} ds / |grad u|, twice the
     # curve measure; the strip area is the weighted node count
-    dens = measure_density(small129.u, nodal129)
+    dens = measure_density(dom129, small129.u, nodal129)
     curve = 2.0 * dens.total_mass()
     eps = 0.02
-    wi, wb = small129.u.domain.measure_weights
-    ui, ub = small129.u.interior(), small129.u.boundary()
+    wi, wb = dom129.measure_weights
+    ui, ub = (small129.u.take(f) for f in dom129.flat_index)
     strip = (float(wi @ ((ui > 0.0) & (ui < eps)))
              + float(wb @ ((ub > 0.0) & (ub < eps)))) / eps
     assert abs(strip - curve) <= 0.2 * curve
@@ -272,11 +269,10 @@ def test_el_residual_scenario(op129, small129, dens129, bank129):
 
 
 def test_el_residual_empty_trivial(op129, dom129):
-    u = ScalarField(dom129)
-    u.values[dom129.mask >= 1] = 1.0
-    state = _state_of(u)
-    nod = extract_nodal(u)
-    recs = el_residual(op129, state, measure_density(u, nod),
+    u = _constant_field(dom129, 1.0)
+    state = _state_of(dom129, u)
+    nod = extract_nodal(dom129, u)
+    recs = el_residual(op129, state, measure_density(dom129, u, nod),
                        bump_bank(dom129, nod).scalars)
     for r in recs:
         assert abs(r.lhs) <= 1e-8
@@ -291,12 +287,14 @@ def test_el_residual_linearity(op129, small129, dens129):
     assert r7.rhs == pytest.approx(7.0 * r1.rhs, rel=1e-12)
 
 
-def test_domain_variation_scenario(small129, dens129, bank129):
-    recs = domain_variation_residual(small129, dens129, bank129.pushes)
+def test_domain_variation_scenario(op129, small129, dens129, bank129):
+    recs = domain_variation_residual(op129, small129, dens129,
+                                     bank129.pushes)
     assert max(r.rel for r in recs) <= 0.2
 
 
-def test_domain_variation_divergence_free(small129, nodal129, dens129):
+def test_domain_variation_divergence_free(op129, small129, nodal129,
+                                          dens129):
     # psi = curl of a scalar bump: discrete divergence cancels exactly
     w = 0.25
 
@@ -309,15 +307,15 @@ def test_domain_variation_divergence_free(small129, nodal129, dens129):
         py = dbump((x - 0.7) / w) * bump_profile(y / w) / w
         return px, py
 
-    recs = domain_variation_residual(small129, dens129, (psi,))
-    dom = small129.u.domain
+    recs = domain_variation_residual(op129, small129, dens129, (psi,))
+    dom = op129.domain
     px, py = psi(dom.X, dom.Y)
     scale = float(np.hypot(px, py).max()) * nodal129.length
     assert abs(recs[0].lhs) <= 1e-10 * scale
     assert abs(recs[0].rhs) <= 0.05 * scale
 
 
-def test_domain_variation_support_off_the_set(small129, dens129):
+def test_domain_variation_support_off_the_set(op129, small129, dens129):
     # support inside the positive annulus, clear of the zero set: the curve
     # side vanishes identically and the bulk side telescopes away
     def psi(x, y):
@@ -325,7 +323,7 @@ def test_domain_variation_support_off_the_set(small129, dens129):
         eta = bump_profile((r - 0.9) / 0.05)
         return eta * np.asarray(x, dtype=float), eta * np.asarray(y, dtype=float)
 
-    recs = domain_variation_residual(small129, dens129, (psi,))
+    recs = domain_variation_residual(op129, small129, dens129, (psi,))
     assert recs[0].rhs == 0.0
     assert abs(recs[0].lhs) <= 1e-10
 

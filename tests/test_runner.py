@@ -515,7 +515,7 @@ def _stalled_minimize(op, u0):
     raise DivergenceError("descent stalled", ())
 
 
-def _rim_nodal(u_field):
+def _rim_nodal(domain, u):
     raise ValueError("field is nonpositive on a domain boundary node")
 
 
@@ -562,13 +562,13 @@ def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
     real = runner.measure_density
     real_extract, real_gradient = runner.extract_nodal, nodal.central_gradient
 
-    def counting(u_field, nod):
+    def counting(domain, u, nod):
         calls.append(len(nod.loops))
-        return real(u_field, nod)
+        return real(domain, u, nod)
 
-    def extract(u_field):
-        seen_u.append(u_field.values)
-        return real_extract(u_field)
+    def extract(domain, u):
+        seen_u.append(u)
+        return real_extract(domain, u)
 
     def gradient(domain, values):
         grads.append(values)
@@ -586,7 +586,7 @@ def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
     assert len(seen_u) == 1
     assert sum(g is seen_u[0] for g in grads) == 2
 
-    def degenerate(u_field, nodal):
+    def degenerate(domain, u, nodal):
         raise RuntimeError("degenerate gradient 0 on the zero set")
 
     monkeypatch.setattr(runner, "measure_density", degenerate)
@@ -596,6 +596,69 @@ def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
     assert rep["nodal"]["loops"] > 0
     assert rep["el"] == {"requested": True, "pass": False,
                          "error": "el: nodal set unavailable"}
+
+
+def test_negative_column_fails_the_greens_check(tmp_path, monkeypatch):
+    # greens_column_L raises on a column below its positivity floor; with
+    # the floor raised above the first (centre) column's interior minimum,
+    # the greens section names that minimum in its error and the run exits 1
+    dom = build_domain(disk_shape(1.0), 33)
+    col = greens_column_L(assemble_operator(make_field("identity"), dom),
+                          dom.center_ij)
+    gmin = col.values.take(dom.flat_index[0]).min()
+    assert 0.0 < gmin < 0.5
+    monkeypatch.setattr(greens, "_positivity_floor", 0.5)
+    cfg = RunConfig(scenario="custom", shape_spec="disk(1)", resolution=33,
+                    field_spec="identity", u0_spec="0.05",
+                    checks=("greens",), out_dir=str(tmp_path / "g"))
+    assert run(cfg) == 1
+    with open(tmp_path / "g" / "report.json") as f:
+        rep = json.load(f)
+    assert rep["greens"] == {
+        "requested": True, "pass": False,
+        "error": "greens: second-order Green's column went negative: "
+                 "min %.3e" % gmin}
+    assert rep["failures"] == ["greens"]
+    assert rep["min_GL"] is None
+
+
+def _plain_json(obj):
+    """True when obj holds only dict (str keys), list, str, int, float,
+    bool and None: the types json.dump writes without a default."""
+    if isinstance(obj, dict):
+        return all(type(k) is str and _plain_json(v) for k, v in obj.items())
+    if isinstance(obj, list):
+        return all(_plain_json(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("case", ["not_assessed_33", "failed_minimize",
+                                  "empty_set_large_c"])
+def test_reports_hold_plain_json_types(monkeypatch, case):
+    # report.json is written with no default converter, so every value of
+    # every report path must already be a plain Python type; these are
+    # paths that no reference run of tools/compare_outputs.py takes
+    checks = ("greens", "frehse", "minimize", "nodal", "el")
+    scenario, res = "iso_disk_small_c", 33
+    if case == "failed_minimize":
+        monkeypatch.setattr(runner, "minimize", _stalled_minimize)
+    elif case == "empty_set_large_c":
+        scenario, res = "iso_disk_large_c", 65
+    cfg = RunConfig(scenario=scenario, shape_spec="disk(1)", resolution=res,
+                    field_spec="identity",
+                    u0_spec="10" if scenario == "iso_disk_large_c" else "0.05",
+                    checks=checks, out_dir="unused")
+    rep = _execute(cfg, write_outputs=False)
+    json.dumps(rep)
+    assert _plain_json(rep)
+    if case == "not_assessed_33":
+        assert rep["frehse"]["assessed"] is False
+        assert rep["greens"]["hessian_log_fit"]["assessed"] is False
+        assert rep["el"]["assessed"] is False
+    elif case == "failed_minimize":
+        assert rep["failures"] == ["minimize", "nodal", "el"]
+    else:
+        assert rep["el"]["empty_set"] is True and rep["nodal"]["loops"] == 0
 
 
 def test_deterministic_report():
