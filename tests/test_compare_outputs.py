@@ -39,6 +39,40 @@ def test_differences_name_each_artifact():
     assert compare_outputs.differences(saved, saved) == []
 
 
+def test_key_differences_name_each_moved_added_and_removed_path():
+    old = {"h": 0.5, "n": 3, "ok": True, "notes": [],
+           "minimize": {"energy": 2.0, "iterations": 63, "zero": 0.0},
+           "rows": [{"a": 1.0}, {"a": 2.0}]}
+    new = {"h": 0.5, "n": 3.0, "ok": False, "notes": ["coarse"],
+           "minimize": {"energy": 2.5, "descent_steps": 40, "zero": 1e-3},
+           "rows": [{"a": 1.0}]}
+    assert compare_outputs.key_differences("r/report.json", old, new) == [
+        "added: r/report.json minimize.descent_steps: 40",
+        "moved: r/report.json minimize.energy: 2.0 -> 2.5 (rel +2.5e-01)",
+        "removed: r/report.json minimize.iterations: 63",
+        "moved: r/report.json minimize.zero: 0.0 -> 0.001 (rel inf)",
+        "moved: r/report.json n: 3 -> 3.0 (rel +0.0e+00)",
+        "removed: r/report.json notes: []",
+        "added: r/report.json notes[0]: 'coarse'",
+        "moved: r/report.json ok: True -> False",
+        "removed: r/report.json rows[1].a: 2.0",
+    ]
+    assert compare_outputs.key_differences("r", old, old) == []
+    # nan reads as itself, as it does in the JSON
+    nan = {"x": float("nan")}
+    assert compare_outputs.key_differences("r", nan, nan) == []
+
+
+def test_report_differences_need_reports_on_both_sides():
+    saved = {"artifacts": {}, "reports": {"a/report.json": {"e": 1.0},
+                                          "b/report.json": {"e": 1.0}}}
+    current = {"artifacts": {}, "reports": {"a/report.json": {"e": 1.5}}}
+    assert compare_outputs.report_differences(saved, current) == [
+        "moved: a/report.json e: 1.0 -> 1.5 (rel +5.0e-01)"]
+    assert compare_outputs.report_differences({"artifacts": {}}, current) \
+        == []
+
+
 def test_outputs_match_the_golden_manifest():
     # every artifact of the eight reference runs, and the printout of each
     # of the five demos, keeps its committed hash; a change of Python,

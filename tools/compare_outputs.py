@@ -31,11 +31,17 @@ change a solve's last bits.  Every artifact is hashed with SHA-256: a CSV
 or a demo's output by its bytes, `report.json` without its volatile
 `timestamp` as `json.dumps(report, sort_keys=True)`.
 
-The manifest, printed as JSON, holds the hashes plus the Python, numpy and
-scipy versions.  `--save` also writes it to a file.  `--against` compares
-it with a saved manifest, names each artifact that differs, is missing or
-is new, and exits 1 when any does; a version mismatch is reported, since
-it alone can move solver roundoff.
+The manifest, printed as JSON, holds the hashes, each run's report (the
+values behind its hash) and the Python, numpy and scipy versions.
+`--save` also writes it to a file.  `--against` compares it with a saved
+manifest, names each artifact that differs, is missing or is new, and
+exits 1 when any does; a version mismatch is reported, since it alone can
+move solver roundoff.  For a report that differs it also names every key
+path that moved, with its old and new value and the relative change, and
+every key path that was added or removed:
+
+    moved: free_boundary_129/report.json minimize.energy_final: 1.92 -> 1.93 (rel +5.2e-03)
+    added: free_boundary_129/report.json minimize.descent_steps: 60
 """
 
 import argparse
@@ -78,13 +84,18 @@ RUNS = (
 )
 
 
+def load_report(path):
+    """A report.json without its volatile `timestamp`."""
+    with open(path, encoding="utf-8") as f:
+        report = json.load(f)
+    report.pop("timestamp", None)
+    return report
+
+
 def file_digest(path):
     """SHA-256 of an artifact; report.json is hashed without `timestamp`."""
     if os.path.basename(path) == "report.json":
-        with open(path, encoding="utf-8") as f:
-            report = json.load(f)
-        report.pop("timestamp", None)
-        data = json.dumps(report, sort_keys=True).encode("utf-8")
+        data = json.dumps(load_report(path), sort_keys=True).encode("utf-8")
     else:
         with open(path, "rb") as f:
             data = f.read()
@@ -130,7 +141,7 @@ def run_all(work):
     import scipy
     from anisoplate.runner import convergence_study, load_config, run
 
-    artifacts = {}
+    artifacts, reports = {}, {}
     for name, source, levels in RUNS:
         path = source
         if not source.endswith(".ini"):
@@ -144,12 +155,57 @@ def run_all(work):
         if status != 0:
             raise SystemExit("%s: run exited with status %d" % (name, status))
         artifacts.update(tree_digests(name, out))
+        reports[name + "/report.json"] = load_report(
+            os.path.join(out, "report.json"))
     artifacts.update(demo_digests())
     return {
         "versions": {"python": platform.python_version(),
                      "numpy": numpy.__version__, "scipy": scipy.__version__},
         "artifacts": dict(sorted(artifacts.items())),
+        "reports": reports,
     }
+
+
+def _leaves(value, path=""):
+    """{key path: value} for every leaf of a JSON value; a dict key joins
+    with '.', a list index is written [i], and an empty dict or list is a
+    leaf."""
+    if isinstance(value, dict) and value:
+        items = (((path + "." if path else "") + str(k), v)
+                 for k, v in value.items())
+    elif isinstance(value, list) and value:
+        items = (("%s[%d]" % (path, i), v) for i, v in enumerate(value))
+    else:
+        return {path: value}
+    out = {}
+    for sub, v in items:
+        out.update(_leaves(v, sub))
+    return out
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def key_differences(name, old, new):
+    """Lines naming each key path of report `name` that moved, was added
+    or was removed, with the values and, for numbers, the relative
+    change (new - old) / |old|.  Values compare by repr, so 1 against
+    1.0, -0.0 against 0.0 and nan against nan read as JSON writes them."""
+    old, new = _leaves(old), _leaves(new)
+    lines = []
+    for path in sorted(set(old) | set(new)):
+        if path not in new:
+            lines.append("removed: %s %s: %r" % (name, path, old[path]))
+        elif path not in old:
+            lines.append("added: %s %s: %r" % (name, path, new[path]))
+        elif repr(old[path]) != repr(new[path]):
+            a, b = old[path], new[path]
+            rel = ""
+            if _is_number(a) and _is_number(b):
+                rel = " (rel %+.1e)" % ((b - a) / abs(a)) if a else " (rel inf)"
+            lines.append("moved: %s %s: %r -> %r%s" % (name, path, a, b, rel))
+    return lines
 
 
 def differences(saved, current):
@@ -163,6 +219,16 @@ def differences(saved, current):
             lines.append("new: %s" % key)
         elif old[key] != new[key]:
             lines.append("differs: %s" % key)
+    return lines
+
+
+def report_differences(saved, current):
+    """Key lines for every report present in both manifests; a manifest
+    saved without reports gives none."""
+    old, new = saved.get("reports", {}), current.get("reports", {})
+    lines = []
+    for name in sorted(set(old) & set(new)):
+        lines.extend(key_differences(name, old[name], new[name]))
     return lines
 
 
@@ -193,7 +259,7 @@ def main(argv=None):
         print("versions differ: saved %s, now %s"
               % (saved.get("versions"), manifest["versions"]))
     lines = differences(saved, manifest)
-    for line in lines:
+    for line in lines + report_differences(saved, manifest):
         print(line)
     if lines:
         print("%d of %d artifacts differ"
