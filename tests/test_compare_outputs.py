@@ -90,6 +90,9 @@ def test_outputs_match_the_golden_manifest():
     assert len(demos) == 5
     assert sorted(k for k in golden["artifacts"] if k.startswith("demos/")) \
         == ["demos/%s.txt" % n for n in demos]
+    # each run's report is kept beside its hash, so a mismatch names keys
+    assert sorted(golden["reports"]) == sorted(
+        k for k in golden["artifacts"] if k.endswith("/report.json"))
     assert not [v for v in verdict if v.startswith("versions differ")], \
         "\n".join(verdict)
     assert proc.returncode == 0, "\n".join(verdict) + proc.stderr
