@@ -113,17 +113,21 @@ def smoothed_energy(op, ui, ub, eps):
 
     E_eps = sum (L_h u)^2 h^2 + sum H_eps(u) (cell weights), gradient
     2 h^2 L_h^T (L_h u) + w H_eps'(u).  Returns (E_eps, gradient, v).
+    v grows like u/h^2, so the bending term is summed as (h v).(h v) and
+    the gradient applies L_h^T to 2 h^2 v: neither overflows where v.v or
+    L_h^T v would.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = op.domain
-    h2 = d.h ** 2
     wi, wb = d.measure_weights
     v = op.apply(ui, ub)
-    bending = h2 * float(v @ v)
+    hv = d.h * v
+    bending = float(hv @ hv)
     measure = float(wi @ smoothed_heaviside(ui, eps)) \
         + float(wb @ smoothed_heaviside(ub, eps))
-    grad = 2.0 * h2 * (op.matrix @ v) + wi * smoothed_heaviside_prime(ui, eps)
+    grad = op.matrix @ (2.0 * d.h ** 2 * v) \
+        + wi * smoothed_heaviside_prime(ui, eps)
     return bending + measure, grad, v
 
 
@@ -132,7 +136,8 @@ def sharp_energy(op, ui, ub, v):
     the state with interior values ui, boundary values ub and v = L_h u."""
     d = op.domain
     wi, wb = d.measure_weights
-    bending = d.h ** 2 * float(v @ v)
+    hv = d.h * v
+    bending = float(hv @ hv)
     measure = float(wi @ (ui > 0.0)) + float(wb @ (ub > 0.0))
     return bending + measure, bending, measure
 

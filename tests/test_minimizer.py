@@ -1,6 +1,7 @@
 """Energy minimization: relaxed functional, descent, and state diagnostics."""
 
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -254,6 +255,23 @@ def test_bending_energy_consistent_with_v(small65, dom65):
     assert v.shape == (dom65.n_interior,)
     recomputed = dom65.h ** 2 * float(v @ v)
     assert abs(recomputed - small65.energy_bending) <= 1e-12 * recomputed
+
+
+def test_energies_and_gradient_finite_on_a_tiny_disk(iso):
+    # on disk(1e-100) L_h u reaches u0/h^2 ~ 1e201, so v.v and L_h^T v
+    # would overflow; the energies sum (h v).(h v) and the gradient applies
+    # L_h^T to 2 h^2 v, which stay finite, with no overflow warning
+    dom = build_domain(disk_shape(1e-100), 33)
+    op = assemble_operator(iso, dom)
+    trace = np.full(dom.n_boundary, SMALL_C)
+    start = op.solve_dirichlet(0.0, trace)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for ui in (start, start - 0.5 * SMALL_C):
+            energy, grad, v = smoothed_energy(op, ui, trace, 0.25 * SMALL_C)
+            assert np.abs(v).max() > 1e160  # so v.v > 1e320 overflows
+            assert np.isfinite(energy) and np.all(np.isfinite(grad))
+            assert np.all(np.isfinite(sharp_energy(op, ui, trace, v)))
 
 
 def test_history_monotone_within_stage(small65):
