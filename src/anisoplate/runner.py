@@ -19,7 +19,8 @@ emptiness) apply only while its shape, field and u0 are unchanged.
 Checks and their pass rules, recorded per section in ``report.json``:
 
     greens     reciprocity defect <= 1e-9 relative, columns >= -1e-12 (a
-               column below that raises, failing the check);
+               column below that raises, failing the check; min_GL is
+               the least interior value, the positivity margin);
                the L^2 Hessian log fit is not assessed below two annuli,
                and a split sup is null when no node is admissible for it
     frehse     remainder/singular ratio at the finest annulus at most
@@ -367,8 +368,11 @@ def _check_greens(ctx, sec):
             va = float(cols[a].values[sources[b]])
             vb = float(cols[b].values[sources[a]])
             sym = max(sym, abs(va - vb) / max(abs(va), abs(vb)))
-    # greens_column_L has already raised on a column below its floor
-    min_gl = min(float(c.values.min()) for c in cols)
+    # the positivity margin over interior nodes (boundary and exterior nodes
+    # are zero); greens_column_L has already raised on a column below its
+    # floor
+    inside = dom.mask == INTERIOR
+    min_gl = min(float(c.values[inside].min()) for c in cols)
 
     consts = d1_quadrature(op.field, cols[0].source_xy)
     f1 = singular_split(cols[0], consts)

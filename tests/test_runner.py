@@ -358,7 +358,7 @@ def test_large_scenario_exit_zero(large65_report):
 def test_report_contract_keys(large65_report):
     _, rep, _ = large65_report
     assert rep["symmetry_max_err"] <= 1e-9
-    assert rep["min_GL"] >= -1e-12
+    assert rep["min_GL"] > 0.0
     entry = rep["split_refinement"][0]
     assert entry["h"] == rep["h"]
     assert entry["f1_grad_sup"] > 0
@@ -491,7 +491,7 @@ def test_coarse_greens_run_reports_null_sups(tmp_path, shape, res):
     assert rep["failures"] == [] and "error" not in rep["greens"]
     assert rep["split_refinement"] == [{"h": rep["h"], "f1_grad_sup": None,
                                         "f2_third_diff_sup": None}]
-    assert rep["symmetry_max_err"] <= 1e-9 and rep["min_GL"] >= -1e-12
+    assert rep["symmetry_max_err"] <= 1e-9 and rep["min_GL"] > 0.0
     level = runner._level_metrics(rep)
     assert "f1_grad_sup" not in level and "f2_third_diff_sup" not in level
     assert level["symmetry_max_err"] == rep["symmetry_max_err"]
