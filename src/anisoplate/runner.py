@@ -444,6 +444,9 @@ def _check_minimize(ctx, sec):
     const = datum_constant(config.terms)
     max_dev = None if const is None else float(
         np.abs(state.u[sel] - const).max())
+    # each stage's history opens with its probe row (iter 0)
+    steps_per_stage = [int(n) - 1 for n in
+                       np.bincount([row[0] for row in state.history])]
 
     sec.update(
         energy_final=e_sharp,
@@ -453,7 +456,8 @@ def _check_minimize(ctx, sec):
         converged=bool(state.converged),
         supersolution_max=sup,
         min_u=float(state.u[sel].min()),
-        iterations=len(state.history),
+        descent_steps=sum(steps_per_stage),
+        steps_per_stage=steps_per_stage,
         max_dev_from_const=max_dev,
     )
     ok = (state.converged

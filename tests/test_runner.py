@@ -424,6 +424,16 @@ def test_small_scenario_nonempty_nodal(tmp_path):
     assert rep["nodal"]["nodal_nonempty"] is True
     assert rep["nodal"]["components_negative"] == 1
     assert (tmp_path / "s" / "nodal" / "loops.csv").exists()
+    # the descent steps per stage, without the probe row that opens each
+    # stage's history
+    m = rep["minimize"]
+    with open(tmp_path / "s" / "history.csv") as f:
+        stages = [int(row[0]) for row in list(csv.reader(f))[1:]]
+    assert m["steps_per_stage"] == [stages.count(s) - 1
+                                    for s in range(max(stages) + 1)]
+    assert m["descent_steps"] == sum(m["steps_per_stage"]) == \
+        len(stages) - len(m["steps_per_stage"]) > 0
+    assert "iterations" not in m
     # greens never ran: contract keys stay null
     assert rep["symmetry_max_err"] is None
     assert rep["greens"] is None
