@@ -350,6 +350,67 @@ def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
     assert max(work_many.values()) <= 3
 
 
+def _stage_energies(state):
+    """{stage: [E_eps at iter 0, 1, ...]} from the history."""
+    out = {}
+    for stage, it, e_eps, _, _ in state.history:
+        assert it == len(out.setdefault(stage, []))
+        out[stage].append(e_eps)
+    return out
+
+
+def _first_stationary(energies, window, rtol):
+    """The first iter at which the drop over the last `window` steps
+    averages below `rtol` relative, or None."""
+    for it in range(window, len(energies)):
+        if energies[it - window] - energies[it] <= \
+                window * rtol * (1.0 + abs(energies[it])):
+            return it
+    return None
+
+
+def test_intermediate_stages_stop_on_the_short_test(small65):
+    # each stage but the last only seeds the next width: it ends at the
+    # first step where the 2-step drop averages below 1e-8 relative
+    stages = _stage_energies(small65)
+    assert len(stages) > 1
+    for stage in sorted(stages)[:-1]:
+        energies = stages[stage]
+        assert _first_stationary(energies, minimizer._stage_window,
+                                 minimizer._stage_rtol) \
+            == len(energies) - 1 > minimizer._stage_window
+
+
+def test_last_stage_keeps_the_ten_step_rule(small65):
+    energies = _stage_energies(small65)[max(_stage_energies(small65))]
+    assert (minimizer._stationary_window, minimizer._stationary_rtol) \
+        == (10, 1e-10)
+    assert _first_stationary(energies, 10, 1e-10) == len(energies) - 1
+    # the short test alone would have stopped it earlier
+    assert _first_stationary(energies, minimizer._stage_window,
+                             minimizer._stage_rtol) < len(energies) - 1
+    assert small65.converged
+
+
+def test_one_width_schedule_ignores_the_stage_rule(monkeypatch, op65):
+    # a one-width schedule has only a last stage: it runs to the ten-step
+    # rule, and the intermediate constants cannot reach it
+    floor = default_schedule(op65.domain, SMALL_C)[-1]
+    monkeypatch.setattr(minimizer, "default_schedule",
+                        lambda domain, u0_max: (floor,))
+    runs = []
+    for window, rtol in ((2, 1e-8), (1, 1.0)):
+        monkeypatch.setattr(minimizer, "_stage_window", window)
+        monkeypatch.setattr(minimizer, "_stage_rtol", rtol)
+        runs.append(minimize(op65, SMALL_C))
+    one, loose = runs
+    assert one.history == loose.history
+    assert np.array_equal(one.u, loose.u)
+    energies = _stage_energies(one)[0]
+    assert _first_stationary(energies, 10, 1e-10) == len(energies) - 1
+    assert one.epsilon == floor and one.converged
+
+
 def test_minimize_solve_budget(monkeypatch, op65):
     # one solve for the probe bump and two per accepted step (the nested
     # preconditioner); the Armijo search starts at t = 1 and spends none
