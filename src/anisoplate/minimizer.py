@@ -182,10 +182,7 @@ def minimize(op, u0):
     pre-probe state and keeps the best strict improvement, since descent
     alone never leaves a positive constant; then each step starts
     at t = 1 and halves it until the Armijo condition holds, and running
-    out of halvings raises DivergenceError.  A stage ends when the gradient
-    norm falls below _tol_grad or the energy is stationary: over the last
-    _stage_window steps for an intermediate stage, over the last
-    _stationary_window steps, more tightly, for the last one.  The loop works on the
+    out of halvings raises DivergenceError.  The loop works on the
     interior vector beside the pinned trace: each trial evaluates the
     energy once, its L_h u serves the accepted step, and the full-grid u
     is built only for the returned state.

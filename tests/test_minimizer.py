@@ -382,7 +382,8 @@ def test_intermediate_stages_stop_on_the_short_test(small65):
 
 
 def test_last_stage_keeps_the_ten_step_rule(small65):
-    energies = _stage_energies(small65)[max(_stage_energies(small65))]
+    stages = _stage_energies(small65)
+    energies = stages[max(stages)]
     assert (minimizer._stationary_window, minimizer._stationary_rtol) \
         == (10, 1e-10)
     assert _first_stationary(energies, 10, 1e-10) == len(energies) - 1
