@@ -181,7 +181,7 @@ def test_criterion_03_first_order_column_structure(criterion_report, iso, disk12
     col = greens_column_L(op, disk129.center_ij)
     min_gl = min(min_gl, float(col.values[inside].min()))
     r = np.hypot(disk129.X - col.source_xy[0], disk129.Y - col.source_xy[1])
-    band = (disk129.mask == 2) & (r >= 0.2) & (r <= 0.5)
+    band = inside & (r >= 0.2) & (r <= 0.5)
     design = np.vstack([-np.log(r[band]), np.ones(band.sum())]).T
     coef, *_ = np.linalg.lstsq(design, col.values[band], rcond=None)
     slope_err = abs(float(coef[0]) - _INV_2PI) / _INV_2PI
