@@ -286,9 +286,11 @@ def format_rows(row_format, columns):
 
 
 def open_fresh(path):
-    """open(path, "w") on a new file: an existing one is removed, not
-    truncated in place, which can cost tens of ms per rewritten artifact
-    (measured on ext4) and would also rewrite every hard link to it."""
+    """open(path, "w") on a new file, making a missing parent directory: an
+    existing file is removed, not truncated in place, which can cost tens of
+    ms per rewritten artifact (measured on ext4) and would also rewrite
+    every hard link to it."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     if os.path.lexists(path):
         os.remove(path)
     return open(path, "w")

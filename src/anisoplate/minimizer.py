@@ -265,7 +265,8 @@ def supersolution_check(state):
     return float(state.v.max())
 
 
-def write_history(state, path):
-    """Per-iteration CSV: stage,iter,E_eps,E_sharp,max_Lu."""
+def write_history(history, path):
+    """Per-iteration CSV of history rows, a MinimizerState's or the ones a
+    DivergenceError carries: stage,iter,E_eps,E_sharp,max_Lu."""
     write_table(path, "stage,iter,E_eps,E_sharp,max_Lu",
-                "%d,%d,%.17g,%.17g,%.17g", list(zip(*state.history)))
+                "%d,%d,%.17g,%.17g,%.17g", list(zip(*history)))

@@ -34,11 +34,11 @@ Checks and their pass rules, recorded per section in ``report.json``:
                values, or a note when no test bump fits); with an empty
                zero set both identity sides must sit below 1e-8
 
-The report also carries top-level ``symmetry_max_err``, ``min_GL``,
-``frehse`` (per-annulus arrays) and ``split_refinement`` (per-h sups) for
-downstream tooling; they are null when the owning check did not run.
-Identical configs produce byte-identical reports modulo the ``timestamp``
-field.
+Each value is reported once, in its check's section (``frehse`` holds the
+per-annulus arrays), except the top-level ``symmetry_max_err``: a copy of
+the greens section's, null when greens did not run, kept only because
+``benchmarks/workloads.py`` reads it there.  Identical configs produce
+byte-identical reports modulo the ``timestamp`` field.
 """
 
 import argparse
@@ -67,7 +67,8 @@ from .greens import (
 )
 from .grid import (EXTERIOR, INTERIOR, assemble_operator, build_domain,
                    open_fresh, parse_shape, write_table)
-from .minimizer import minimize, supersolution_check, write_history
+from .minimizer import (DivergenceError, minimize, supersolution_check,
+                        write_history)
 from .nodal import (
     bump_bank,
     domain_variation_residual,
@@ -388,11 +389,8 @@ def _check_greens(ctx, sec):
     sec.update(
         symmetry_max_err=sym,
         min_GL=min_gl,
-        split_refinement=[{
-            "h": ctx["domain"].h,
-            "f1_grad_sup": gradient_sup(cols[0], f1),
-            "f2_third_diff_sup": third_diff_sup(col_l2, f2),
-        }],
+        f1_grad_sup=gradient_sup(cols[0], f1),
+        f2_third_diff_sup=third_diff_sup(col_l2, f2),
         kernel_log_slope=_kernel_log_slope(cols[0], consts),
         hessian_log_fit=log_fit,
         sources=[[float(c.source_xy[0]), float(c.source_xy[1])]
@@ -400,7 +398,7 @@ def _check_greens(ctx, sec):
     )
     sec["pass"] = bool(sym <= _symmetry_bound)
     if ctx["write"]:
-        fdir = ctx["fields_dir"]
+        fdir = os.path.join(ctx["out_dir"], "fields")
         for name, column, values in (("greens_L", "G", cols[0].values),
                                      ("greens_L2", "G", col_l2.values),
                                      ("split_f1", "f1", f1),
@@ -434,9 +432,26 @@ def _check_frehse(ctx, sec):
         sec["assessed"] = False
 
 
+def _record_descent(ctx, sec, history):
+    """Report the descent steps per stage, without the probe row (iter 0)
+    that opens each stage's history, and write history.csv; a failed
+    descent records the rows it made before it raised."""
+    steps_per_stage = [int(n) - 1 for n in
+                       np.bincount([row[0] for row in history])]
+    sec.update(descent_steps=sum(steps_per_stage),
+               steps_per_stage=steps_per_stage)
+    if ctx["write"]:
+        write_history(history, os.path.join(ctx["out_dir"], "history.csv"))
+
+
 def _check_minimize(ctx, sec):
     config, dom, op = ctx["config"], ctx["domain"], ctx["op"]
-    state = minimize(op, dom.trace(datum_callable(config.terms)))
+    try:
+        state = minimize(op, dom.trace(datum_callable(config.terms)))
+    except DivergenceError as e:
+        _record_descent(ctx, sec, e.history)
+        raise
+    _record_descent(ctx, sec, state.history)
     ctx["state"] = state
     sup = supersolution_check(state)
     e_sharp = state.energy_sharp
@@ -444,9 +459,6 @@ def _check_minimize(ctx, sec):
     const = datum_constant(config.terms)
     max_dev = None if const is None else float(
         np.abs(state.u[sel] - const).max())
-    # each stage's history opens with its probe row (iter 0)
-    steps_per_stage = [int(n) - 1 for n in
-                       np.bincount([row[0] for row in state.history])]
 
     sec.update(
         energy_final=e_sharp,
@@ -456,8 +468,6 @@ def _check_minimize(ctx, sec):
         converged=bool(state.converged),
         supersolution_max=sup,
         min_u=float(state.u[sel].min()),
-        descent_steps=sum(steps_per_stage),
-        steps_per_stage=steps_per_stage,
         max_dev_from_const=max_dev,
     )
     ok = (state.converged
@@ -472,10 +482,9 @@ def _check_minimize(ctx, sec):
         ok = ok and max_dev <= base["max_dev"]
     sec["pass"] = bool(ok)
     if ctx["write"]:
-        fdir = ctx["fields_dir"]
+        fdir = os.path.join(ctx["out_dir"], "fields")
         dom.write_field(os.path.join(fdir, "u.csv"), "u", state.u)
         dom.write_field(os.path.join(fdir, "Lu.csv"), "Lu", dom.field(state.v))
-        write_history(state, os.path.join(ctx["out_dir"], "history.csv"))
 
 
 def _check_nodal(ctx, sec):
@@ -483,7 +492,6 @@ def _check_nodal(ctx, sec):
     nod = extract_nodal(dom, state.u)
     nonempty = len(nod.loops) > 0
     sec.update(
-        nodal_nonempty=nonempty,
         loops=len(nod.loops),
         components_negative=nod.components_negative,
         length=nod.length,
@@ -504,7 +512,7 @@ def _check_nodal(ctx, sec):
         ok = ok and nonempty == base["nonempty"]
     sec["pass"] = bool(ok)
     if ctx["write"]:
-        ndir = ctx["nodal_dir"]
+        ndir = os.path.join(ctx["out_dir"], "nodal")
         write_nodal_csv(nod, os.path.join(ndir, "loops.csv"))
         if nonempty:
             write_table(os.path.join(ndir, "density.csv"), "x,y,weight",
@@ -522,13 +530,13 @@ def _check_el(ctx, sec):
     except RuntimeError as e:
         if config.resolution >= _residual_min_res:
             raise
-        sec.update(empty_set=not nod.loops, assessed=False, note=str(e))
+        sec.update(assessed=False, note=str(e))
         return
     recs = el_residual(op, state, dens, bank.scalars)
     if not nod.loops:
         lhs = max(abs(r.lhs) for r in recs)
         rhs = max(abs(r.rhs) for r in recs)
-        sec.update(empty_set=True, el_lhs_max=lhs, el_rhs_max=rhs)
+        sec.update(el_lhs_max=lhs, el_rhs_max=rhs)
         sec["pass"] = bool(lhs <= _empty_identity_tol
                            and rhs <= _empty_identity_tol)
         return
@@ -545,7 +553,6 @@ def _check_el(ctx, sec):
     dv_signal = max(abs(r.lhs) for r in vrecs)
 
     sec.update(
-        empty_set=False,
         bank_centers=[[cx, cy] for cx, cy in bank.centers],
         bank_halfwidths=list(bank.halfwidths),
         el_max=el_max,
@@ -602,15 +609,10 @@ def _execute(config, write_outputs=True):
             parse_datum(expected["u0"])):
         expected = {}
 
-    out_dir = config.out_dir
-    fields_dir = os.path.join(out_dir, "fields")
-    nodal_dir = os.path.join(out_dir, "nodal")
+    # made before any computation, so a bad output path fails at once; each
+    # writer makes its own subdirectory
     if write_outputs:
-        os.makedirs(out_dir, exist_ok=True)
-        if needed & {"greens", "minimize"}:
-            os.makedirs(fields_dir, exist_ok=True)
-        if "nodal" in needed:
-            os.makedirs(nodal_dir, exist_ok=True)
+        os.makedirs(config.out_dir, exist_ok=True)
 
     report = {
         "scenario": config.scenario,
@@ -625,22 +627,14 @@ def _execute(config, write_outputs=True):
         "area_discrete": area,
         "area_exact": config.shape.area(),
         "symmetry_max_err": None,
-        "min_GL": None,
-        "frehse": None,
-        "split_refinement": None,
-        "greens": None,
-        "minimize": None,
-        "nodal": None,
-        "el": None,
+        **dict.fromkeys(_all_checks),
         "failures": [],
     }
 
     ctx = {
         "config": config, "domain": domain, "op": op,
         "area": area, "write": write_outputs,
-        "expected": expected,
-        "out_dir": out_dir, "fields_dir": fields_dir,
-        "nodal_dir": nodal_dir,
+        "expected": expected, "out_dir": config.out_dir,
     }
     for name in ordered:
         sec = {"requested": name in requested}
@@ -659,16 +653,15 @@ def _execute(config, write_outputs=True):
             report["failures"].append(name)
 
     if report["greens"]:
+        # the one copy: benchmarks/workloads.py reads it at the top level
         report["symmetry_max_err"] = report["greens"].get("symmetry_max_err")
-        report["min_GL"] = report["greens"].get("min_GL")
-        report["split_refinement"] = report["greens"].get("split_refinement")
 
     report["timestamp"] = {
         "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "elapsed_seconds": round(time.time() - t0, 3),
     }
     if write_outputs:
-        with open_fresh(os.path.join(out_dir, "report.json")) as f:
+        with open_fresh(os.path.join(config.out_dir, "report.json")) as f:
             json.dump(report, f, indent=2, sort_keys=True)
             f.write("\n")
     return report
@@ -687,6 +680,8 @@ def run(config):
 _study_metrics = (
     ("greens", "symmetry_max_err"),
     ("greens", "min_GL"),
+    ("greens", "f1_grad_sup"),
+    ("greens", "f2_third_diff_sup"),
     ("frehse", "finest_ratio"),
     ("minimize", "energy_final"),
     ("minimize", "supersolution_max"),
@@ -700,11 +695,6 @@ _study_metrics = (
 
 def _level_metrics(report):
     out = {"area_err": abs(report["area_discrete"] - report["area_exact"])}
-    g = report.get("greens")
-    if g and "split_refinement" in g:
-        for key in ("f1_grad_sup", "f2_third_diff_sup"):
-            if g["split_refinement"][0][key] is not None:
-                out[key] = g["split_refinement"][0][key]
     for section, key in _study_metrics:
         s = report.get(section)
         if not s:
@@ -753,7 +743,6 @@ def convergence_study(config, levels):
                     rows.append((lvl, rep["config"]["resolution"], rep["h"],
                                  "ratio_" + key, met[key] / prev))
 
-    os.makedirs(config.out_dir, exist_ok=True)
     write_table(os.path.join(config.out_dir, "convergence.csv"),
                 "level,resolution,h,metric,value", "%d,%d,%.17g,%s,%.17g",
                 list(zip(*rows)))

@@ -315,14 +315,14 @@ def test_criterion_07_scenario_bounds(criterion_report, tmp_path):
         e = mini["energy_final"]
         ok = ok and mini["converged"] and e <= 1.02 * area
         if name == "iso_disk_small_c":
-            ok = ok and e <= 2.2 and nod["nodal_nonempty"]
+            ok = ok and e <= 2.2 and nod["loops"] > 0
             parts.append("small c: E %.4f <= 2.2, nodal nonempty %s"
-                         % (e, nod["nodal_nonempty"]))
+                         % (e, nod["loops"] > 0))
         else:
             dev = mini["max_dev_from_const"]
-            ok = ok and dev <= 1e-3 and not nod["nodal_nonempty"]
+            ok = ok and dev <= 1e-3 and nod["loops"] == 0
             parts.append("large c: E %.4f, const dev %.1e, nodal empty %s"
-                         % (e, dev, not nod["nodal_nonempty"]))
+                         % (e, dev, nod["loops"] == 0))
         parts[-1] += ", headroom %.3f" % (e / area)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300.0

@@ -252,6 +252,14 @@ def test_write_table_replaces_an_existing_file(tmp_path):
     assert link.read_bytes() == b"a\n1\n2\n"
 
 
+def test_write_table_makes_a_missing_directory(tmp_path):
+    # each writer makes its own directory, so the runner makes only the
+    # output directory itself
+    p = tmp_path / "a" / "b" / "t.csv"
+    write_table(p, "a", "%d", [(1,)])
+    assert p.read_bytes() == b"a\n1\n"
+
+
 def test_write_table_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         write_table(tmp_path / "t.csv", "a,b", "%.17g,%.17g",

@@ -457,7 +457,7 @@ def test_inward_bump_raises_energy(small65, dom65, op65):
 
 def test_write_history_roundtrip(small65, tmp_path):
     path = tmp_path / "history.csv"
-    write_history(small65, str(path))
+    write_history(small65.history, str(path))
     with open(path) as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["stage", "iter", "E_eps", "E_sharp", "max_Lu"]

@@ -40,7 +40,7 @@ from anisoplate.runner import (
     run,
     _execute,
 )
-from anisoplate import nodal, runner
+from anisoplate import minimizer, nodal, runner
 
 
 def _write(tmp_path, name, text):
@@ -356,13 +356,19 @@ def test_large_scenario_exit_zero(large65_report):
 
 
 def test_report_contract_keys(large65_report):
+    # each value once: the top level holds the run's own values, one
+    # section per check and the one greens copy that benchmarks/ reads
     _, rep, _ = large65_report
-    assert rep["symmetry_max_err"] <= 1e-9
-    assert rep["min_GL"] > 0.0
-    entry = rep["split_refinement"][0]
-    assert entry["h"] == rep["h"]
-    assert entry["f1_grad_sup"] > 0
-    assert entry["f2_third_diff_sup"] > 0
+    assert sorted(rep) == [
+        "area_discrete", "area_exact", "config", "el", "failures", "frehse",
+        "greens", "h", "minimize", "nodal", "scenario", "symmetry_max_err",
+        "timestamp"]
+    g = rep["greens"]
+    assert rep["symmetry_max_err"] == g["symmetry_max_err"] <= 1e-9
+    assert g["min_GL"] > 0.0
+    assert rep["h"] == 2.0 / 64
+    assert g["f1_grad_sup"] > 0
+    assert g["f2_third_diff_sup"] > 0
     # too coarse for annulus metrics at h = 1/32: reported, not assessed
     assert rep["frehse"]["assessed"] is False
     assert "note" in rep["frehse"]
@@ -376,10 +382,10 @@ def test_large_scenario_expectations(large65_report):
     assert m["max_dev_from_const"] <= 1e-3
     assert m["energy_final"] <= 1.02 * rep["area_exact"]
     n = rep["nodal"]
-    assert n["nodal_nonempty"] is False
+    assert n["loops"] == 0
     assert n["expected_nonempty"] is False
     e = rep["el"]
-    assert e["empty_set"] is True
+    assert n["loops"] == 0 and "el_max" not in e
     assert e["el_lhs_max"] <= 1e-8
 
 
@@ -413,6 +419,20 @@ def test_check_gating_no_minimizer_artifacts(tmp_path):
     assert rep["nodal"] is None
 
 
+def test_unwritable_output_dir_fails_before_any_check(tmp_path, monkeypatch):
+    # the runner makes the output directory before any check runs; the
+    # checks' writers make their own subdirectories
+    calls = []
+    monkeypatch.setattr(runner, "minimize", lambda *a: calls.append(a))
+    (tmp_path / "file").write_text("")
+    cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
+                    resolution=17, field_spec="identity", u0_spec="10",
+                    checks=("minimize",), out_dir=str(tmp_path / "file" / "o"))
+    with pytest.raises(OSError):
+        run(cfg)
+    assert calls == []
+
+
 def test_small_scenario_nonempty_nodal(tmp_path):
     cfg = RunConfig(scenario="iso_disk_small_c", shape_spec="disk(1)",
                     resolution=65, field_spec="identity", u0_spec="0.05",
@@ -421,7 +441,7 @@ def test_small_scenario_nonempty_nodal(tmp_path):
     with open(tmp_path / "s" / "report.json") as f:
         rep = json.load(f)
     assert rep["minimize"]["energy_final"] <= 2.2
-    assert rep["nodal"]["nodal_nonempty"] is True
+    assert rep["nodal"]["loops"] > 0
     assert rep["nodal"]["components_negative"] == 1
     assert (tmp_path / "s" / "nodal" / "loops.csv").exists()
     # the descent steps per stage, without the probe row that opens each
@@ -499,9 +519,9 @@ def test_coarse_greens_run_reports_null_sups(tmp_path, shape, res):
     with open(tmp_path / "g" / "report.json") as f:
         rep = json.load(f)
     assert rep["failures"] == [] and "error" not in rep["greens"]
-    assert rep["split_refinement"] == [{"h": rep["h"], "f1_grad_sup": None,
-                                        "f2_third_diff_sup": None}]
-    assert rep["symmetry_max_err"] <= 1e-9 and rep["min_GL"] > 0.0
+    g = rep["greens"]
+    assert g["f1_grad_sup"] is None and g["f2_third_diff_sup"] is None
+    assert rep["symmetry_max_err"] <= 1e-9 and g["min_GL"] > 0.0
     level = runner._level_metrics(rep)
     assert "f1_grad_sup" not in level and "f2_third_diff_sup" not in level
     assert level["symmetry_max_err"] == rep["symmetry_max_err"]
@@ -517,7 +537,7 @@ def test_empty_set_el_bank_lies_inside_small_disk():
     rep = _execute(cfg, write_outputs=False)
     e = rep["el"]
     assert rep["failures"] == []
-    assert e["empty_set"] is True and e["pass"] is True
+    assert rep["nodal"]["loops"] == 0 and e["pass"] is True
     assert 0.0 < e["el_lhs_max"] <= 1e-8
 
 
@@ -563,6 +583,26 @@ def test_unavailable_dependency_fails_dependents(tmp_path, monkeypatch,
                                if c in errors and c in checks]
 
 
+def test_failed_descent_reports_its_steps_and_history(tmp_path, monkeypatch):
+    # no step can meet an Armijo slope this steep, so the first descent step
+    # exhausts its halvings; the section still fails with the error, and
+    # reports and writes the history rows that DivergenceError carries
+    monkeypatch.setattr(minimizer, "_armijo_slope", 1e6)
+    cfg = RunConfig(scenario="custom", shape_spec="disk(1)", resolution=17,
+                    field_spec="identity", u0_spec="0.05",
+                    checks=("minimize",), out_dir=str(tmp_path / "out"))
+    rep = _execute(cfg)
+    m = rep["minimize"]
+    assert rep["failures"] == ["minimize"] and m["pass"] is False
+    assert m["error"] == ("minimize: backtracking exhausted 50 halvings "
+                          "without descent")
+    assert m["steps_per_stage"] == [0] and m["descent_steps"] == 0
+    with open(tmp_path / "out" / "history.csv") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["stage", "iter", "E_eps", "E_sharp", "max_Lu"]
+    assert [row[:2] for row in rows[1:]] == [["0", "0"]]
+
+
 def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
     # the nodal check computes the run's one zero-set quadrature and el
     # reads it, midpoint gradients included: grad u is taken twice, for the
@@ -592,7 +632,7 @@ def test_el_reuses_the_nodal_density(tmp_path, monkeypatch):
                       out_dir=str(tmp_path / "out"))
     rep = _execute(cfg, write_outputs=False)
     assert len(calls) == 1 and calls[0] > 0
-    assert "error" not in rep["el"] and rep["el"]["empty_set"] is False
+    assert "error" not in rep["el"] and rep["nodal"]["loops"] > 0
     assert len(seen_u) == 1
     assert sum(g is seen_u[0] for g in grads) == 2
 
@@ -629,7 +669,7 @@ def test_negative_column_fails_the_greens_check(tmp_path, monkeypatch):
         "error": "greens: second-order Green's column went negative: "
                  "min %.3e" % gmin}
     assert rep["failures"] == ["greens"]
-    assert rep["min_GL"] is None
+    assert rep["symmetry_max_err"] is None
 
 
 def _plain_json(obj):
@@ -668,7 +708,7 @@ def test_reports_hold_plain_json_types(monkeypatch, case):
     elif case == "failed_minimize":
         assert rep["failures"] == ["minimize", "nodal", "el"]
     else:
-        assert rep["el"]["empty_set"] is True and rep["nodal"]["loops"] == 0
+        assert "el_lhs_max" in rep["el"] and rep["nodal"]["loops"] == 0
 
 
 def test_deterministic_report():
