@@ -1,19 +1,23 @@
 """Free-boundary energy minimization: bending energy plus the measure of
 the positivity set, relaxed through a smoothed indicator and driven by
-preconditioned descent.
+preconditioned L-BFGS descent.
 
 The sharp objective is sum (L_h u)^2 h^2 + |{u > 0}|.  The indicator is
 relaxed to a cubic ramp of width eps, the width follows a halving
-schedule, and each stage runs descent preconditioned by two nested
-L-solves (the bending Hessian is L^T L, so this flattens its h^-4
-conditioning) with Armijo backtracking from the unit step, which is the
-exact Newton step of the bending part.  Because any positive constant is
-a critical point of the relaxed energy once eps < min u, each stage first
-tries a deterministic family of downward bumps (scaled solutions of
-L B = 1) and keeps a bump only when it strictly lowers the stage
-energy.  Only the last stage's state is returned, so each earlier stage,
-which only seeds the next width, ends once its energy has settled over two
-steps; the last stage is polished to a ten-step stationarity window."""
+schedule, and each stage runs limited-memory BFGS descent (Nocedal 1980)
+with Armijo backtracking from the unit step.  Its base operator is the
+inverse bending Hessian, two nested L-solves (the bending Hessian is
+2 h^2 L^T L, so this flattens its h^-4 conditioning): a stage's first step
+is the exact Newton step of the bending part, and each later step also
+uses the stage's last few (step, gradient change) pairs, which carry the
+curvature of the measure term, at the same two solves.  Because any
+positive constant is a critical point of the relaxed energy once
+eps < min u, each stage first tries a deterministic family of downward
+bumps (scaled solutions of L B = 1) and keeps a bump only when it strictly
+lowers the stage energy.  Only the last stage's state is returned, so each
+earlier stage, which only seeds the next width, ends once its energy has
+settled over two steps; the last stage is polished to a ten-step
+stationarity window or the gradient floor, whichever comes first."""
 
 from dataclasses import dataclass
 
@@ -47,6 +51,10 @@ _stationary_window = 10
 # by at most 2.3e-7 relative, four orders below its discretization error.
 _stage_rtol = 1e-8
 _stage_window = 2
+# Each stage's L-BFGS direction uses its last _memory accepted pairs
+# (s, y) = (step, gradient change); the pairs are cleared when the width
+# changes.  Memories of 3 and 5 took the same steps to within one.
+_memory = 3
 
 
 class DivergenceError(RuntimeError):
@@ -161,11 +169,25 @@ def _precond_solve(op, rhs):
     return solve_spd(op.matrix, rhs, tol=_minimizer_solve_tol)[0]
 
 
-def _direction(op, v, grad_measure_over_weight):
-    """d = -L^-1 (v + L^-1 (H'/2)): Newton step on the bending part with
-    the measure force folded through the same preconditioner."""
-    inner = _precond_solve(op, 0.5 * grad_measure_over_weight)
-    return -_precond_solve(op, v + inner)
+def _lbfgs_direction(op, grad, pairs):
+    """-H grad by the L-BFGS two-loop recursion (Nocedal 1980) over the
+    stored pairs (s, y, 1/(s.y)), oldest first.
+
+    The base operator is the inverse of the bending Hessian 2 h^2 L^T L,
+    H0 q = L^-1 (L^-1 q) / (2 h^2): two solves, whatever the number of
+    pairs.  With no pairs the direction is -H0 grad, the Newton step of
+    the bending part; with pairs it also satisfies the newest secant
+    condition H y = s, so it learns the curvature of the measure term.
+    """
+    q = grad
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * float(s @ q))
+        q = q - alphas[-1] * y
+    r = _precond_solve(op, _precond_solve(op, q)) / (2.0 * op.domain.h ** 2)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        r += (alpha - rho * float(y @ r)) * s
+    return -r
 
 
 def minimize(op, u0):
@@ -180,12 +202,15 @@ def minimize(op, u0):
     The descent starts from the solution of L u = 0 with the trace.  Each
     stage first tries downward bumps (scaled solutions of L B = 1) from the
     pre-probe state and keeps the best strict improvement, since descent
-    alone never leaves a positive constant; then each step starts
-    at t = 1 and halves it until the Armijo condition holds, and running
-    out of halvings raises DivergenceError.  The loop works on the
-    interior vector beside the pinned trace: each trial evaluates the
-    energy once, its L_h u serves the accepted step, and the full-grid u
-    is built only for the returned state.
+    alone never leaves a positive constant.  Each step then takes the
+    L-BFGS direction over the stage's last _memory accepted pairs (none at
+    a stage's start, and a pair with s.y <= 0 is not kept), falls back to
+    -gradient if that is not a descent direction, starts at t = 1 and
+    halves t until the Armijo condition holds; running out of halvings
+    raises DivergenceError.  The loop works on the interior vector beside
+    the pinned trace: each trial evaluates the energy once, its L_h u
+    serves the accepted step, and the full-grid u is built only for the
+    returned state.
     """
     domain = op.domain
     trace = np.broadcast_to(np.asarray(u0, dtype=float), (domain.n_boundary,))
@@ -215,12 +240,12 @@ def minimize(op, u0):
         e_sharp = sharp_energy(op, ui, ub, v)[0]
         history.append((stage, 0, energy, e_sharp, float(v.max())))
 
+        pairs = []
         for it in range(1, _max_outer + 1):
             gnorm = float(np.linalg.norm(grad))
             if gnorm <= _tol_grad:
                 break
-            hp = smoothed_heaviside_prime(ui, eps)
-            d_vec = _direction(op, v, hp)
+            d_vec = _lbfgs_direction(op, grad, pairs)
             slope = float(grad @ d_vec)
             if slope >= 0.0:
                 d_vec = -grad
@@ -231,6 +256,12 @@ def minimize(op, u0):
                 cand = ui + t * d_vec
                 trial = smoothed_energy(op, cand, ub, eps)
                 if trial[0] <= energy + _armijo_slope * t * slope:
+                    s_vec, y_vec = cand - ui, trial[1] - grad
+                    sy = float(s_vec @ y_vec)
+                    # the ramp is not convex: a pair of negative curvature
+                    # would make H indefinite, so it is not kept
+                    if sy > 0.0:
+                        pairs = (pairs + [(s_vec, y_vec, 1.0 / sy)])[-_memory:]
                     ui, (energy, grad, v) = cand, trial
                     break
                 t *= 0.5

@@ -24,6 +24,7 @@ from anisoplate import (
 from anisoplate.grid import (EXTERIOR, INTERIOR, DiscreteDomain,
                              SparseOperator, assemble_operator)
 from anisoplate.minimizer import (
+    _lbfgs_direction,
     _precond_solve,
     smoothed_heaviside,
     smoothed_heaviside_prime,
@@ -203,6 +204,29 @@ def test_descent_solve_above_bound_raises(monkeypatch, iso):
     _precond_solve(assemble_operator(iso, dom), rhs)
 
 
+def test_lbfgs_direction_base_operator_and_secant_condition(iso):
+    # with no pairs the direction is -H0 g, H0 = (2 h^2 L^2)^-1 the inverse
+    # bending Hessian; with pairs, H maps the newest y to the newest s
+    dom = build_domain(disk_shape(1.0), 17)
+    op = assemble_operator(iso, dom)
+    dense = op.matrix.toarray()
+    hess = 2.0 * dom.h ** 2 * dense @ dense
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal(dom.n_interior)
+    d0 = _lbfgs_direction(op, g, [])
+    assert np.allclose(d0, -np.linalg.solve(hess, g), rtol=1e-10, atol=0.0)
+    pairs = []
+    for shift in (0.5, 2.0, 1.0):
+        s = rng.standard_normal(dom.n_interior)
+        y = hess @ s + shift * s
+        pairs.append((s, y, 1.0 / float(s @ y)))
+    s_last, y_last, _ = pairs[-1]
+    d = _lbfgs_direction(op, y_last, pairs)
+    assert np.linalg.norm(d + s_last) <= 1e-10 * np.linalg.norm(s_last)
+    # a descent direction for any gradient: H stays positive definite
+    assert float(g @ _lbfgs_direction(op, g, pairs)) < 0.0
+
+
 # ---------------------------------------------------------------------------
 # minimize: scenario with an empty negative set
 
@@ -339,7 +363,7 @@ def test_descent_field_work_does_not_grow_with_iterations(monkeypatch,
             return _real(self, *args)
         monkeypatch.setattr(cls, name, counting)
     runs = []
-    for max_outer in (2, 200):
+    for max_outer in (1, 200):
         monkeypatch.setattr(minimizer, "_max_outer", max_outer)
         counts.update(field=0, apply_field=0)
         state = minimize(op65, SMALL_C)
@@ -381,21 +405,51 @@ def test_intermediate_stages_stop_on_the_short_test(small65):
             == len(energies) - 1 > minimizer._stage_window
 
 
-def test_last_stage_keeps_the_ten_step_rule(small65):
+def _last_stage_end(op, state):
+    """The rule that ended the last stage: "window" when the ten-step
+    energy test first holds at its last step, "gradient" when it never
+    holds and the returned state's gradient norm is within _tol_grad."""
+    energies = _stage_energies(state)[state.history[-1][0]]
+    grad = smoothed_energy(op, *_packed(op.domain, state.u),
+                           state.epsilon)[1]
+    window = _first_stationary(energies, 10, 1e-10)
+    if window == len(energies) - 1:
+        return "window"
+    assert window is None
+    assert np.linalg.norm(grad) <= minimizer._tol_grad
+    return "gradient"
+
+
+def test_last_stage_keeps_the_ten_step_rule(small65, op65):
+    # the last stage runs to the ten-step window unless the gradient floor
+    # ends it first; at 65^2 the window does
     stages = _stage_energies(small65)
     energies = stages[max(stages)]
-    assert (minimizer._stationary_window, minimizer._stationary_rtol) \
-        == (10, 1e-10)
-    assert _first_stationary(energies, 10, 1e-10) == len(energies) - 1
+    assert (minimizer._stationary_window, minimizer._stationary_rtol,
+            minimizer._tol_grad) == (10, 1e-10, 1e-7)
+    assert _last_stage_end(op65, small65) == "window"
     # the short test alone would have stopped it earlier
     assert _first_stationary(energies, minimizer._stage_window,
                              minimizer._stage_rtol) < len(energies) - 1
     assert small65.converged
 
 
+def test_builtin_descent_step_budget(iso):
+    # the L-BFGS descent takes 23 steps on the builtin at 129^2, the
+    # fixed bending-Newton step took 40; the last stage reaches the
+    # gradient floor before the ten-step window
+    op = assemble_operator(iso, build_domain(disk_shape(1.0), 129))
+    state = minimize(op, SMALL_C)
+    stages = len({row[0] for row in state.history})
+    assert len(state.history) - stages <= 26
+    assert _last_stage_end(op, state) == "gradient"
+    assert state.converged
+
+
 def test_one_width_schedule_ignores_the_stage_rule(monkeypatch, op65):
     # a one-width schedule has only a last stage: it runs to the ten-step
-    # rule, and the intermediate constants cannot reach it
+    # rule or the gradient floor, and the intermediate constants cannot
+    # reach it
     floor = default_schedule(op65.domain, SMALL_C)[-1]
     monkeypatch.setattr(minimizer, "default_schedule",
                         lambda domain, u0_max: (floor,))
@@ -407,8 +461,7 @@ def test_one_width_schedule_ignores_the_stage_rule(monkeypatch, op65):
     one, loose = runs
     assert one.history == loose.history
     assert np.array_equal(one.u, loose.u)
-    energies = _stage_energies(one)[0]
-    assert _first_stationary(energies, 10, 1e-10) == len(energies) - 1
+    assert _last_stage_end(op65, one) == "gradient"
     assert one.epsilon == floor and one.converged
 
 
