@@ -612,7 +612,11 @@ def _execute(config, write_outputs=True):
     # made before any computation, so a bad output path fails at once; each
     # writer makes its own subdirectory
     if write_outputs:
-        os.makedirs(config.out_dir, exist_ok=True)
+        try:
+            os.makedirs(config.out_dir, exist_ok=True)
+        except OSError as e:
+            raise ConfigError("[output] dir (or --out): cannot create %r: %s"
+                              % (config.out_dir, e.strerror or e))
 
     report = {
         "scenario": config.scenario,

@@ -428,9 +428,21 @@ def test_unwritable_output_dir_fails_before_any_check(tmp_path, monkeypatch):
     cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
                     resolution=17, field_spec="identity", u0_spec="10",
                     checks=("minimize",), out_dir=str(tmp_path / "file" / "o"))
-    with pytest.raises(OSError):
+    with pytest.raises(ConfigError, match=r"\[output\] dir .*Not a directory"):
         run(cfg)
     assert calls == []
+
+
+def test_cli_unwritable_output_dir_exits_two(tmp_path, capsys):
+    # an output directory that cannot be made is a config error naming the
+    # key, like every other bad input, not a traceback
+    (tmp_path / "afile").write_text("")
+    path = _write(tmp_path, "o.ini", _cfg_text("iso_disk_large_c", res=17))
+    bad = str(tmp_path / "afile" / "o")
+    assert main(["run", path, "--check", "minimize", "--out", bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [output] dir (or --out)")
+    assert bad in err
 
 
 def test_small_scenario_nonempty_nodal(tmp_path):
