@@ -53,7 +53,9 @@ _stage_rtol = 1e-8
 _stage_window = 2
 # Each stage's L-BFGS direction uses its last _memory accepted pairs
 # (s, y) = (step, gradient change); the pairs are cleared when the width
-# changes.  Memories of 3 and 5 took the same steps to within one.
+# changes.  On disk(1) with identity and rot(0.7,2,1), a memory of 5 took
+# the same 23 and 30 descent steps as 3 at 129^2, and 2-6 fewer at 65^2
+# and 257^2.
 _memory = 3
 
 
