@@ -14,10 +14,8 @@ curvature of the measure term, at the same two solves.  Because any
 positive constant is a critical point of the relaxed energy once
 eps < min u, each stage first tries a deterministic family of downward
 bumps (scaled solutions of L B = 1) and keeps a bump only when it strictly
-lowers the stage energy.  Only the last stage's state is returned, so each
-earlier stage, which only seeds the next width, ends once its energy has
-settled over two steps; the last stage is polished to a ten-step
-stationarity window or the gradient floor, whichever comes first."""
+lowers the stage energy.  Every stage ends on the same rule: at the
+gradient floor, or once its energy has settled over its last two steps."""
 
 from dataclasses import dataclass
 
@@ -30,27 +28,20 @@ _minimizer_solve_tol = 1e-8
 _armijo_slope = 1e-4
 _max_backtracks = 50
 _probe_scales = (1.0, 2.0, 4.0)
-_schedule_floor_abs = 1e-4
 _schedule_floor_cells = 6.0
-# a stage stops once the euclidean norm of the energy gradient over
-# interior unknowns falls below _tol_grad, or after _max_outer steps
+# A stage ends once the euclidean norm of the energy gradient over interior
+# unknowns falls below _tol_grad, or once its energy has settled: the drop
+# over its last _window accepted steps averages below _rtol relative.  The
+# second test also ends a stage whose steps no longer change the energy
+# while its gradient norm stalls above _tol_grad.  On disk(1) at
+# 65^2-513^2 (identity and rot(0.7,2,1)) the last smoothed energy stays
+# within 6.4e-13 relative of a ten-step, 1e-10 window's; a two-step window
+# at 1e-10 moved the sharp energy by 6.2e-7 at 129^2 rot(0.7,2,1).  A stage
+# that meets neither test stops after _max_outer steps, unconverged.
 _tol_grad = 1e-7
+_rtol = 1e-11
+_window = 2
 _max_outer = 200
-# The last stage also ends, converged, once the energy is stationary: the
-# drop over the last _stationary_window accepted steps averages below
-# _stationary_rtol relative.  A windowed average is robust to step-to-step
-# oscillation of the decrement, and even a full _max_outer budget at that
-# rate moves the energy by under 200 * 1e-10 * (1 + E), orders below any
-# quantity read off the returned state.
-_stationary_rtol = 1e-10
-_stationary_window = 10
-# An intermediate stage only seeds the next width, so it ends on a short,
-# looser test: the drop over its last _stage_window accepted steps averages
-# below _stage_rtol relative.  Measured at 65^2-257^2 (identity and
-# rot(0.7,2,1)), this takes a third fewer steps and moves the final energy
-# by at most 2.3e-7 relative, four orders below its discretization error.
-_stage_rtol = 1e-8
-_stage_window = 2
 # Each stage's L-BFGS direction uses its last _memory accepted pairs
 # (s, y) = (step, gradient change); the pairs are cleared when the width
 # changes.  On disk(1) with identity and rot(0.7,2,1), a memory of 5 took
@@ -70,14 +61,13 @@ class DivergenceError(RuntimeError):
 def default_schedule(domain, u0_max):
     """Halving widths from 0.25*max(u0) down to the resolvability floor.
 
-    The floor is max(2h^2, 1e-4, 6 h max(u0)): the last term keeps the
+    The floor is max(2h^2, 6 h max(u0)): the last term keeps the
     transition strip a few cells wide so quantities sampled across it
     (measure density, zero-set gradients) stay resolved on the grid.
     """
     if u0_max <= 0:
         raise ValueError("boundary data must be positive")
-    floor = max(2.0 * domain.h ** 2, _schedule_floor_abs,
-                _schedule_floor_cells * domain.h * u0_max)
+    floor = max(2.0 * domain.h ** 2, _schedule_floor_cells * domain.h * u0_max)
     eps = 0.25 * u0_max
     out = []
     while eps > floor * (1.0 + 1e-12):
@@ -229,9 +219,6 @@ def minimize(op, u0):
     converged = True
 
     for stage, eps in enumerate(schedule):
-        window, rtol = ((_stationary_window, _stationary_rtol)
-                        if stage == len(schedule) - 1
-                        else (_stage_window, _stage_rtol))
         energy, grad, v = smoothed_energy(op, ui, ub, eps)
         start = ui
         for scale in _probe_scales:
@@ -274,11 +261,9 @@ def minimize(op, u0):
 
             e_sharp = sharp_energy(op, ui, ub, v)[0]
             history.append((stage, it, energy, e_sharp, float(v.max())))
-            # descent that can no longer buy measurable energy is stationary
-            # at this ramp width even if the gradient norm floor is higher;
-            # the window opens at this stage's row it - window
-            if (it >= window and history[-1 - window][2] - energy <=
-                    window * rtol * (1.0 + abs(energy))):
+            # the window opens at this stage's row it - _window
+            if (it >= _window and history[-1 - _window][2] - energy <=
+                    _window * _rtol * (1.0 + abs(energy))):
                 break
         else:
             converged = False

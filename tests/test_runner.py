@@ -595,6 +595,18 @@ def test_unavailable_dependency_fails_dependents(tmp_path, monkeypatch,
                                if c in errors and c in checks]
 
 
+def test_stationary_start_reports_no_steps():
+    # the harmonic extension of the large constant trace is already
+    # stationary, so every stage ends on the gradient floor before a step
+    cfg = RunConfig(scenario="iso_disk_large_c", shape_spec="disk(1)",
+                    resolution=65, field_spec="identity", u0_spec="10",
+                    checks=("minimize",), out_dir="unused")
+    m = _execute(cfg, write_outputs=False)["minimize"]
+    assert m["pass"] is True and m["descent_steps"] == 0
+    assert m["steps_per_stage"] == [0] * len(m["steps_per_stage"])
+    assert len(m["steps_per_stage"]) > 1
+
+
 def test_failed_descent_reports_its_steps_and_history(tmp_path, monkeypatch):
     # no step can meet an Armijo slope this steep, so the first descent step
     # exhausts its halvings; the section still fails with the error, and
