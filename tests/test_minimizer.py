@@ -451,10 +451,8 @@ def test_builtin_descent_step_budget(monkeypatch, iso):
 
 
 def test_settled_stages_spend_no_halvings(monkeypatch, dom65):
-    # once a step leaves the energy unchanged the stage ends, instead of
-    # taking further steps that each spend many Armijo halvings: the 65^2
-    # rot(0.7,2,1) builtin made 167 energy evaluations with a ten-step
-    # window on its last stage
+    # a stage ends once its energy has settled, before steps that leave
+    # the energy unchanged, each of which spends many Armijo halvings
     op = assemble_operator(make_field("rot(0.7,2,1)"), dom65)
     state, evals, _ = _traced_minimize(monkeypatch, op)
     assert evals <= 40
@@ -463,8 +461,8 @@ def test_settled_stages_spend_no_halvings(monkeypatch, dom65):
 
 def test_small_disks_open_a_zero_set_and_agree(iso):
     # u_R(x) = R^2 u(x/R) maps disk(R) onto the unit disk, so E/area does
-    # not depend on R; an absolute floor on the ramp width used to leave
-    # disk(0.01) one width 20 times its trace and no zero set
+    # not depend on R; a ramp-width floor that does not scale with R would
+    # leave disk(0.01) one wide width and no zero set
     per_area = []
     for radius in (0.01, 0.1):
         dom = build_domain(disk_shape(radius), 65)
