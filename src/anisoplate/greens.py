@@ -8,7 +8,8 @@ Hessian-structure residual pairs the scalar log singularity with the
 inverse coefficient matrix and measures what is left on dyadic annuli.
 Columns solve through linsolve.solve_spd, so all columns on one operator
 share the sparse LU factorization kept on its matrix; every column solve
-checks its true residual.  The report builders only read the columns.
+checks its true residual against solve_spd's one bound.  The report
+builders only read the columns.
 """
 
 from dataclasses import dataclass
@@ -22,18 +23,6 @@ from .linsolve import solve_spd
 FIRST_ORDER = "first_order"
 BILAPLACIAN = "navier_bilaplacian"
 
-# bound on the true relative residual ||M x - b|| / ||b|| of every column
-# solve, passed to solve_spd as its tol.  columns feed second
-# and third differences (error amplified by h^-2, h^-3) and reciprocity is
-# asserted at 1e-9 relative.  a backward-stable solve leaves a residual near
-# eps ||M|| ||x||; for the delta right-hand side ||M|| ||x|| / ||b|| is
-# modest and the relative residual stays near roundoff (3.7e-14 at
-# 1025^2), but the nested solve's right-hand side is the smooth
-# first-order column, for which ||M|| ||x|| / ||b|| approaches cond(M) ~
-# h^-2: 1.4e-11 at 1025^2, and refinement does not bring it to roundoff.
-# what is left over is smooth, so annulus sups move by far less than any
-# decision margin used on them
-_column_accept = 1e-9
 _positivity_floor = -1e-12
 _metric_margin_cells = 2
 # split sups are taken within this radius of the source, and the innermost
@@ -125,7 +114,7 @@ def greens_column_L(op, source_ij):
     key = tuple(source_ij)
     solves = vars(op).setdefault("_first_order_solves", {})
     if key not in solves:
-        solves[key] = solve_spd(op.matrix, _delta_rhs(d, key), _column_accept)[0]
+        solves[key] = solve_spd(op.matrix, _delta_rhs(d, key))[0]
     g = solves[key]
     gmin = float(g.min())
     if gmin < _positivity_floor:
@@ -139,8 +128,7 @@ def greens_column_L2(op, source_ij):
     its intermediate stage is greens_column_L's column on the same source."""
     d = op.domain
     first = greens_column_L(op, source_ij)
-    g2, _ = solve_spd(op.matrix, first.values.take(d.flat_index[0]),
-                      _column_accept)
+    g2, _ = solve_spd(op.matrix, first.values.take(d.flat_index[0]))
     return GreensColumn(BILAPLACIAN, op, first.source_ij, first.source_xy,
                         d.field(g2))
 

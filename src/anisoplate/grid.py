@@ -339,8 +339,7 @@ class SparseOperator:
 
     def solve_dirichlet(self, rhs_interior, boundary_values):
         """Interior solve of L u = rhs with prescribed boundary values;
-        raises when the relative residual exceeds solve_spd's default
-        bound, 1e-10."""
+        raises when the relative residual exceeds solve_spd's one bound."""
         rhs = np.asarray(rhs_interior, dtype=float) - self.coupling @ np.asarray(
             boundary_values, dtype=float)
         return solve_spd(self.matrix, rhs)[0]

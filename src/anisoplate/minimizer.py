@@ -15,7 +15,8 @@ positive constant is a critical point of the relaxed energy once
 eps < min u, each stage first tries a deterministic family of downward
 bumps (scaled solutions of L B = 1) and keeps a bump only when it strictly
 lowers the stage energy.  Every stage ends on the same rule: at the
-gradient floor, or once its energy has settled over its last two steps."""
+gradient floor, or once its energy has settled over its last two steps.
+Every solve is checked against solve_spd's one residual bound."""
 
 from dataclasses import dataclass
 
@@ -24,7 +25,6 @@ import numpy as np
 from .grid import write_table
 from .linsolve import solve_spd
 
-_minimizer_solve_tol = 1e-8
 _armijo_slope = 1e-4
 _max_backtracks = 50
 _probe_scales = (1.0, 2.0, 4.0)
@@ -155,12 +155,6 @@ def sharp_energy(op, ui, ub, v):
 # descent
 
 
-def _precond_solve(op, rhs):
-    """L^-1 rhs by the operator's sparse LU; raises when the relative
-    residual exceeds _minimizer_solve_tol."""
-    return solve_spd(op.matrix, rhs, tol=_minimizer_solve_tol)[0]
-
-
 def _lbfgs_direction(op, grad, pairs):
     """-H grad by the L-BFGS two-loop recursion (Nocedal 1980) over the
     stored pairs (s, y, 1/(s.y)), oldest first.
@@ -176,7 +170,8 @@ def _lbfgs_direction(op, grad, pairs):
     for s, y, rho in reversed(pairs):
         alphas.append(rho * float(s @ q))
         q = q - alphas[-1] * y
-    r = _precond_solve(op, _precond_solve(op, q)) / (2.0 * op.domain.h ** 2)
+    r = solve_spd(op.matrix, solve_spd(op.matrix, q)[0])[0]
+    r /= 2.0 * op.domain.h ** 2
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * float(y @ r)) * s
     return -r
@@ -212,7 +207,7 @@ def minimize(op, u0):
     schedule = default_schedule(domain, u0_max)
 
     ui, ub = op.solve_dirichlet(0.0, trace), trace
-    bump = _precond_solve(op, np.ones(domain.n_interior))
+    bump = solve_spd(op.matrix, np.ones(domain.n_interior))[0]
     bump /= float(bump.max())
 
     history = []

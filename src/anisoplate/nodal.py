@@ -23,8 +23,10 @@ _edges = ((0, 1), (1, 2), (3, 2), (0, 3))
 
 _bump_count = 5
 _bump_halfwidth = 0.2
-# with an empty zero set, (x, y, halfwidth) in units of the bounding-box
-# halfwidth: on the unit disk these straddle the radius-0.76 zero set of
+# half-widths (and the empty-set spots) are in units of the bounding-box
+# halfwidth, so the bank scales with the domain.  loop-vertex bumps take
+# _bump_halfwidth; with an empty zero set the spots are (x, y, halfwidth):
+# on the unit disk these straddle the radius-0.76 zero set of
 # the small-trace minimizer, where both identity sides carry O(1) signal
 _empty_set_spots = ((0.76, 0.0, 0.2), (-0.76, 0.0, 0.2), (0.0, 0.76, 0.2),
                     (0.0, -0.76, 0.2), (0.537, 0.537, 0.15))
@@ -388,18 +390,20 @@ class BumpBank:
 
 def bump_bank(domain, nodal):
     """The test bank of a state's zero set: five centres spread over the
-    loop vertices, or five fixed placements scaled by the domain's
-    bbox_halfwidth when the zero set is empty.  Half-widths are clipped to
-    0.95 x clearance / sqrt(2), so each square support lies strictly inside
-    the domain, and a centre narrower than 4h is dropped.
+    loop vertices, or five fixed placements when the zero set is empty.
+    Half-widths and fixed placements scale with the domain's
+    bbox_halfwidth; half-widths are clipped to 0.95 x clearance / sqrt(2),
+    so each square support lies strictly inside the domain, and a centre
+    narrower than 4h is dropped.
     raises: RuntimeError when no centre is admissible.
     """
+    half = domain.shape.bbox_halfwidth()
     if nodal.loops:
         verts = np.concatenate([lp.vertices for lp in nodal.loops])
         picks = verts[(np.arange(_bump_count) * len(verts)) // _bump_count]
-        spots = [(float(x), float(y), _bump_halfwidth) for x, y in picks]
+        spots = [(float(x), float(y), half * _bump_halfwidth)
+                 for x, y in picks]
     else:
-        half = domain.shape.bbox_halfwidth()
         spots = [(half * x, half * y, half * w)
                  for x, y, w in _empty_set_spots]
     centers, widths = [], []

@@ -1,9 +1,11 @@
 """Every function in the package has a caller outside the tests, every
-dataclass field a reader, and every config key a config that sets it.
+module constant and dataclass field a reader, and every config key a
+config that sets it.
 
 A function that only tests call audits nothing a run reports; it either
-gets a caller in a check, demo or tool, or it goes.  So do a result field
-that nothing reads and a setting that no run sets."""
+gets a caller in a check, demo or tool, or it goes.  So do a constant
+(a bound, a width) that no code reads, a result field that nothing reads
+and a setting that no run sets."""
 
 import ast
 import configparser
@@ -61,6 +63,33 @@ def test_every_function_has_a_non_test_caller():
         if not callers:
             orphans.append("%s:%s" % (path.name, qual))
     assert not orphans, "only tests call: %s" % ", ".join(orphans)
+
+
+def _module_constants():
+    """(path, name) of every module-level private name the package assigns,
+    dunders excepted."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", ()):
+                if (isinstance(target, ast.Name) and target.id.startswith("_")
+                        and not target.id.startswith("__")):
+                    yield path, target.id
+
+
+def test_every_module_constant_is_read_in_src():
+    # a bound left behind when its last reader goes would still look like a
+    # setting of the package, so it must be read by name or as an attribute
+    reads = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                reads.add(node.attr)
+    unread = ["%s:%s" % (path.name, name)
+              for path, name in _module_constants() if name not in reads]
+    assert not unread, "constants nothing in src/ reads: %s" % ", ".join(unread)
 
 
 def _dataclass_fields():

@@ -6,9 +6,11 @@ import pytest
 import scipy.sparse as sparse
 
 from anisoplate import linsolve
-from anisoplate.anisotropy import CoefficientField
+from anisoplate.anisotropy import CoefficientField, make_field
+from anisoplate.greens import greens_column_L, greens_column_L2
 from anisoplate.grid import assemble_operator, build_domain, disk_shape
 from anisoplate.linsolve import SolveReport, solve_spd
+from anisoplate.minimizer import _lbfgs_direction
 
 
 def _thomas(lower, diag, upper, rhs):
@@ -49,7 +51,7 @@ def test_tridiagonal_matches_thomas():
     mat = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
     rhs = rng.standard_normal(n)
     want = _thomas(off, diag, off, rhs)
-    got, rep = solve_spd(mat, rhs, tol=1e-12)
+    got, rep = solve_spd(mat, rhs)
     assert rep.final_residual <= 1e-12
     assert np.allclose(got, want, atol=1e-9)
 
@@ -65,8 +67,9 @@ def test_scaled_system_solves_like_the_unscaled_one(scale):
     off = -1.0 + 0.2 * rng.uniform(0, 1, n - 1)
     mat = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
     rhs = rng.standard_normal(n)
-    x, _ = solve_spd(mat, rhs, tol=1e-12)
-    xs, _ = solve_spd(scale * mat, scale * rhs, tol=1e-12)
+    x, rep = solve_spd(mat, rhs)
+    xs, reps = solve_spd(scale * mat, scale * rhs)
+    assert rep.final_residual <= 1e-12 and reps.final_residual <= 1e-12
     assert np.abs(xs - x).max() <= 1e-14 * np.abs(x).max()
 
 
@@ -76,21 +79,10 @@ def test_true_residual_reported_relative():
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     mat = q @ np.diag(np.linspace(1, 100, n)) @ q.T
     rhs = rng.standard_normal(n)
-    x, rep = solve_spd(mat, rhs, tol=1e-10)
+    x, rep = solve_spd(mat, rhs)
     want = float(np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs))
     assert rep.final_residual == pytest.approx(want, rel=1e-12)
     assert rep.final_residual <= 1e-10
-
-
-def test_tolerance_domain_enforced():
-    mat = np.eye(2)
-    rhs = np.ones(2)
-    with pytest.raises(ValueError):
-        solve_spd(mat, rhs, tol=0.5)
-    with pytest.raises(ValueError):
-        solve_spd(mat, rhs, tol=0.0)
-    with pytest.raises(ValueError):
-        solve_spd(mat, rhs, tol=-1e-10)
 
 
 def test_poisson_seven_matches_thomas():
@@ -99,12 +91,12 @@ def test_poisson_seven_matches_thomas():
                        [-1, 0, 1], format="csr")
     rhs = np.ones(n)
     want = _thomas(np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0), rhs)
-    got, rep = solve_spd(mat, rhs, tol=1e-10)
+    got, rep = solve_spd(mat, rhs)
     assert rep.final_residual <= 1e-10
     assert np.allclose(got, want, atol=1e-10)
 
 
-def test_laplacian_31_squared_within_5n():
+def test_laplacian_31_squared_matches_dense_solve():
     # 2-D five-point Laplacian on a 31x31 interior grid
     n = 31
     one = sparse.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
@@ -112,7 +104,7 @@ def test_laplacian_31_squared_within_5n():
     eye = sparse.eye(n)
     mat = (sparse.kron(one, eye) + sparse.kron(eye, one)).tocsr()
     rhs = np.random.default_rng(11).standard_normal(n * n)
-    x, rep = solve_spd(mat, rhs, tol=1e-10)
+    x, rep = solve_spd(mat, rhs)
     assert rep.final_residual <= 1e-10 and rep.iterations == 0
     want = np.linalg.solve(mat.toarray(), rhs)
     assert np.allclose(x, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
@@ -123,13 +115,13 @@ def test_round_trip_idempotence():
     mat = sparse.diags([np.full(n - 1, -1.0), np.full(n, 2.5), np.full(n - 1, -1.0)],
                        [-1, 0, 1], format="csr")
     rhs = np.cos(np.arange(n))
-    x, rep = solve_spd(mat, rhs, tol=1e-12)
-    x2, rep2 = solve_spd(mat, mat @ x, tol=1e-12)
+    x, rep = solve_spd(mat, rhs)
+    x2, rep2 = solve_spd(mat, mat @ x)
     assert rep.final_residual <= 1e-12 and rep2.final_residual <= 1e-12
     assert np.allclose(x2, x, atol=1e-9)
 
 
-def test_iteration_cap_reports_failure(monkeypatch):
+def test_wrong_factors_raise(monkeypatch):
     # factors that solve slightly wrong (or return non-finite entries) are
     # caught by the residual recomputed from the matrix
     n = 100
@@ -149,7 +141,41 @@ def test_iteration_cap_reports_failure(monkeypatch):
 
         monkeypatch.setattr(linsolve, "splu", lambda m: Off(real_splu(m)))
         with pytest.raises(RuntimeError, match="residual"):
-            solve_spd(mat.copy(), rhs, tol=1e-10)
+            solve_spd(mat.copy(), rhs)
+
+
+_SOLVE_SITES = {
+    "dirichlet": lambda op: op.solve_dirichlet(1.0, np.ones(op.domain.n_boundary)),
+    "descent": lambda op: _lbfgs_direction(op, np.ones(op.domain.n_interior), []),
+    "column_L": lambda op: greens_column_L(op, op.domain.center_ij),
+    "column_L2": lambda op: greens_column_L2(op, op.domain.center_ij),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_SOLVE_SITES))
+def test_every_solve_site_checks_the_one_bound(monkeypatch, site):
+    # factors whose solution is scaled by 1 + s leave relative residual s:
+    # every site raises at s = 1e-9, above the one 1e-10 bound, and passes
+    # at s = 1e-11
+    real_splu = linsolve.splu
+
+    def scaled_splu(s):
+        class Scaled:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return (1.0 + s) * self.lu.solve(b)
+
+        return lambda m: Scaled(real_splu(m))
+
+    dom = build_domain(disk_shape(1.0), 33)
+    fld = make_field("diag(2,1)")
+    monkeypatch.setattr(linsolve, "splu", scaled_splu(1e-9))
+    with pytest.raises(RuntimeError, match=r"residual 1\.000e-09 above 1\.0e-10"):
+        _SOLVE_SITES[site](assemble_operator(fld, dom))
+    monkeypatch.setattr(linsolve, "splu", scaled_splu(1e-11))
+    _SOLVE_SITES[site](assemble_operator(fld, dom))
 
 
 def test_indefinite_operator_raises():
@@ -173,7 +199,7 @@ def test_indefinite_operator_raises():
             assemble_operator(CoefficientField("indefinite", fn), dom)
 
 
-def test_warm_start_exact_guess(monkeypatch):
+def test_factorization_reused_per_matrix(monkeypatch):
     # a second solve on the same matrix reuses its factorization
     n = 30
     mat = sparse.diags([np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0)],
@@ -191,13 +217,13 @@ def test_warm_start_exact_guess(monkeypatch):
     assert len(calls) == 2
 
 
-def test_cg_n_step_termination():
+def test_dense_spd_matches_dense_solve():
     # dense SPD matrix: the direct solve agrees with dense elimination
     n = 40
     rng = np.random.default_rng(9)
     a = rng.standard_normal((n, n))
     mat = a @ a.T + n * np.eye(n)
     rhs = rng.standard_normal(n)
-    x, rep = solve_spd(mat, rhs, tol=1e-9)
+    x, rep = solve_spd(mat, rhs)
     assert rep.final_residual <= 1e-9 and rep.iterations == 0
     assert np.allclose(x, np.linalg.solve(mat, rhs), rtol=1e-10, atol=1e-12)

@@ -12,6 +12,7 @@ from anisoplate import build_domain, disk_shape, make_field, minimize, rect_shap
 from anisoplate.grid import EXTERIOR, INTERIOR, assemble_operator
 from anisoplate.minimizer import MinimizerState
 from anisoplate.nodal import (
+    NodalLoop,
     NodalSet,
     bilinear_sample,
     bump_bank,
@@ -344,6 +345,18 @@ def test_bank_vanishes_on_boundary_and_exterior(dom129, bank129, shape):
         got = sample_on_grid(dom, fn)
         for comp in (got if isinstance(got, tuple) else (got,)):
             assert not np.any(comp[off])
+
+
+def test_loop_bank_scales_with_the_domain(dom129, nodal129, bank129):
+    # the zero set of the builtin mapped onto disk(2) by x -> 2x gets the
+    # unit disk's bank with centres and half-widths doubled
+    dom2 = build_domain(disk_shape(2.0), 129)
+    loops2 = tuple(NodalLoop(lp.component, 2.0 * lp.vertices, lp.grad_mag)
+                   for lp in nodal129.loops)
+    bank2 = bump_bank(dom2, NodalSet(loops2, 2.0 * nodal129.length,
+                                     nodal129.components_negative))
+    assert np.array_equal(np.array(bank2.centers), 2.0 * np.array(bank129.centers))
+    assert np.array_equal(bank2.halfwidths, 2.0 * np.array(bank129.halfwidths))
 
 
 @pytest.mark.parametrize("shape", [disk_shape(1.0), rect_shape(2.0, 1.0)])

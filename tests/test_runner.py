@@ -518,6 +518,20 @@ def test_coarse_disk2_run_reports_not_assessed(tmp_path):
     assert "test-bump" in rep["el"]["note"]
 
 
+def test_scaled_builtin_on_disk2_passes_el(tmp_path):
+    # u_R(x) = R^2 u(x/R) maps the builtin onto disk(2) with u0 = 0.2; the
+    # test bumps on its zero set scale with the domain, so the identity
+    # holds as it does on the unit disk
+    cfg = RunConfig(scenario="custom", shape_spec="disk(2)", resolution=129,
+                    field_spec="identity", u0_spec="0.2",
+                    checks=("minimize", "nodal", "el"),
+                    out_dir=str(tmp_path / "d2"))
+    assert run(cfg) == 0
+    with open(tmp_path / "d2" / "report.json") as f:
+        rep = json.load(f)
+    assert rep["el"]["pass"] is True and rep["el"]["el_max"] <= 0.15
+
+
 @pytest.mark.parametrize("shape, res", [("disk(1)", 5), ("disk(1)", 9),
                                         ("rect(100,1)", 33),
                                         ("rect(1e-6,1)", 33)])
