@@ -42,7 +42,7 @@ def main():
     print("gradient sups: raw %.3f vs kernel-subtracted %.3f (x%.1f smaller)"
           % (raw_sup, tame_sup, raw_sup / tame_sup))
 
-    col4 = greens_column_L2(op, dom.center_ij)
+    col4 = greens_column_L2(col)
     f2 = singular_split(col4, consts)
     print("fourth-order column: third-difference sup of the regular part "
           "%.3f" % third_diff_sup(col4, f2))

@@ -14,14 +14,15 @@ structural question is whether it keeps shrinking.
 import numpy as np
 
 from anisoplate import (assemble_operator, build_domain, disk_shape,
-                        frehse_residual, greens_column_L2, make_field)
+                        frehse_residual, greens_column_L, greens_column_L2,
+                        make_field)
 
 
 def main():
     fld = make_field("diag(2,1)")
     dom = build_domain(disk_shape(1.0), 257)
     op = assemble_operator(fld, dom)
-    col = greens_column_L2(op, dom.center_ij)
+    col = greens_column_L2(greens_column_L(op, dom.center_ij))
 
     for pairing in ("inverse", "trace_identity"):
         rep = frehse_residual(col, pairing=pairing)

@@ -8,11 +8,14 @@ Hessian-structure residual pairs the scalar log singularity with the
 inverse coefficient matrix and measures what is left on dyadic annuli.
 Columns solve through linsolve.solve_spd, so all columns on one operator
 share the sparse LU factorization kept on its matrix; every column solve
-checks its true residual against solve_spd's one bound.  The report
-builders only read the columns.
+checks its true residual against solve_spd's one bound.  A fourth-order
+column holds the first-order column it was solved from as its stage and
+shares that column's anisotropic distance grid.  The report builders only
+read the columns.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,11 +39,11 @@ class GreensColumn:
     """One Green's function column with its source bookkeeping; its domain
     and coefficient field are those of the operator it was solved on."""
 
-    kind: str
     op: object
     source_ij: tuple
     source_xy: np.ndarray
     values: np.ndarray      # the column on the full grid
+    stage: object = None    # fourth-order: the first-order column solved from
 
     @property
     def domain(self):
@@ -51,21 +54,23 @@ class GreensColumn:
         return self.op.field
 
     @property
+    def kind(self):
+        return FIRST_ORDER if self.stage is None else BILAPLACIAN
+
+    @cached_property
     def psi(self):
         """Anisotropic squared distance to the source at every node,
-        read-only; kept on the operator per source, so columns sharing both
-        (the centre columns of a greens check) build it once."""
-        grids = vars(self.op).setdefault("_psi_grids", {})
-        key = tuple(self.source_xy)
-        if key not in grids:
-            d = self.domain
-            pts = np.stack([d.X, d.Y], axis=-1)
-            z = pts - self.source_xy
-            s = invert_spd2(self.coeff.matrix(pts))
-            psi = np.einsum("...i,...ij,...j->...", z, s, z)
-            psi.flags.writeable = False
-            grids[key] = psi
-        return grids[key]
+        read-only; built once per first-order column and shared by the
+        fourth-order column solved from it."""
+        if self.stage is not None:
+            return self.stage.psi
+        d = self.domain
+        pts = np.stack([d.X, d.Y], axis=-1)
+        z = pts - self.source_xy
+        s = invert_spd2(self.coeff.matrix(pts))
+        psi = np.einsum("...i,...ij,...j->...", z, s, z)
+        psi.flags.writeable = False
+        return psi
 
 
 @dataclass(frozen=True)
@@ -106,31 +111,26 @@ def _delta_rhs(domain, source_ij):
 
 
 def greens_column_L(op, source_ij):
-    """Column of the second-order Green's function, zero Dirichlet trace.
-    Its solve is kept on the operator per source, so the fourth-order
-    column on the same source (the centre columns of a greens check)
-    reuses it."""
+    """Column of the second-order Green's function, zero Dirichlet trace."""
     d = op.domain
     key = tuple(source_ij)
-    solves = vars(op).setdefault("_first_order_solves", {})
-    if key not in solves:
-        solves[key] = solve_spd(op.matrix, _delta_rhs(d, key))[0]
-    g = solves[key]
+    g = solve_spd(op.matrix, _delta_rhs(d, key))[0]
     gmin = float(g.min())
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
     src = np.array([d.xs[key[0]], d.ys[key[1]]])
-    return GreensColumn(FIRST_ORDER, op, key, src, d.field(g))
+    return GreensColumn(op, key, src, d.field(g))
 
 
-def greens_column_L2(op, source_ij):
-    """Column of the fourth-order Green's function with both traces zero;
-    its intermediate stage is greens_column_L's column on the same source."""
-    d = op.domain
-    first = greens_column_L(op, source_ij)
-    g2, _ = solve_spd(op.matrix, first.values.take(d.flat_index[0]))
-    return GreensColumn(BILAPLACIAN, op, first.source_ij, first.source_xy,
-                        d.field(g2))
+def greens_column_L2(first):
+    """Column of the fourth-order Green's function with both traces zero,
+    solved from the first-order column first, which it keeps as its stage."""
+    if first.stage is not None:
+        raise ValueError("the L^2 column needs a first-order column")
+    op = first.op
+    g2, _ = solve_spd(op.matrix, first.values.take(op.domain.flat_index[0]))
+    return GreensColumn(op, first.source_ij, first.source_xy,
+                        op.domain.field(g2), stage=first)
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +153,9 @@ def singular_split(col, consts):
     if col.kind == FIRST_ORDER:
         out = col.values + consts.c1 * np.log(psi)
         out[si, sj] = 0.0
-    elif col.kind == BILAPLACIAN:
+    else:
         out = col.values - consts.c1 * psi * np.log(psi)
         out[si, sj] = col.values[si, sj]
-    else:
-        raise ValueError("unknown column kind %r" % col.kind)
     out[d.mask == EXTERIOR] = 0.0
     return out
 

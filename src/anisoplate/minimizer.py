@@ -33,11 +33,13 @@ _schedule_floor_cells = 6.0
 # unknowns falls below _tol_grad, or once its energy has settled: the drop
 # over its last _window accepted steps averages below _rtol relative.  The
 # second test also ends a stage whose steps no longer change the energy
-# while its gradient norm stalls above _tol_grad.  On disk(1) at
-# 65^2-513^2 (identity and rot(0.7,2,1)) the last smoothed energy stays
-# within 6.4e-13 relative of a ten-step, 1e-10 window's; a two-step window
-# at 1e-10 moved the sharp energy by 6.2e-7 at 129^2 rot(0.7,2,1).  A stage
-# that meets neither test stops after _max_outer steps, unconverged.
+# while its gradient norm stalls above _tol_grad.  Both are scale-free: under
+# u_R(x) = R^2 u(x/R) on disk(R) E scales like R^2, the gradient not at all.
+# On disk(1) at 65^2-513^2 (identity and rot(0.7,2,1)) the last smoothed
+# energy stays within 6.4e-13 relative of a ten-step, 1e-10 window's; a
+# two-step window at 1e-10 moved the sharp energy by 6.2e-7 at 129^2
+# rot(0.7,2,1).  A stage that meets neither test stops after _max_outer
+# steps, unconverged.
 _tol_grad = 1e-7
 _rtol = 1e-11
 _window = 2
@@ -61,13 +63,15 @@ class DivergenceError(RuntimeError):
 def default_schedule(domain, u0_max):
     """Halving widths from 0.25*max(u0) down to the resolvability floor.
 
-    The floor is max(2h^2, 6 h max(u0)): the last term keeps the
-    transition strip a few cells wide so quantities sampled across it
+    The floor is max(2h^2, 6 h max(u0) / l), l the domain's bounding
+    half-width: the last term keeps the transition strip eps/|grad u| ~
+    eps l / max(u0) a few cells wide so quantities sampled across it
     (measure density, zero-set gradients) stay resolved on the grid.
     """
     if u0_max <= 0:
         raise ValueError("boundary data must be positive")
-    floor = max(2.0 * domain.h ** 2, _schedule_floor_cells * domain.h * u0_max)
+    floor = max(2.0 * domain.h ** 2, _schedule_floor_cells * domain.h * u0_max
+                / domain.shape.bbox_halfwidth())
     eps = 0.25 * u0_max
     out = []
     while eps > floor * (1.0 + 1e-12):
@@ -258,7 +262,7 @@ def minimize(op, u0):
             history.append((stage, it, energy, e_sharp, float(v.max())))
             # the window opens at this stage's row it - _window
             if (it >= _window and history[-1 - _window][2] - energy <=
-                    _window * _rtol * (1.0 + abs(energy))):
+                    _window * _rtol * abs(energy)):
                 break
         else:
             converged = False

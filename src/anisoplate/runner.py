@@ -330,13 +330,6 @@ def load_config(path, checks=None, out_dir=None):
 # individual checks
 
 
-def _center_column_l2(ctx):
-    if "col_l2" not in ctx:
-        ij = node_near(ctx["domain"], 0.0, 0.0)
-        ctx["col_l2"] = greens_column_L2(ctx["op"], ij)
-    return ctx["col_l2"]
-
-
 def _kernel_log_slope(col, consts):
     """Regress the first-order column on -c1 * log(psi) over the mid
     annulus; 1.0 means the column tracks the explicit kernel."""
@@ -377,7 +370,8 @@ def _check_greens(ctx, sec):
 
     consts = d1_quadrature(op.field, cols[0].source_xy)
     f1 = singular_split(cols[0], consts)
-    col_l2 = _center_column_l2(ctx)
+    # the centre L^2 column, left in the context for the frehse check
+    col_l2 = ctx["col_l2"] = greens_column_L2(cols[0])
     f2 = singular_split(col_l2, consts)
     try:
         logrep = log_bound_check(col_l2)
@@ -411,7 +405,10 @@ def _check_frehse(ctx, sec):
     if note:
         sec.update(assessed=False, note=note)
         return
-    col_l2 = _center_column_l2(ctx)
+    col_l2 = ctx.get("col_l2")
+    if col_l2 is None:   # greens did not run
+        col_l2 = greens_column_L2(
+            greens_column_L(ctx["op"], node_near(ctx["domain"], 0.0, 0.0)))
     rep = frehse_residual(col_l2)
     ratios = rep.ratios()
     sec.update(

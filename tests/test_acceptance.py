@@ -84,12 +84,12 @@ def colL_257(disk257, op257):
 
 @pytest.fixture(scope="module")
 def colL2_129(disk129, op129):
-    return greens_column_L2(op129, disk129.center_ij)
+    return greens_column_L2(greens_column_L(op129, disk129.center_ij))
 
 
 @pytest.fixture(scope="module")
 def colL2_257(disk257, op257):
-    return greens_column_L2(op257, disk257.center_ij)
+    return greens_column_L2(greens_column_L(op257, disk257.center_ij))
 
 
 @pytest.fixture(scope="module")
@@ -247,7 +247,7 @@ def test_criterion_05_anisotropic_dichotomy(criterion_report):
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
     results["diag(2,1)"] = _annulus_ratio_pair(
-        greens_column_L2(op, dom.center_ij))
+        greens_column_L2(greens_column_L(op, dom.center_ij)))
 
     # the polynomial field is isotropic at the origin, so the source sits
     # where the coefficient is genuinely anisotropic; the radius-2 disk
@@ -256,7 +256,7 @@ def test_criterion_05_anisotropic_dichotomy(criterion_report):
     fld = make_field("poly(1)", box=2.1)
     op = assemble_operator(fld, dom)
     results["poly(1)"] = _annulus_ratio_pair(
-        greens_column_L2(op, node_near(dom, 1.0, 0.0)))
+        greens_column_L2(greens_column_L(op, node_near(dom, 1.0, 0.0))))
 
     elapsed = time.perf_counter() - t0
     ok = (all(inv <= 0.5 and ctrl > 0.5 for inv, ctrl in results.values())

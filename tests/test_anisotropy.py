@@ -103,8 +103,8 @@ def test_invert_spd2_closed_form_and_guard():
 
 def _psi_grid(field, x, resolution):
     d = build_domain(rect_shape(2.0, 2.0), resolution)
-    col = GreensColumn("first_order", assemble_operator(field, d),
-                       node_near(d, *x), np.asarray(x, dtype=float), None)
+    col = GreensColumn(assemble_operator(field, d), node_near(d, *x),
+                       np.asarray(x, dtype=float), None)
     return d, col.psi
 
 

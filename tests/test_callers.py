@@ -155,3 +155,48 @@ def test_every_config_key_is_set_by_some_run():
              for key in keys
              if (sec, key) not in configured and (sec, key) != ("output", "dir")]
     assert not unset, "config keys no run sets: %s" % ", ".join(unset)
+
+
+def _dict_writes(tree):
+    """(line, enclosing function) of every reach into an object's
+    attribute dictionary: a vars() call, a .__dict__ attribute, a
+    "__dict__" string (as getattr takes it) and a setattr or
+    object.__setattr__ on anything but self."""
+    hits = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        hit = False
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name == "vars":
+                hit = True
+            elif name in ("setattr", "object.__setattr__"):
+                hit = not (node.args and ast.unparse(node.args[0]) == "self")
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            hit = True
+        elif isinstance(node, ast.Constant) and node.value == "__dict__":
+            hit = True
+        if hit:
+            hits.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return hits
+
+
+def test_no_results_kept_in_another_objects_dict():
+    # a per-call result cached in another object's __dict__ hides a data
+    # flow the call sites should show (a fourth-order column holds its
+    # first-order stage instead); the one exception is the factorization
+    # kept on its matrix.  A class's own cached_property is not counted
+    allowed = {("linsolve.py", "_factors")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line, func in _dict_writes(ast.parse(path.read_text())):
+            if (path.name, func) not in allowed:
+                found.append("%s:%d (%s)" % (path.name, line, func))
+    assert not found, "writes into another object's __dict__: %s" % (
+        ", ".join(found))

@@ -21,7 +21,6 @@ from anisoplate import (
 )
 from anisoplate import greens, linsolve
 from anisoplate.greens import (
-    GreensColumn,
     dyadic_annuli,
     gradient_sup,
     grid_hessian,
@@ -70,20 +69,20 @@ def center_col_L(disk129, iso129):
 @pytest.fixture(scope="module")
 def center_col_L2(disk129, iso129):
     op = iso129
-    return greens_column_L2(op, disk129.center_ij)
+    return greens_column_L2(greens_column_L(op, disk129.center_ij))
 
 
 @pytest.fixture(scope="module")
 def center_col_L2_fine(disk257, iso257):
     op = iso257
-    return greens_column_L2(op, disk257.center_ij)
+    return greens_column_L2(greens_column_L(op, disk257.center_ij))
 
 
 @pytest.fixture(scope="module")
 def diag257_col_L2(disk257):
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, disk257)
-    return greens_column_L2(op, disk257.center_ij)
+    return greens_column_L2(greens_column_L(op, disk257.center_ij))
 
 
 # ---------------------------------------------------------------------------
@@ -141,18 +140,18 @@ def test_columns_on_one_operator_share_one_factorization(monkeypatch):
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
     greens_column_L(op, dom.center_ij)
-    greens_column_L2(op, dom.center_ij)
-    greens_column_L2(op, node_near(dom, 0.3, -0.2))
+    greens_column_L2(greens_column_L(op, dom.center_ij))
+    greens_column_L2(greens_column_L(op, node_near(dom, 0.3, -0.2)))
     assert calls == [op.matrix.shape]
     # a new operator gets its own
     greens_column_L(assemble_operator(fld, dom), dom.center_ij)
     assert len(calls) == 2
 
 
-def test_centre_columns_share_one_first_order_solve(monkeypatch):
-    # the fourth-order column's intermediate stage is the first-order column
-    # on the same operator and source, so it is solved once; a new source
-    # or a new operator solves again
+def test_fourth_order_column_holds_its_first_order_stage(monkeypatch):
+    # the fourth-order column is solved from the first-order column it is
+    # given, in one solve; it keeps that column as its stage and shares its
+    # psi, and nothing is left behind on the operator
     calls = []
     real = greens.solve_spd
 
@@ -164,17 +163,21 @@ def test_centre_columns_share_one_first_order_solve(monkeypatch):
     dom = build_domain(disk_shape(1.0), 33)
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
-    col = greens_column_L(op, dom.center_ij)
-    col_l2 = greens_column_L2(op, dom.center_ij)
-    assert len(calls) == 2
-    assert np.array_equal(greens_column_L(op, dom.center_ij).values,
-                          col.values)
-    assert len(calls) == 2
-    greens_column_L2(op, node_near(dom, 0.3, -0.2))
-    assert len(calls) == 4
-    fresh = greens_column_L2(assemble_operator(fld, dom), dom.center_ij)
-    assert len(calls) == 6
-    assert np.array_equal(fresh.values, col_l2.values)
+    fields = set(vars(op))
+    first = greens_column_L(op, dom.center_ij)
+    assert len(calls) == 1 and first.stage is None
+    col = greens_column_L2(first)
+    assert len(calls) == 2 and all(m is op.matrix for m in calls)
+    assert col.stage is first and col.op is op
+    assert col.source_ij == first.source_ij
+    assert col.psi is first.psi
+    assert set(vars(op)) == fields == {"field", "domain", "matrix", "coupling"}
+    with pytest.raises(ValueError):
+        greens_column_L2(col)
+    # a fresh operator reproduces the column
+    fresh = greens_column_L2(greens_column_L(assemble_operator(fld, dom),
+                                             dom.center_ij))
+    assert np.array_equal(fresh.values, col.values)
 
 
 def test_columns_tied_to_their_operator():
@@ -184,7 +187,7 @@ def test_columns_tied_to_their_operator():
     fld = make_field("diag(2,1)")
     op = assemble_operator(fld, dom)
     for col in (greens_column_L(op, dom.center_ij),
-                greens_column_L2(op, dom.center_ij)):
+                greens_column_L2(greens_column_L(op, dom.center_ij))):
         assert col.op is op
         assert col.domain is dom and col.coeff is fld
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -219,7 +222,8 @@ def test_singular_operator_raises_instead_of_returning_a_column():
     m = op.matrix.copy()
     m.data[0] = np.nan
     with pytest.raises(RuntimeError):
-        greens_column_L2(dataclasses.replace(op, matrix=m), dom.center_ij)
+        greens_column_L2(greens_column_L(dataclasses.replace(op, matrix=m),
+                                         dom.center_ij))
 
 
 @pytest.mark.parametrize("miss", [1e-6, np.nan, np.inf])
@@ -273,8 +277,8 @@ def test_reciprocity_fourth_order_across_fields():
         op = assemble_operator(fld, dom)
         for ka, kb in picks:
             ija, ijb = tuple(inter[ka]), tuple(inter[kb])
-            ca = greens_column_L2(op, ija)
-            cb = greens_column_L2(op, ijb)
+            ca = greens_column_L2(greens_column_L(op, ija))
+            cb = greens_column_L2(greens_column_L(op, ijb))
             va = ca.values[ijb]
             vb = cb.values[ija]
             assert abs(va - vb) <= 1e-9 * max(abs(va), abs(vb))
@@ -333,13 +337,6 @@ def test_split_zeroes_source_and_exterior(disk129, center_col_L):
     si, sj = center_col_L.source_ij
     assert f1[si, sj] == 0.0
     assert np.all(f1[disk129.mask == EXTERIOR] == 0.0)
-
-
-def test_split_rejects_unknown_kind(center_col_L):
-    bogus = GreensColumn("mystery", center_col_L.op, center_col_L.source_ij,
-                         center_col_L.source_xy, center_col_L.values)
-    with pytest.raises(ValueError):
-        singular_split(bogus, _iso_consts())
 
 
 def test_split_refinement_keeps_regular_parts_tame(
@@ -416,7 +413,7 @@ def test_hessian_split_input_validation(disk129, center_col_L, center_col_L2, di
         frehse_residual(center_col_L2, pairing="transpose")
     coarse = build_domain(disk_shape(1.0), 65)        # h = 1/32 too coarse
     op = assemble_operator(fld, coarse)
-    col = greens_column_L2(op, coarse.center_ij)
+    col = greens_column_L2(greens_column_L(op, coarse.center_ij))
     with pytest.raises(ValueError):
         frehse_residual(col)
 
@@ -456,7 +453,7 @@ def test_log_envelope_needs_two_annuli():
     dom = build_domain(disk_shape(1.0), 33)
     fld = make_field("identity")
     op = assemble_operator(fld, dom)
-    col = greens_column_L2(op, dom.center_ij)
+    col = greens_column_L2(greens_column_L(op, dom.center_ij))
     with pytest.raises(RuntimeError):
         log_bound_check(col)
 

@@ -148,7 +148,8 @@ _SOLVE_SITES = {
     "dirichlet": lambda op: op.solve_dirichlet(1.0, np.ones(op.domain.n_boundary)),
     "descent": lambda op: _lbfgs_direction(op, np.ones(op.domain.n_interior), []),
     "column_L": lambda op: greens_column_L(op, op.domain.center_ij),
-    "column_L2": lambda op: greens_column_L2(op, op.domain.center_ij),
+    "column_L2": lambda op: greens_column_L2(
+        greens_column_L(op, op.domain.center_ij)),
 }
 
 

@@ -447,6 +447,23 @@ def test_small_disks_open_a_zero_set_and_agree(iso):
     assert per_area[0] == pytest.approx(per_area[1], rel=1e-5)
 
 
+def test_minimizer_is_scale_free_on_disks(iso):
+    # under u_R(x) = R^2 u(x/R) the discrete problem on disk(R) is the unit
+    # disk's: the settle test is relative to |E| and the width floor scales
+    # with the domain, so every radius takes the same steps per stage to
+    # the same E/area
+    runs = []
+    for radius in (0.01, 1.0, 4.0):
+        dom = build_domain(disk_shape(radius), 65)
+        state = minimize(assemble_operator(iso, dom), SMALL_C * radius ** 2)
+        assert state.converged
+        steps = (np.bincount([row[0] for row in state.history]) - 1).tolist()
+        runs.append((steps, state.energy_sharp / (np.pi * radius ** 2)))
+    for steps, per_area in runs[1:]:
+        assert steps == runs[0][0]
+        assert per_area == pytest.approx(runs[0][1], rel=1e-9)
+
+
 def test_minimize_solve_budget(monkeypatch, op65):
     # one solve for the probe bump and two per accepted step (the nested
     # preconditioner); the Armijo search starts at t = 1 and spends none

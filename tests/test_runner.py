@@ -779,7 +779,7 @@ def test_builtin_run_factorizes_once(tmp_path, monkeypatch):
     op.solve_dirichlet(np.ones(dom.n_interior), np.zeros(dom.n_boundary))
     minimize(op, 0.05)
     greens_column_L(op, dom.center_ij)
-    greens_column_L2(op, dom.center_ij)
+    greens_column_L2(greens_column_L(op, dom.center_ij))
     assert len(calls) == 1 and calls[0] is op.matrix
 
 
@@ -804,6 +804,40 @@ def test_greens_frehse_run_assembles_once(tmp_path, monkeypatch):
                       out_dir=str(tmp_path / "out"))
     assert run(cfg) == 0
     assert calls == [129]
+
+
+@pytest.mark.parametrize("checks, resolution, solves", [
+    ("greens,frehse", 129, 4),
+    ("frehse", 129, 2),
+    ("frehse", 65, 0),      # h > 1/64: not assessed, nothing solved
+])
+def test_greens_frehse_solve_and_factorization_counts(
+        tmp_path, monkeypatch, checks, resolution, solves):
+    # greens solves three first-order columns and the centre L^2 column
+    # from the first of them; frehse reuses that L^2 column, and alone
+    # solves its own pair.  One factorization serves all; every module
+    # binding of solve_spd is counted
+    solve_calls, splu_calls = [], []
+    real_solve, real_splu = linsolve.solve_spd, linsolve.splu
+
+    def counting_solve(matrix, rhs):
+        solve_calls.append(matrix)
+        return real_solve(matrix, rhs)
+
+    for name, mod in list(sys.modules.items()):
+        if (name.split(".")[0] == "anisoplate"
+                and getattr(mod, "solve_spd", None) is real_solve):
+            monkeypatch.setattr(mod, "solve_spd", counting_solve)
+    monkeypatch.setattr(linsolve, "splu",
+                        lambda m: splu_calls.append(m) or real_splu(m))
+    text = ("[run]\nchecks = %s\n[grid]\nshape = disk(1)\n"
+            "resolution = %d\n[field]\nkind = diag(2,1)\n"
+            "[boundary]\nu0 = 0.05\n" % (checks, resolution))
+    cfg = load_config(_write(tmp_path, "c.ini", text),
+                      out_dir=str(tmp_path / "out"))
+    assert run(cfg) == 0
+    assert len(solve_calls) == solves
+    assert len(splu_calls) == min(solves, 1)
 
 
 def test_greens_run_builds_psi_once_per_source(tmp_path, monkeypatch):
