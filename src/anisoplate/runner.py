@@ -406,7 +406,7 @@ def _check_frehse(ctx, sec):
         sec.update(assessed=False, note=note)
         return
     col_l2 = ctx.get("col_l2")
-    if col_l2 is None:   # greens did not run
+    if col_l2 is None:   # greens did not run, or failed before building it
         col_l2 = greens_column_L2(
             greens_column_L(ctx["op"], node_near(ctx["domain"], 0.0, 0.0)))
     rep = frehse_residual(col_l2)
