@@ -8,10 +8,10 @@ Hessian-structure residual pairs the scalar log singularity with the
 inverse coefficient matrix and measures what is left on dyadic annuli.
 Columns solve through linsolve.solve_spd, so all columns on one operator
 share the sparse LU factorization kept on its matrix; every column solve
-checks its true residual against solve_spd's one bound.  A fourth-order
-column holds the first-order column it was solved from as its stage and
-shares that column's anisotropic distance grid.  The report builders only
-read the columns.
+checks its true residual against solve_spd's one bound.  A column's order
+is its stage: a fourth-order column holds the first-order column it was
+solved from, and takes the grids of their source from it.  Every grid is
+built once; the report builders only read the columns.
 """
 
 from dataclasses import dataclass
@@ -20,11 +20,8 @@ from functools import cached_property
 import numpy as np
 
 from .anisotropy import invert_spd2
-from .grid import EXTERIOR, INTERIOR, central_gradient, grow
+from .grid import EXTERIOR, INTERIOR, _read_only, central_gradient, grow
 from .linsolve import solve_spd
-
-FIRST_ORDER = "first_order"
-BILAPLACIAN = "navier_bilaplacian"
 
 _positivity_floor = -1e-12
 _metric_margin_cells = 2
@@ -37,7 +34,8 @@ _annulus_floor_cells = 4
 @dataclass(frozen=True)
 class GreensColumn:
     """One Green's function column with its source bookkeeping; its domain
-    and coefficient field are those of the operator it was solved on."""
+    and coefficient field are those of the operator it was solved on.  Its
+    grids are read-only and built on first read."""
 
     op: object
     source_ij: tuple
@@ -49,28 +47,43 @@ class GreensColumn:
     def domain(self):
         return self.op.domain
 
-    @property
-    def coeff(self):
-        return self.op.field
-
-    @property
-    def kind(self):
-        return FIRST_ORDER if self.stage is None else BILAPLACIAN
+    @cached_property
+    def inverse_coeff(self):
+        """A(y)^-1 at every node, shape grid+(2, 2)."""
+        if self.stage is not None:
+            return self.stage.inverse_coeff
+        d = self.domain
+        return _read_only(invert_spd2(
+            self.op.field.matrix(np.stack([d.X, d.Y], axis=-1))))
 
     @cached_property
     def psi(self):
-        """Anisotropic squared distance to the source at every node,
-        read-only; built once per first-order column and shared by the
-        fourth-order column solved from it."""
+        """Anisotropic squared distance to the source at every node."""
         if self.stage is not None:
             return self.stage.psi
         d = self.domain
-        pts = np.stack([d.X, d.Y], axis=-1)
-        z = pts - self.source_xy
-        s = invert_spd2(self.coeff.matrix(pts))
-        psi = np.einsum("...i,...ij,...j->...", z, s, z)
-        psi.flags.writeable = False
-        return psi
+        z = np.stack([d.X, d.Y], axis=-1) - self.source_xy
+        return _read_only(
+            np.einsum("...i,...ij,...j->...", z, self.inverse_coeff, z))
+
+    @cached_property
+    def metric_mask(self):
+        """(ok, r): interior nodes admissible for sup metrics, and every
+        node's distance r to the source.  Admissible: farther than 2h from
+        the source and the boundary, with the full difference footprint (no
+        exterior node in the (2*_metric_margin_cells+1)-square around it)."""
+        if self.stage is not None:
+            return self.stage.metric_mask
+        d = self.domain
+        r = np.hypot(d.X - self.source_xy[0], d.Y - self.source_xy[1])
+        sd = d.shape.sdf(np.stack([d.X, d.Y], axis=-1))
+        ok = (d.mask == INTERIOR) & (r > 2.0 * d.h) & (sd <= -2.0 * d.h)
+        ok &= ~grow(d.mask == EXTERIOR, _metric_margin_cells)
+        return _read_only(ok), _read_only(r)
+
+    @cached_property
+    def hessian(self):
+        return _read_only(grid_hessian(self.domain, self.values))
 
 
 @dataclass(frozen=True)
@@ -141,16 +154,17 @@ def singular_split(col, consts):
     """Remove the explicit logarithmic kernel from a column; returns a new
     full-grid array.
 
-    First-order kind: G + c1 log psi; fourth-order kind: G - c1 psi log psi.
-    The source node itself is set to zero (first-order) or kept at the raw
-    column value (fourth-order, where the kernel vanishes in the limit);
-    metric helpers exclude it by radius either way.
+    First-order (no stage): G + c1 log psi; fourth-order (solved from its
+    stage): G - c1 psi log psi.  The source node itself is set to zero
+    (first-order) or kept at the raw column value (fourth-order, where the
+    kernel vanishes in the limit); metric helpers exclude it by radius
+    either way.
     """
     d = col.domain
     psi = col.psi.copy()
     si, sj = col.source_ij
     psi[si, sj] = 1.0   # placeholder; the true kernel value is excluded
-    if col.kind == FIRST_ORDER:
+    if col.stage is None:
         out = col.values + consts.c1 * np.log(psi)
         out[si, sj] = 0.0
     else:
@@ -162,20 +176,6 @@ def singular_split(col, consts):
 
 # ---------------------------------------------------------------------------
 # sup metrics on the grid
-
-
-def metric_mask(col):
-    """Interior nodes admissible for sup metrics, with every node's distance
-    r to the source: farther than 2h from the source and the boundary, and
-    no exterior node in the (2*_metric_margin_cells+1)-square around it, so
-    the full difference footprint is available."""
-    d = col.domain
-    h = d.h
-    r = np.hypot(d.X - col.source_xy[0], d.Y - col.source_xy[1])
-    sd = d.shape.sdf(np.stack([d.X, d.Y], axis=-1))
-    ok = (d.mask == INTERIOR) & (r > 2.0 * h) & (sd <= -2.0 * h)
-    ok &= ~grow(d.mask == EXTERIOR, _metric_margin_cells)
-    return ok, r
 
 
 def grid_hessian(domain, values):
@@ -200,10 +200,10 @@ def grid_third_diff(domain, values):
 
 
 def _admissible_sup(col, nodal):
-    """Max of |nodal| over metric_mask's nodes within _sup_radius, or None
-    when a coarse grid leaves none admissible."""
-    ok, r = metric_mask(col)
-    ok &= r < _sup_radius
+    """Max of |nodal| over the column's admissible nodes within _sup_radius,
+    or None when a coarse grid leaves none admissible."""
+    ok, r = col.metric_mask
+    ok = ok & (r < _sup_radius)
     return float(np.abs(nodal[ok]).max()) if ok.any() else None
 
 
@@ -237,7 +237,7 @@ def dyadic_annuli(h):
 
 def _annulus_sups(col, nodal_quantities, h):
     """Max of each quantity over the valid nodes of every dyadic annulus."""
-    ok, r = metric_mask(col)
+    ok, r = col.metric_mask
     radii, sups, notes = [], [], []
     for k in dyadic_annuli(h):
         inner, outer = 2.0 ** (-k), 2.0 ** (-k + 1)
@@ -266,16 +266,16 @@ def coarse_grid_note(domain):
 
 
 def frehse_residual(col_l2, *, pairing="inverse"):
-    """Split the Hessian of a fourth-order column into the scalar log
-    singularity times a matrix, plus a remainder, on dyadic annuli.  The
-    operator applied is the column's own, col_l2.op, and the pairing matrix
-    comes from its coefficient field.
+    """Split the Hessian of a fourth-order column (one with a stage) into
+    the scalar log singularity times a matrix, plus a remainder, on dyadic
+    annuli.  The column's own operator col_l2.op is applied, and its own
+    Hessian and A^-1 grids are read.
 
     pairing = "inverse" uses A(y)^-1 (the structural claim being tested);
     pairing = "trace_identity" uses the trace-matched multiple of the
     identity, a deliberately wrong matrix serving as negative control.
     """
-    if col_l2.kind != BILAPLACIAN:
+    if col_l2.stage is None:
         raise ValueError("Hessian-structure residual needs a fourth-order column")
     d = col_l2.domain
     note = coarse_grid_note(d)
@@ -285,9 +285,8 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     # div(A grad G) = -L G
     div_grid = d.field(-col_l2.op.apply_field(col_l2.values))
 
-    hess = grid_hessian(d, col_l2.values)
-
-    s = invert_spd2(col_l2.coeff.matrix(np.stack([d.X, d.Y], axis=-1)))
+    hess = col_l2.hessian
+    s = col_l2.inverse_coeff
     if pairing == "inverse":
         pair_mat = s
     elif pairing == "trace_identity":
@@ -323,10 +322,8 @@ def log_bound_check(col):
     Meaningful for fourth-order columns; calling it on a second-order column
     is the standard negative control (the fit overshoots badly because the
     Hessian there grows like a power of 1/r, not a log)."""
-    d = col.domain
-    hess = grid_hessian(d, col.values)
-    hess_inf = np.max(np.abs(hess), axis=-1)
-    radii, sups, _ = _annulus_sups(col, [hess_inf], d.h)
+    hess_inf = np.max(np.abs(col.hessian), axis=-1)
+    radii, sups, _ = _annulus_sups(col, [hess_inf], col.domain.h)
     if radii.size < 2:
         raise RuntimeError("need at least two annuli for the log fit")
     y = sups[:, 0]

@@ -335,7 +335,7 @@ def _kernel_log_slope(col, consts):
     annulus; 1.0 means the column tracks the explicit kernel."""
     d = col.domain
     half = d.shape.bbox_halfwidth()
-    r = np.hypot(d.X - col.source_xy[0], d.Y - col.source_xy[1])
+    r = col.metric_mask[1]
     band = (d.mask == INTERIOR) & (r >= 0.2 * half) & (r <= 0.5 * half)
     if band.sum() < 8:
         return None

@@ -25,7 +25,6 @@ from anisoplate.greens import (
     gradient_sup,
     grid_hessian,
     grid_third_diff,
-    metric_mask,
     third_diff_sup,
 )
 from anisoplate.grid import EXTERIOR
@@ -150,8 +149,9 @@ def test_columns_on_one_operator_share_one_factorization(monkeypatch):
 
 def test_fourth_order_column_holds_its_first_order_stage(monkeypatch):
     # the fourth-order column is solved from the first-order column it is
-    # given, in one solve; it keeps that column as its stage and shares its
-    # psi, and nothing is left behind on the operator
+    # given, in one solve; it keeps that column as its stage and shares the
+    # grids of their common source, and nothing is left behind on the
+    # operator
     calls = []
     real = greens.solve_spd
 
@@ -170,7 +170,11 @@ def test_fourth_order_column_holds_its_first_order_stage(monkeypatch):
     assert len(calls) == 2 and all(m is op.matrix for m in calls)
     assert col.stage is first and col.op is op
     assert col.source_ij == first.source_ij
-    assert col.psi is first.psi
+    for name in ("inverse_coeff", "psi", "metric_mask"):
+        assert getattr(col, name) is getattr(first, name)
+    # each column's Hessian is its own
+    assert np.array_equal(col.hessian, grid_hessian(dom, col.values))
+    assert not np.array_equal(col.hessian, first.hessian)
     assert set(vars(op)) == fields == {"field", "domain", "matrix", "coupling"}
     with pytest.raises(ValueError):
         greens_column_L2(col)
@@ -189,13 +193,15 @@ def test_columns_tied_to_their_operator():
     for col in (greens_column_L(op, dom.center_ij),
                 greens_column_L2(greens_column_L(op, dom.center_ij))):
         assert col.op is op
-        assert col.domain is dom and col.coeff is fld
+        assert col.domain is dom and col.op.field is fld
         with pytest.raises(dataclasses.FrozenInstanceError):
-            col.coeff = make_field("identity")
-        # the anisotropic squared distance is built once and read-only
-        assert col.psi is col.psi
-        with pytest.raises(ValueError):
-            col.psi[0, 0] = 1.0
+            col.op = assemble_operator(make_field("identity"), dom)
+        # every grid derived from the column is built once and read-only
+        for arr in (col.inverse_coeff, col.psi, col.hessian,
+                    *col.metric_mask):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+        assert col.psi is col.psi and col.hessian is col.hessian
 
 
 def test_column_true_residuals_within_bound(disk129, iso129, center_col_L, center_col_L2):
@@ -408,7 +414,7 @@ def test_inverse_pairing_beats_trace_identity_control(disk257, diag257_col_L2):
 def test_hessian_split_input_validation(disk129, center_col_L, center_col_L2, diag257_col_L2):
     fld = make_field("identity")
     with pytest.raises(ValueError):
-        frehse_residual(center_col_L)                 # wrong kind
+        frehse_residual(center_col_L)                 # first-order
     with pytest.raises(ValueError):
         frehse_residual(center_col_L2, pairing="transpose")
     coarse = build_domain(disk_shape(1.0), 65)        # h = 1/32 too coarse
@@ -419,7 +425,7 @@ def test_hessian_split_input_validation(disk129, center_col_L, center_col_L2, di
 
 
 def test_frehse_takes_operator_from_column(center_col_L2):
-    # the operator is col.op and the field its col.coeff; a second field
+    # the operator is col.op and the field col.op.field; a second field
     # can no longer be passed in and silently mixed with the column's own
     with pytest.raises(TypeError):
         frehse_residual(center_col_L2, make_field("diag(2,1)"))
@@ -470,7 +476,7 @@ def test_dyadic_annuli_track_grid_spacing():
 
 def test_metric_mask_exclusions(disk129, center_col_L):
     d = disk129
-    ok, r = metric_mask(center_col_L)
+    ok, r = center_col_L.metric_mask
     assert not np.any(ok & (r <= 2.0 * d.h))
     sd = d.shape.sdf(np.stack([d.X, d.Y], axis=-1))
     assert not np.any(ok & (sd > -2.0 * d.h))

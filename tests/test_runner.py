@@ -842,23 +842,89 @@ def test_greens_frehse_solve_and_factorization_counts(
 
 def test_greens_run_builds_psi_once_per_source(tmp_path, monkeypatch):
     # the centre first-order column and the centre L^2 column share their
-    # source and operator, so both splits read one psi grid; each build
-    # inverts A once over the whole grid
-    builds = []
-    real = greens.invert_spd2
+    # source and operator, so both splits, both sups, the kernel slope and
+    # the frehse audit read one A^-1 grid (inverted once over the whole
+    # grid), one psi and one admissible-node mask (grown once); the log fit
+    # and the frehse audit read the L^2 column's one Hessian
+    calls = {name: [] for name in ("invert_spd2", "grid_hessian", "grow")}
+    for name, log in calls.items():
+        real = getattr(greens, name)
+        monkeypatch.setattr(greens, name, lambda *a, real=real, log=log:
+                            log.append(a) or real(*a))
+    for checks, resolution in (("greens", 65), ("greens, frehse", 129)):
+        for log in calls.values():
+            log.clear()
+        text = ("[run]\nchecks = %s\n[grid]\nshape = disk(1)\n"
+                "resolution = %d\n[field]\nkind = diag(2,1)\n"
+                "[boundary]\nu0 = 0.05\n" % (checks, resolution))
+        cfg = load_config(_write(tmp_path, "p.ini", text),
+                          out_dir=str(tmp_path / "out"))
+        assert run(cfg) == 0
+        n = resolution + 2
+        assert [a[0].shape for a in calls["invert_spd2"]] == [(n, n, 2, 2)]
+        assert len(calls["grid_hessian"]) == len(calls["grow"]) == 1
 
-    def counting(mats):
-        builds.append(mats.shape)
-        return real(mats)
 
-    monkeypatch.setattr(greens, "invert_spd2", counting)
-    text = ("[run]\nchecks = greens\n[grid]\nshape = disk(1)\n"
-            "resolution = 65\n[field]\nkind = diag(2,1)\n"
-            "[boundary]\nu0 = 0.05\n")
-    cfg = load_config(_write(tmp_path, "p.ini", text),
-                      out_dir=str(tmp_path / "out"))
-    assert run(cfg) == 0
-    assert builds == [(67, 67, 2, 2)]
+@pytest.mark.parametrize("field", ["diag(2,1)", "rot(0.7,2,1)"])
+def test_frehse_section_same_from_either_column_origin(field):
+    # the frehse check audits the L^2 column that greens left behind, or
+    # builds the same column itself when greens does not run
+    sections = []
+    for checks in (("frehse",), ("greens", "frehse")):
+        cfg = RunConfig(scenario="custom", shape_spec="disk(1)",
+                        resolution=129, field_spec=field, u0_spec="0.05",
+                        checks=checks, out_dir="unused")
+        sections.append(json.dumps(_execute(cfg, write_outputs=False)
+                                   ["frehse"], sort_keys=True))
+    assert sections[0] == sections[1]
+
+
+def _leaves(value, path=""):
+    """(path, value) of every scalar in a nest of report dicts and lists."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, "%s.%s" % (path, k))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, "%s[%d]" % (path, i))
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("a, b", [
+    (("disk(1)", "diag(2,1)"), ("disk(1)", "diag(1,2)")),
+    (("rect(2,1.5)", "diag(2,1)"), ("rect(1.5,2)", "diag(1,2)")),
+    (("disk(1)", "rot(0.7,2,1)"), ("disk(1)", "rot(-0.7,2,1)")),
+], ids=["transpose-disk", "transpose-rect", "reflect-rot"])
+def test_reports_agree_across_exact_symmetries(a, b):
+    # transposing the plane (swapping the shape's and the field's axes) or
+    # reflecting it (x1 -> -x1 turns rot(t,a,b) into rot(-t,a,b)) maps one
+    # discrete problem exactly onto the other, so every minimize, nodal and
+    # frehse value, and every greens value of the centre source, agrees:
+    # counts and flags exactly, floats to 1e-10 relative.  Not compared:
+    # el and failures (the bank takes loop vertices by index in marching
+    # order), and min_GL and symmetry_max_err (the off-centre sources sit
+    # at fixed fractions of the box and are not mapped)
+    leaves = []
+    for shape, field in (a, b):
+        cfg = RunConfig(scenario="custom", shape_spec=shape, resolution=129,
+                        field_spec=field, u0_spec="0.05",
+                        checks=("greens", "frehse", "minimize", "nodal", "el"),
+                        out_dir="unused")
+        rep = _execute(cfg, write_outputs=False)
+        rep["greens"] = {k: rep["greens"][k] for k in (
+            "f1_grad_sup", "f2_third_diff_sup", "kernel_log_slope",
+            "hessian_log_fit")}
+        leaves.append(dict(_leaves({sec: rep[sec] for sec in (
+            "minimize", "nodal", "frehse", "greens")})))
+    la, lb = leaves
+    assert la.keys() == lb.keys()
+    for path, x in la.items():
+        y = lb[path]
+        if isinstance(x, float):
+            assert abs(x - y) <= 1e-10 * max(abs(x), abs(y)), (path, x, y)
+        else:
+            assert x == y, path
 
 
 # ---------------------------------------------------------------------------
