@@ -2,11 +2,13 @@
 rectangles.
 
 Nodes are classified interior (strictly inside), boundary (outside-or-on
-nodes 8-adjacent to an interior node, carrying the datum of their
-projection onto the curve: DiscreteDomain.trace) or exterior.  The
-operator L u = -div(A grad u) is assembled in flux form on the interior
-nodes with a nine-point stencil, symmetric by construction; Dirichlet
-solves go through the sparse LU of linsolve, factored once per operator."""
+nodes an arm of the stencil reaches from an interior node, carrying the
+datum of their projection onto the curve: DiscreteDomain.trace) or
+exterior.  The operator L u = -div(A grad u) is assembled on the interior
+nodes as one weighted pair term per arm of the nine-point footprint, with
+weights w_e such that sum_e w_e e e^T = A, symmetric by construction;
+Dirichlet solves go through the sparse LU of linsolve, factored once per
+operator."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,6 +27,10 @@ _min_resolution = 5
 EXTERIOR = 0
 BOUNDARY = 1
 INTERIOR = 2
+
+# the arms of the nine-point footprint, E, N, NE and SE; a row's diagonal
+# sums the weights of each arm's +e and -e pairs in this order
+_arms = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
 @dataclass(frozen=True)
@@ -246,7 +252,8 @@ def build_domain(shape, resolution):
     n_nodes = xs.shape[0]
     mask = np.zeros((n_nodes, n_nodes), dtype=np.int8)
     mask[inside] = INTERIOR
-    mask[(~inside) & grow(inside, 1)] = BOUNDARY
+    # the boundary ring is as wide as the longest arm reaches
+    mask[(~inside) & grow(inside, max(abs(c) for e in _arms for c in e))] = BOUNDARY
 
     interior_ij = np.argwhere(mask == INTERIOR)
     boundary_ij = np.argwhere(mask == BOUNDARY)
@@ -345,66 +352,59 @@ class SparseOperator:
         return solve_spd(self.matrix, rhs)[0]
 
 
-# stencil offsets: centre, E, W, N, S, NE, SW, NW, SE
-_offsets = np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1),
-                     (1, 1), (-1, -1), (-1, 1), (1, -1)])
+def _arm_weights(a):
+    """The weight of each arm of _arms at coefficient matrices a, (..., 2, 2):
+    a11, a22, a12/2 and -a12/2, so that sum_e w_e e e^T = A."""
+    return a[..., 0, 0], a[..., 1, 1], 0.5 * a[..., 0, 1], -0.5 * a[..., 0, 1]
 
 
 def assemble_operator(field, domain):
-    """Nine-point flux-form stencil for L u = -div(A grad u), symmetric by
-    construction: both entries of a node pair come from one coefficient
-    sample, so no averaging with the transpose is needed.
-
-    a11 is sampled once per x-face and a22 once per y-face, at the face
-    midpoint, and enters through the difference across that face.  a12 is
-    sampled once per cell, at its centre, and enters through the cell's
-    2 a12 (D_x u)(D_y u), written as a difference of squared diagonal
-    differences: -a12/(2h^2) at the NE and SW corners of a row, +a12/(2h^2)
-    at SE and NW, (b_NE + b_SW - b_SE - b_NW)/(2h^2) on the diagonal and
-    nothing on the axes.  Only faces and cells touching an interior node
-    are sampled.  Raises ValueError unless A is positive definite (a11 > 0,
+    """Nine-point stencil for L u = -div(A grad u), one pair term per arm e
+    of _arms: (L u)(x) = sum_e w_e [2 u(x) - u(x + h e) - u(x - h e)] / h^2
+    with the weights of _arm_weights, each from one sample of A at the
+    midpoint of the pair's box (an x-face for E, a y-face for N, a cell
+    centre for NE and SE), taken only where a corner of the box is
+    interior.  Both entries of a pair share it, so M is symmetric by
+    construction.  Raises ValueError unless A is positive definite (a11 > 0,
     det > 0) at every sample, since the sparse LU solve would not notice an
-    indefinite operator, and names the first stencil entry (in the offset
-    order centre, E, W, N, S, NE, SW, NW, SE) that overflows.
-    """
-    d = domain
-    h = d.h
-
-    def sample(touch, dx, dy, k, l):
-        """A_kl at (x + dx, y + dy) for the marked grid nodes, 0 elsewhere."""
-        si, sj = np.nonzero(touch)
-        a = field.matrix(np.stack([d.xs[si] + dx, d.ys[sj] + dy], axis=-1))
-        det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
-        if not (np.all(a[:, 0, 0] > 0.0) and np.all(det > 0.0)):
-            raise ValueError("coefficient matrix not positive definite at a face or cell sample")
-        out = np.zeros(touch.shape)
-        out[si, sj] = a[:, k, l]
-        return out
-
-    # face (i, j)-(i+1, j), face (i, j)-(i, j+1) and the cell with lower-left
-    # node (i, j), each indexed by (i, j)
+    indefinite operator, and names the first stencil entry (row order
+    centre, E, W, N, S, NE, SW, SE, NW) that overflows."""
+    d, h = domain, domain.h
     inner = d.mask == INTERIOR
-    x_faces = inner[:-1] | inner[1:]
-    a11 = sample(x_faces, 0.5 * h, 0.0, 0, 0)
-    a22 = sample(inner[:, :-1] | inner[:, 1:], 0.0, 0.5 * h, 1, 1)
-    a12 = sample(x_faces[:, :-1] | x_faces[:, 1:], 0.5 * h, 0.5 * h, 0, 1)
+    n0, n1 = inner.shape
+    fi = d.flat_index[0]
+    box, offsets, weights = None, [0], []
+    for k, (e0, e1) in enumerate(_arms):
+        # a pair's box spans (bx, by) cells and keeps its weight at its lower-left
+        # node; arms of one box size are adjacent in _arms and share its samples
+        if (abs(e0), abs(e1)) != box:
+            box = bx, by = abs(e0), abs(e1)
+            si, sj = np.nonzero(inner[:n0 - bx, :n1 - by] | inner[bx:, by:]
+                                | inner[bx:, :n1 - by] | inner[:n0 - bx, by:])
+            a = field.matrix(np.stack([d.xs[si] + 0.5 * h * bx,
+                                       d.ys[sj] + 0.5 * h * by], axis=-1))
+            det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+            if not (np.all(a[:, 0, 0] > 0.0) and np.all(det > 0.0)):
+                raise ValueError("coefficient matrix not positive definite at a face or cell sample")
+        w = np.zeros(inner.shape)
+        w[si, sj] = _arm_weights(a)[k]
+        for s0, s1 in ((e0, e1), (-e0, -e1)):
+            # the pair (x, x + s) has its box's lower-left node at x + min(s, 0)
+            offsets.append(s0 * n1 + s1)
+            weights.append(w.take(fi + (min(s0, 0) * n1 + min(s1, 0))))
 
-    i, j = d.interior_ij[:, 0], d.interior_ij[:, 1]
-    ae, aw, an, as_ = a11[i, j], a11[i - 1, j], a22[i, j], a22[i, j - 1]
-    b_ne, b_sw, b_nw, b_se = a12[i, j], a12[i - 1, j - 1], a12[i - 1, j], a12[i, j - 1]
     h2 = h * h
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.stack([
-            (ae + aw + an + as_) / h2 + (b_ne + b_sw - b_se - b_nw) / (2 * h2),
-            -ae / h2, -aw / h2, -an / h2, -as_ / h2,
-            -b_ne / (2 * h2), -b_sw / (2 * h2), b_nw / (2 * h2), b_se / (2 * h2)])
+        # the axial arms' pairs, then the diagonal arms', each summed first
+        vals = np.stack([sum(weights[:4]) / h2 + sum(weights[4:]) / h2,
+                         *(-w / h2 for w in weights)])
     if not np.isfinite(vals).all():
         r, k = np.argwhere(~np.isfinite(vals.T))[0]
         raise ValueError("stencil entry %d of the interior node at (%g, %g) is %g"
                          % (k, *d.interior_xy[r], vals[k, r]))
 
-    ni, nj = i + _offsets[:, :1], j + _offsets[:, 1:]
-    im, bm = d.interior_map[ni, nj], d.boundary_map[ni, nj]
+    nbr = fi + np.array(offsets)[:, None]
+    im, bm = d.interior_map.take(nbr), d.boundary_map.take(nbr)
     if np.any((im < 0) & (bm < 0)):
         raise RuntimeError("stencil of an interior node reaches an exterior node; "
                            "classification violated 8-adjacency")

@@ -16,12 +16,13 @@ The runs, each in a fresh temporary directory:
                        at 65^2
     rect_offnode_65    rect(1.3,0.7), rot(0.7,2,1), all checks, at 65^2
 
-rot_small_65 and poly_greens_129 pin the stencil where the coefficients
-are not multiples of the identity: a constant nonzero a12, and an a11
-that varies along x.  rect_poly_65 pins the rectangle's projection and
-a boundary trace that varies along the curve.  rect_offnode_65 pins a
-rectangle whose edges are not at multiples of a power-of-two h: its long
-sides lie on nodes only because the coordinates are exact at +-halfwidth.
+rot_small_65 and poly_greens_129 pin arm weights that are not multiples
+of the identity's: rot_small_65 the diagonal arms' constant a12/2 (NE)
+and -a12/2 (SE), poly_greens_129 the E arm's a11, which varies along x.
+rect_poly_65 pins the rectangle's projection and a boundary trace that
+varies along the curve.  rect_offnode_65 pins a rectangle whose edges
+are not at multiples of a power-of-two h: its long sides lie on nodes
+only because the coordinates are exact at +-halfwidth.
 
 The two benchmark runs read their configs from `benchmarks/configs/`.
 Each script in `demos/` then runs in this process with no arguments, and
