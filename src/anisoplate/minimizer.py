@@ -192,7 +192,7 @@ def minimize(op, u0):
             never increase.
     The descent starts from the solution of L u = 0 with the trace.  Each
     stage first tries downward bumps (scaled solutions of L B = 1) from the
-    pre-probe state and keeps the best strict improvement, since descent
+    pre-probe state and keeps the best that gains over 1e-15 |E|, since descent
     alone never leaves a positive constant.  Each step then takes the
     L-BFGS direction over the stage's last _memory accepted pairs (none at
     a stage's start, and a pair with s.y <= 0 is not kept), falls back to
@@ -223,7 +223,7 @@ def minimize(op, u0):
         for scale in _probe_scales:
             cand = start - scale * u0_max * bump
             trial = smoothed_energy(op, cand, ub, eps)
-            if trial[0] < energy - 1e-15:
+            if trial[0] < energy - 1e-15 * abs(energy):
                 ui, (energy, grad, v) = cand, trial
         e_sharp = sharp_energy(op, ui, ub, v)[0]
         history.append((stage, 0, energy, e_sharp, float(v.max())))

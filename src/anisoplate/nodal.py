@@ -17,9 +17,11 @@ from .grid import BOUNDARY, EXTERIOR, central_gradient, write_table
 
 _degenerate_grad = 1e-8
 
-# cell edges as pairs of corner slots; corners are numbered
-# 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1)
-_edges = ((0, 1), (1, 2), (3, 2), (0, 3))
+# a cell's corners 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1) as offsets, and
+# its edges 0-1, 1-2, 3-2, 0-3 as (axis, di, dj): the grid edge along axis
+# from node (i+di, j+dj)
+_corners = ((0, 0), (1, 0), (1, 1), (0, 1))
+_edges = ((0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0))
 
 _bump_count = 5
 _bump_halfwidth = 0.2
@@ -139,63 +141,57 @@ def extract_nodal(domain, u):
 
     labels, n_comp = _label_components(neg)
 
+    # one vertex on every grid edge whose end nodes differ in sign, numbered
+    # in vid[axis, i, j] for the edge from node (i, j) along that axis
+    cross = np.zeros((2,) + u.shape, dtype=bool)
+    cross[0, :-1] = np.diff(neg, axis=0)
+    cross[1, :, :-1] = np.diff(neg, axis=1)
+    axis, i0, j0 = np.nonzero(cross)
+    vid = np.full(cross.shape, -1)
+    vid[cross] = np.arange(len(axis))
+    i1, j1 = i0 + (axis == 0), j0 + (axis == 1)
+    a, b = u[i0, j0], u[i1, j1]
+    t = a / (a - b)
+    vert_pos = np.stack([d.xs[i0] + t * (d.xs[i1] - d.xs[i0]),
+                         d.ys[j0] + t * (d.ys[j1] - d.ys[j0])], axis=1)
+
     # candidate cells: any corner sign differs
     c_neg = neg[:-1, :-1].astype(int) + neg[1:, :-1] + neg[1:, 1:] + neg[:-1, 1:]
     cells = np.argwhere((c_neg > 0) & (c_neg < 4))
 
-    corner_off = ((0, 0), (1, 0), (1, 1), (0, 1))
-    vert_pos = []
-    vert_of_edge = {}
-    segments = []
-    seg_label = []
-
-    def edge_vertex(i0, j0, i1, j1):
-        key = (i0, j0, i1, j1)
-        idx = vert_of_edge.get(key)
-        if idx is not None:
-            return idx
-        a = u[i0, j0]
-        b = u[i1, j1]
-        t = a / (a - b)
-        x = d.xs[i0] + t * (d.xs[i1] - d.xs[i0])
-        y = d.ys[j0] + t * (d.ys[j1] - d.ys[j0])
-        idx = len(vert_pos)
-        vert_pos.append((x, y))
-        vert_of_edge[key] = idx
-        return idx
-
-    for i, j in cells:
-        nodes = [(i + di, j + dj) for di, dj in corner_off]
+    segments, seg_label = [], []
+    for i, j in cells.tolist():
+        nodes = [(i + di, j + dj) for di, dj in _corners]
         if not all(inside[p] for p in nodes):
             raise ValueError("zero set crosses a cell on the domain rim")
         flags = [bool(neg[p]) for p in nodes]
-        crossing = [k for k, (a, b) in enumerate(_edges)
-                    if flags[a] != flags[b]]
-        neg_node = nodes[flags.index(True)]
+        edge = [vid[axis, i + di, j + dj] for axis, di, dj in _edges]
+        crossing = [k for k in range(4) if edge[k] >= 0]
         if len(crossing) == 2:
-            pairs = (tuple(crossing),)
+            pairs = (crossing,)
         else:
             avg = float(sum(u[p] for p in nodes)) / 4.0
             pairs = _saddle_pairs(flags[0], avg)
+        label = int(labels[nodes[flags.index(True)]])
         for ea, eb in pairs:
-            va = edge_vertex(*nodes[_edges[ea][0]], *nodes[_edges[ea][1]])
-            vb = edge_vertex(*nodes[_edges[eb][0]], *nodes[_edges[eb][1]])
-            segments.append((va, vb))
-            seg_label.append(int(labels[neg_node]))
+            segments.append((edge[ea], edge[eb]))
+            seg_label.append(label)
 
     if not segments:
         return NodalSet((), 0.0, int(n_comp))
 
-    # stitch segments into closed loops: every vertex must pair exactly two
-    incident = {}
-    for s, (va, vb) in enumerate(segments):
-        incident.setdefault(va, []).append(s)
-        incident.setdefault(vb, []).append(s)
-    for v, ss in incident.items():
-        if len(ss) != 2:
-            raise RuntimeError("zero set is not a closed curve at vertex %d" % v)
+    # stitch segments into closed loops: every vertex must end exactly two,
+    # so the next segment at v is the sum of v's two minus the current one,
+    # and the next vertex the sum of that segment's ends minus v
+    segments = np.array(segments)
+    ends = segments.ravel()
+    bad = np.flatnonzero(np.bincount(ends, minlength=len(vert_pos)) != 2)
+    if bad.size:
+        raise RuntimeError("zero set is not a closed curve at vertex %d" % bad[0])
+    seg_sum = np.bincount(ends, np.arange(ends.size) // 2).astype(int).tolist()
+    end_sum = segments.sum(axis=1).tolist()
+    segments = segments.tolist()
 
-    vert_pos = np.asarray(vert_pos)
     gx, gy = np.moveaxis(central_gradient(d, u), -1, 0)
     used = [False] * len(segments)
     loops = []
@@ -203,18 +199,13 @@ def extract_nodal(domain, u):
     for s0 in range(len(segments)):
         if used[s0]:
             continue
-        chain = [segments[s0][0]]
-        cur_v = segments[s0][1]
-        cur_s = s0
+        chain, cur_v, cur_s = [segments[s0][0]], segments[s0][1], s0
         used[s0] = True
         while cur_v != chain[0]:
             chain.append(cur_v)
-            a, b = incident[cur_v]
-            nxt = b if a == cur_s else a
-            used[nxt] = True
-            va, vb = segments[nxt]
-            cur_v = vb if va == cur_v else va
-            cur_s = nxt
+            cur_s = seg_sum[cur_v] - cur_s
+            used[cur_s] = True
+            cur_v = end_sum[cur_s] - cur_v
         pts = vert_pos[chain]
         gm = np.hypot(bilinear_sample(d, gx, pts), bilinear_sample(d, gy, pts))
         loops.append(NodalLoop(seg_label[s0], pts, gm))
@@ -296,12 +287,9 @@ def el_residual(op, state, dens, test_bank):
     for fn in test_bank:
         lf = op.apply_field(sample_on_grid(d, fn))
         lhs = 2.0 * d.h ** 2 * float(state.v @ lf)
-        if len(dens.weights):
-            f_mid = np.asarray(fn(dens.vertices[:, 0], dens.vertices[:, 1]),
-                               dtype=float)
-            rhs = -2.0 * float(f_mid @ dens.weights)
-        else:
-            rhs = 0.0
+        f_mid = np.asarray(fn(dens.vertices[:, 0], dens.vertices[:, 1]),
+                           dtype=float)
+        rhs = -2.0 * float(f_mid @ dens.weights)
         out.append(ResidualRecord(lhs, rhs, _relative(lhs, rhs)))
     return out
 
@@ -328,14 +316,10 @@ def domain_variation_residual(op, state, dens, psi_bank):
         div = (central_gradient(d, px)[..., 0]
                + central_gradient(d, py)[..., 1])
         lhs = -float((div * w_grid)[pos].sum())
-        if len(dens.weights):
-            mx, my = dens.vertices[:, 0], dens.vertices[:, 1]
-            pxm, pym = psi(mx, my)
-            dot = (np.asarray(pxm, dtype=float) * dens.grad[:, 0]
-                   + np.asarray(pym, dtype=float) * dens.grad[:, 1])
-            rhs = 2.0 * float(dot @ dens.weights)
-        else:
-            rhs = 0.0
+        pxm, pym = psi(dens.vertices[:, 0], dens.vertices[:, 1])
+        dot = (np.asarray(pxm, dtype=float) * dens.grad[:, 0]
+               + np.asarray(pym, dtype=float) * dens.grad[:, 1])
+        rhs = 2.0 * float(dot @ dens.weights)
         out.append(ResidualRecord(lhs, rhs, _relative(lhs, rhs)))
     return out
 
