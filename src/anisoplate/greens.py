@@ -1,17 +1,17 @@
 """Discrete Green's functions of the divergence-form operator and its
 square, their logarithmic dissection, and the Hessian-structure residual.
 
-A column is the solution of L G = delta/h^2 (or the nested fourth-order
-version with both traces zero).  The dissection subtracts the explicit
-logarithmic kernels built from the anisotropic squared distance; the
-Hessian-structure residual pairs the scalar log singularity with the
-inverse coefficient matrix and measures what is left on dyadic annuli.
-Columns solve through linsolve.solve_spd, so all columns on one operator
-share the sparse LU factorization kept on its matrix; every column solve
-checks its true residual against solve_spd's one bound.  A column's order
-is its stage: a fourth-order column holds the first-order column it was
-solved from, and takes the grids of their source from it.  Every grid is
-built once; the report builders only read the columns.
+A column solves L G = delta/h^2 as S G = e_k, S = h^2 M (or the nested
+fourth-order S G2 = h^2 G, both traces zero).  The dissection subtracts
+the explicit logarithmic kernels built from the anisotropic squared
+distance; the Hessian-structure residual pairs the scalar log singularity
+with the inverse coefficient matrix and measures what is left on dyadic
+annuli.  Columns solve through linsolve.solve_spd, so all columns on one
+operator share the sparse LU factorization kept on its matrix; every
+column solve checks its true residual against solve_spd's one bound.  A
+column's order is its stage: a fourth-order column holds the first-order
+column it was solved from, and takes the grids of their source from it.
+Every grid is built once; the report builders only read the columns.
 """
 
 from dataclasses import dataclass
@@ -114,20 +114,15 @@ def node_near(domain, x, y):
     return i, j
 
 
-def _delta_rhs(domain, source_ij):
-    k = domain.interior_map[source_ij]
-    if k < 0:
-        raise ValueError("source node %r is not interior" % (source_ij,))
-    rhs = np.zeros(domain.n_interior)
-    rhs[k] = 1.0 / domain.h ** 2   # discrete Dirac of unit mass
-    return rhs
-
-
 def greens_column_L(op, source_ij):
     """Column of the second-order Green's function, zero Dirichlet trace."""
     d = op.domain
     key = tuple(source_ij)
-    g = solve_spd(op.matrix, _delta_rhs(d, key))[0]
+    if d.interior_map[key] < 0:
+        raise ValueError("source node %r is not interior" % (key,))
+    rhs = np.zeros(d.n_interior)
+    rhs[d.interior_map[key]] = 1.0   # h^2 times the unit-mass Dirac
+    g = solve_spd(op.matrix, rhs)[0]
     gmin = float(g.min())
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
@@ -140,10 +135,10 @@ def greens_column_L2(first):
     solved from the first-order column first, which it keeps as its stage."""
     if first.stage is not None:
         raise ValueError("the L^2 column needs a first-order column")
-    op = first.op
-    g2, _ = solve_spd(op.matrix, first.values.take(op.domain.flat_index[0]))
-    return GreensColumn(op, first.source_ij, first.source_xy,
-                        op.domain.field(g2), stage=first)
+    op, d = first.op, first.domain
+    g2, _ = solve_spd(op.matrix, d.h * d.h * first.values.take(d.flat_index[0]))
+    return GreensColumn(op, first.source_ij, first.source_xy, d.field(g2),
+                        stage=first)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ nodes an arm of the stencil reaches from an interior node, carrying the
 datum of their projection onto the curve: DiscreteDomain.trace) or
 exterior.  The operator L u = -div(A grad u) is assembled on the interior
 nodes as one weighted pair term per arm of the nine-point footprint, with
-weights w_e such that sum_e w_e e e^T = A, symmetric by construction;
-Dirichlet solves go through the sparse LU of linsolve, factored once per
-operator."""
+weights w_e such that sum_e w_e e e^T = A, symmetric by construction, and
+kept dimensionless, as h^2 times the matrix of L_h; Dirichlet solves go
+through the sparse LU of linsolve, factored once per operator."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -324,12 +324,12 @@ def central_gradient(domain, values):
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """L restricted to interior nodes: apply is M @ u_int + B @ u_bnd.
+    """L restricted to interior nodes, held as matrix S = h^2 M and coupling
+    C = h^2 B: apply, L_h u = (S u_int + C u_bnd) / h^2, divides by h^2.
 
     The one handle on a discretized problem: it carries the coefficient
     field it was assembled from and its domain, so nothing downstream
-    takes either separately.  M is symmetric by construction (see
-    assemble_operator)."""
+    takes either separately.  S is symmetric (see assemble_operator)."""
 
     field: object
     domain: DiscreteDomain
@@ -337,7 +337,8 @@ class SparseOperator:
     coupling: sparse.csr_matrix
 
     def apply(self, u_interior, u_boundary):
-        return self.matrix @ u_interior + self.coupling @ u_boundary
+        h = self.domain.h
+        return (self.matrix @ u_interior + self.coupling @ u_boundary) / (h * h)
 
     def apply_field(self, values):
         """L_h of a full-grid array, as an interior vector."""
@@ -345,11 +346,11 @@ class SparseOperator:
         return self.apply(values.take(fi), values.take(fb))
 
     def solve_dirichlet(self, rhs_interior, boundary_values):
-        """Interior solve of L u = rhs with prescribed boundary values;
-        raises when the relative residual exceeds solve_spd's one bound."""
-        rhs = np.asarray(rhs_interior, dtype=float) - self.coupling @ np.asarray(
-            boundary_values, dtype=float)
-        return solve_spd(self.matrix, rhs)[0]
+        """Interior solve S u = h^2 rhs - C u_bnd of L u = rhs with prescribed
+        boundary values; raises above solve_spd's one residual bound."""
+        h = self.domain.h
+        rhs = h * h * np.asarray(rhs_interior, dtype=float)
+        return solve_spd(self.matrix, rhs - self.coupling @ boundary_values)[0]
 
 
 def _arm_weights(a):
@@ -364,11 +365,12 @@ def assemble_operator(field, domain):
     with the weights of _arm_weights, each from one sample of A at the
     midpoint of the pair's box (an x-face for E, a y-face for N, a cell
     centre for NE and SE), taken only where a corner of the box is
-    interior.  Both entries of a pair share it, so M is symmetric by
-    construction.  Raises ValueError unless A is positive definite (a11 > 0,
+    interior.  S = h^2 M holds the weights: a row's diagonal sums them, an
+    off-diagonal entry is -w, and both entries of a pair share w, so S is
+    symmetric.  Raises ValueError unless A is positive definite (a11 > 0,
     det > 0) at every sample, since the sparse LU solve would not notice an
-    indefinite operator, and names the first stencil entry (row order
-    centre, E, W, N, S, NE, SW, SE, NW) that overflows."""
+    indefinite operator, and names the first entry w / h^2 of L_h (row
+    order centre, E, W, N, S, NE, SW, SE, NW) that overflows."""
     d, h = domain, domain.h
     inner = d.mask == INTERIOR
     n0, n1 = inner.shape
@@ -393,15 +395,15 @@ def assemble_operator(field, domain):
             offsets.append(s0 * n1 + s1)
             weights.append(w.take(fi + (min(s0, 0) * n1 + min(s1, 0))))
 
-    h2 = h * h
     with np.errstate(over="ignore", invalid="ignore"):
         # the axial arms' pairs, then the diagonal arms', each summed first
-        vals = np.stack([sum(weights[:4]) / h2 + sum(weights[4:]) / h2,
-                         *(-w / h2 for w in weights)])
-    if not np.isfinite(vals).all():
-        r, k = np.argwhere(~np.isfinite(vals.T))[0]
+        vals = np.stack([sum(weights[:4]) + sum(weights[4:]),
+                         *(-w for w in weights)])
+        lh = vals / (h * h)   # the entries of L_h, which apply forms
+    if not np.isfinite(lh).all():
+        r, k = np.argwhere(~np.isfinite(lh.T))[0]
         raise ValueError("stencil entry %d of the interior node at (%g, %g) is %g"
-                         % (k, *d.interior_xy[r], vals[k, r]))
+                         % (k, *d.interior_xy[r], lh[k, r]))
 
     nbr = fi + np.array(offsets)[:, None]
     im, bm = d.interior_map.take(nbr), d.boundary_map.take(nbr)

@@ -6,17 +6,17 @@ The sharp objective is sum (L_h u)^2 h^2 + |{u > 0}|.  The indicator is
 relaxed to a cubic ramp of width eps, the width follows a halving
 schedule, and each stage runs limited-memory BFGS descent (Nocedal 1980)
 with Armijo backtracking from the unit step.  Its base operator is the
-inverse bending Hessian, two nested L-solves (the bending Hessian is
-2 h^2 L^T L, so this flattens its h^-4 conditioning): a stage's first step
-is the exact Newton step of the bending part, and each later step also
-uses the stage's last few (step, gradient change) pairs, which carry the
-curvature of the measure term, at the same two solves.  Because any
-positive constant is a critical point of the relaxed energy once
-eps < min u, each stage first tries a deterministic family of downward
-bumps (scaled solutions of L B = 1) and keeps a bump only when it strictly
-lowers the stage energy.  Every stage ends on the same rule: at the
-gradient floor, or once its energy has settled over its last two steps.
-Every solve is checked against solve_spd's one residual bound."""
+inverse bending Hessian, two nested S-solves, S = h^2 L (the bending
+Hessian is 2 h^2 L^T L, so this flattens its h^-4 conditioning): a
+stage's first step is the exact Newton step of the bending part, and
+each later step also uses the stage's last few (step, gradient change)
+pairs, which carry the curvature of the measure term, at the same two
+solves.  Because any positive constant is a critical point of the relaxed
+energy once eps < min u, each stage first tries a deterministic family of
+downward bumps (scaled solutions of L B = 1) and keeps a bump only when
+it strictly lowers the stage energy.  Every stage ends on the same rule:
+at the gradient floor, or once its energy has settled over its last two
+steps.  Every solve is checked against solve_spd's one residual bound."""
 
 from dataclasses import dataclass
 
@@ -127,8 +127,8 @@ def smoothed_energy(op, ui, ub, eps):
     E_eps = sum (L_h u)^2 h^2 + sum H_eps(u) (cell weights), gradient
     2 h^2 L_h^T (L_h u) + w H_eps'(u).  Returns (E_eps, gradient, v).
     v grows like u/h^2, so the bending term is summed as (h v).(h v) and
-    the gradient applies L_h^T to 2 h^2 v: neither overflows where v.v or
-    L_h^T v would.
+    the gradient applies S = h^2 L_h^T to 2 v: neither overflows where v.v
+    or L_h^T v would.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -139,8 +139,7 @@ def smoothed_energy(op, ui, ub, eps):
     bending = float(hv @ hv)
     measure = float(wi @ smoothed_heaviside(ui, eps)) \
         + float(wb @ smoothed_heaviside(ub, eps))
-    grad = op.matrix @ (2.0 * d.h ** 2 * v) \
-        + wi * smoothed_heaviside_prime(ui, eps)
+    grad = op.matrix @ (2.0 * v) + wi * smoothed_heaviside_prime(ui, eps)
     return bending + measure, grad, v
 
 
@@ -164,18 +163,18 @@ def _lbfgs_direction(op, grad, pairs):
     stored pairs (s, y, 1/(s.y)), oldest first.
 
     The base operator is the inverse of the bending Hessian 2 h^2 L^T L,
-    H0 q = L^-1 (L^-1 q) / (2 h^2): two solves, whatever the number of
-    pairs.  With no pairs the direction is -H0 grad, the Newton step of
-    the bending part; with pairs it also satisfies the newest secant
-    condition H y = s, so it learns the curvature of the measure term.
+    H0 q = (h^2 / 2) S^-1 (S^-1 q), S = h^2 L: two solves, whatever the
+    number of pairs, whose intermediate stays near |q| on any disk.  With
+    no pairs the direction is -H0 grad, the Newton step of the bending
+    part; with pairs it also satisfies the newest secant condition
+    H y = s, so it learns the curvature of the measure term.
     """
     q = grad
     alphas = []
     for s, y, rho in reversed(pairs):
         alphas.append(rho * float(s @ q))
         q = q - alphas[-1] * y
-    r = solve_spd(op.matrix, solve_spd(op.matrix, q)[0])[0]
-    r /= 2.0 * op.domain.h ** 2
+    r = 0.5 * op.domain.h ** 2 * solve_spd(op.matrix, solve_spd(op.matrix, q)[0])[0]
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * float(y @ r)) * s
     return -r
@@ -211,7 +210,7 @@ def minimize(op, u0):
     schedule = default_schedule(domain, u0_max)
 
     ui, ub = op.solve_dirichlet(0.0, trace), trace
-    bump = solve_spd(op.matrix, np.ones(domain.n_interior))[0]
+    bump = solve_spd(op.matrix, np.ones(domain.n_interior))[0]   # S b = 1
     bump /= float(bump.max())
 
     history = []

@@ -15,7 +15,7 @@ import numpy as np
 
 from .grid import BOUNDARY, EXTERIOR, central_gradient, write_table
 
-_degenerate_grad = 1e-8
+_degenerate_grad = 2e-7   # x max(u) / bbox_halfwidth: 1e-8 on the builtin
 
 # a cell's corners 0=(i,j) 1=(i+1,j) 2=(i+1,j+1) 3=(i,j+1) as offsets, and
 # its edges 0-1, 1-2, 3-2, 0-3 as (axis, di, dj): the grid edge along axis
@@ -215,6 +215,12 @@ def extract_nodal(domain, u):
     return NodalSet(tuple(loops), total_len, int(n_comp))
 
 
+def gradient_floor(domain, u):
+    """The least |grad u| on the zero set of u that is not degenerate."""
+    return (_degenerate_grad * float(u[domain.mask != EXTERIOR].max())
+            / domain.shape.bbox_halfwidth())
+
+
 def measure_density(domain, u, nodal):
     """Quadrature of the stationarity measure of the full-grid array u:
     weight len/(2|grad u|) at each segment midpoint of its zero set."""
@@ -229,7 +235,7 @@ def measure_density(domain, u, nodal):
     grad = np.stack([bilinear_sample(d, gx, mids), bilinear_sample(d, gy, mids)],
                     axis=-1)
     g = np.hypot(grad[:, 0], grad[:, 1])
-    bad = np.flatnonzero(g < _degenerate_grad)
+    bad = np.flatnonzero(g < gradient_floor(d, u))
     if bad.size:
         raise RuntimeError("degenerate gradient %g on the zero set" % g[bad[0]])
     # sqrt of each segment's own dot product: bit-identical to a
@@ -250,11 +256,10 @@ class ResidualRecord:
     rel: float
 
 
-def _relative(lhs, rhs):
-    scale = max(abs(lhs), abs(rhs))
-    if scale == 0.0:
-        return 0.0
-    return abs(lhs - rhs) / scale
+def relative_defect(a, b):
+    """|a - b| / max(|a|, |b|), and 0 for two equal values, zeros too."""
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if a != b else 0.0
 
 
 def sample_on_grid(domain, fn):
@@ -290,7 +295,7 @@ def el_residual(op, state, dens, test_bank):
         f_mid = np.asarray(fn(dens.vertices[:, 0], dens.vertices[:, 1]),
                            dtype=float)
         rhs = -2.0 * float(f_mid @ dens.weights)
-        out.append(ResidualRecord(lhs, rhs, _relative(lhs, rhs)))
+        out.append(ResidualRecord(lhs, rhs, relative_defect(lhs, rhs)))
     return out
 
 
@@ -320,7 +325,7 @@ def domain_variation_residual(op, state, dens, psi_bank):
         dot = (np.asarray(pxm, dtype=float) * dens.grad[:, 0]
                + np.asarray(pym, dtype=float) * dens.grad[:, 1])
         rhs = 2.0 * float(dot @ dens.weights)
-        out.append(ResidualRecord(lhs, rhs, _relative(lhs, rhs)))
+        out.append(ResidualRecord(lhs, rhs, relative_defect(lhs, rhs)))
     return out
 
 

@@ -50,6 +50,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -74,7 +75,9 @@ from .nodal import (
     domain_variation_residual,
     el_residual,
     extract_nodal,
+    gradient_floor,
     measure_density,
+    relative_defect,
     sample_on_grid,
     write_nodal_csv,
 )
@@ -231,7 +234,7 @@ class RunConfig:
             shape = parse_shape(self.shape_spec)
         except ValueError as e:
             raise ConfigError("[grid] shape: %s" % e)
-        # 1/h^2 enters every stencil and delta, the area every bound, and
+        # 1/h^2 enters apply and the Hessian, the area every bound, and
         # 2 h^3 (the third differences) is the highest power of h a run forms
         half = shape.bbox_halfwidth()
         h = 2.0 * half / (n - 1)
@@ -356,12 +359,8 @@ def _check_greens(ctx, sec):
             sources.append(ij)
     cols = [greens_column_L(op, ij) for ij in sources]
 
-    sym = 0.0
-    for a in range(len(cols)):
-        for b in range(a + 1, len(cols)):
-            va = float(cols[a].values[sources[b]])
-            vb = float(cols[b].values[sources[a]])
-            sym = max(sym, abs(va - vb) / max(abs(va), abs(vb)))
+    sym = float(max((relative_defect(ca.values[cb.source_ij], cb.values[ca.source_ij])
+                     for ca, cb in combinations(cols, 2)), default=0.0))
     # the positivity margin over interior nodes (boundary and exterior nodes
     # are zero); greens_column_L has already raised on a column below its
     # floor
@@ -502,7 +501,7 @@ def _check_nodal(ctx, sec):
         verts = np.concatenate([lp.vertices for lp in nod.loops])
         sec["measure_mass"] = dens.total_mass()
         sec["boundary_clearance"] = float(-dom.shape.sdf(verts).max())
-        ok = sec["min_grad"] > 1e-8
+        ok = sec["min_grad"] > gradient_floor(dom, state.u)
     base = ctx["expected"]
     if "nonempty" in base:
         sec["expected_nonempty"] = base["nonempty"]

@@ -205,13 +205,17 @@ def test_columns_tied_to_their_operator():
 
 
 def test_column_true_residuals_within_bound(disk129, iso129, center_col_L, center_col_L2):
+    # op.matrix is S = h^2 M: a first-order column solves S G = e_k, h^2
+    # times the unit-mass delta, and the fourth-order one S G2 = h^2 G
     op = iso129
-    delta = greens._delta_rhs(disk129, disk129.center_ij)
+    delta = np.zeros(disk129.n_interior)
+    delta[disk129.interior_map[disk129.center_ij]] = 1.0
     fi = disk129.flat_index[0]
     w = greens_column_L(op, disk129.center_ij).values.take(fi)
     assert _rel_residual(op, center_col_L.values.take(fi), delta) <= 1e-9
     assert _rel_residual(op, w, delta) <= 1e-9
-    assert _rel_residual(op, center_col_L2.values.take(fi), w) <= 1e-9
+    assert _rel_residual(op, center_col_L2.values.take(fi),
+                         disk129.h ** 2 * w) <= 1e-9
 
 
 def test_singular_operator_raises_instead_of_returning_a_column():
@@ -306,11 +310,37 @@ def test_symmetry_at_measurement_resolution(disk129, iso129):
 
 def test_nested_intermediate_equals_first_order_column(disk129, iso129, center_col_L, center_col_L2):
     # the intermediate stage of the nested solve is the same linear system
-    # as the first-order column, so solving on that column reproduces the
-    # fourth-order column bit for bit
-    fi = disk129.flat_index[0]
-    g2, _ = linsolve.solve_spd(iso129.matrix, center_col_L.values.take(fi))
+    # as the first-order column, so solving S G2 = h^2 G on that column
+    # reproduces the fourth-order column bit for bit
+    d = disk129
+    fi = d.flat_index[0]
+    g2, _ = linsolve.solve_spd(iso129.matrix,
+                               d.h * d.h * center_col_L.values.take(fi))
     assert np.array_equal(g2, center_col_L2.values.take(fi))
+
+
+@pytest.mark.parametrize("spec", ["identity", "rot(0.7,2,1)"])
+def test_columns_scale_with_the_disk(spec):
+    # on disk(R) the grid is the unit disk's scaled by R and S = h^2 M does
+    # not depend on R, so G_R = G_1 bit for bit and G2_R = R^2 G2_1, whose
+    # right-hand side h^2 G is the one place R enters
+    fld = make_field(spec)
+
+    def columns(radius):
+        dom = build_domain(disk_shape(radius), 65)
+        op = assemble_operator(fld, dom)
+        out = []
+        for ij in (dom.center_ij, (40, 25)):
+            first = greens_column_L(op, ij)
+            out.append((first.values, greens_column_L2(first).values))
+        return out
+
+    unit = columns(1.0)
+    for radius in (0.01, 4.0, 1e-100):
+        for (g, g2), (g_1, g2_1) in zip(columns(radius), unit):
+            assert np.array_equal(g, g_1)
+            assert np.abs(g2 / radius ** 2 - g2_1).max() \
+                <= 1e-14 * np.abs(g2_1).max()
 
 
 def test_fourth_order_profile_matches_radial_oracle(disk129, center_col_L2):

@@ -632,15 +632,14 @@ def test_stencil_is_nine_point():
     op = assemble_operator(f, d)
     per_row = np.diff(op.matrix.indptr)
     assert per_row.max() <= 9
-    # the centre row's neighbours, bit for bit: -a11/h^2 and -a22/h^2 on
-    # the axes, -a12/(2h^2) at NE and SW, +a12/(2h^2) at SE and NW
+    # the centre row's neighbours in S = h^2 M, bit for bit: -a11 and -a22
+    # on the axes, -a12/2 at NE and SW, +a12/2 at SE and NW
     a = f.matrix([0.0, 0.0])
-    h2 = d.h * d.h
     ci, cj = d.center_ij
-    want = {(1, 0): -a[0, 0] / h2, (-1, 0): -a[0, 0] / h2,
-            (0, 1): -a[1, 1] / h2, (0, -1): -a[1, 1] / h2,
-            (1, 1): -a[0, 1] / (2 * h2), (-1, -1): -a[0, 1] / (2 * h2),
-            (1, -1): a[0, 1] / (2 * h2), (-1, 1): a[0, 1] / (2 * h2)}
+    want = {(1, 0): -a[0, 0], (-1, 0): -a[0, 0],
+            (0, 1): -a[1, 1], (0, -1): -a[1, 1],
+            (1, 1): -a[0, 1] / 2, (-1, -1): -a[0, 1] / 2,
+            (1, -1): a[0, 1] / 2, (-1, 1): a[0, 1] / 2}
     row = d.interior_map[ci, cj]
     for (di, dj), value in want.items():
         assert op.matrix[row, d.interior_map[ci + di, cj + dj]] == value
@@ -649,35 +648,36 @@ def test_stencil_is_nine_point():
 def test_every_pair_weight_on_a_turning_field():
     # a11, a22 and a12 all vary along both axes, so a pair that read the
     # wrong face or cell moves its entry: each neighbour of the centre row
-    # is -w/h^2, w sampled at the midpoint of the pair's box (its lower-left
-    # node plus 0.5 h along each axis it spans); E/W and N/S take a11 and
-    # a22 of their faces, NE/SW a12/2 and NW/SE -a12/2 of their cells
+    # of S = h^2 M is -w bit for bit, w sampled at the midpoint of the
+    # pair's box (its lower-left node plus 0.5 h along each axis it spans);
+    # E/W and N/S take a11 and a22 of their faces, NE/SW a12/2 and NW/SE
+    # -a12/2 of their cells
     d = build_domain(rect_shape(1.0, 1.0), 33)
     f = _turning_field(0.8, 0.5)
     op = assemble_operator(f, d)
-    h, h2 = d.h, d.h * d.h
+    h = d.h
     ci, cj = d.center_ij
     row = d.interior_map[ci, cj]
     weight = {(1, 0): (0, 0, 1.0), (-1, 0): (0, 0, 1.0),
               (0, 1): (1, 1, 1.0), (0, -1): (1, 1, 1.0),
               (1, 1): (0, 1, 0.5), (-1, -1): (0, 1, 0.5),
-              (-1, 1): (0, 1, -0.5), (1, -1): (0, 1, -0.5)}
-    total = 0.0
+              (1, -1): (0, 1, -0.5), (-1, 1): (0, 1, -0.5)}
+    # the diagonal sums the axial pairs, then the diagonal ones, in this order
+    sums = [0.0, 0.0]
     for (di, dj), (k, l, scale) in weight.items():
         li, lj = ci + min(di, 0), cj + min(dj, 0)
         x = [d.xs[li] + 0.5 * h * abs(di), d.ys[lj] + 0.5 * h * abs(dj)]
         w = scale * f.matrix(x)[k, l]
-        entry = op.matrix[row, d.interior_map[ci + di, cj + dj]]
-        assert entry == pytest.approx(-w / h2, rel=1e-14, abs=0.0)
-        total += w
-    assert op.matrix[row, row] == pytest.approx(total / h2, rel=1e-14, abs=0.0)
+        assert op.matrix[row, d.interior_map[ci + di, cj + dj]] == -w
+        sums[di != 0 and dj != 0] += w
+    assert op.matrix[row, row] == sums[0] + sums[1]
 
 
 @settings(max_examples=60, deadline=None)
 @given(theta=st.floats(0.0, math.pi, exclude_max=True),
        lam1=st.floats(1.0, 1e3), lam2=st.floats(1.0, 1e3))
 def test_arm_weights_reproduce_a(theta, lam1, lam2):
-    # read each arm's weight off the centre row, w_e = -h^2 M[c, c + e]:
+    # read each arm's weight off the centre row, w_e = -S[c, c + e]:
     # the +e and -e entries agree and sum_e w_e e e^T = A; no sign is
     # required (the diagonal arm against a12 is negative)
     d = build_domain(rect_shape(1.0, 1.0), 17)
@@ -690,6 +690,6 @@ def test_arm_weights_reproduce_a(theta, lam1, lam2):
         plus, minus = (m[row, d.interior_map[ci + s * e[0], cj + s * e[1]]]
                        for s in (1, -1))
         assert plus == minus
-        got += -d.h * d.h * plus * np.outer(e, e)
+        got += -plus * np.outer(e, e)
     a = f.matrix([0.0, 0.0])
-    assert np.abs(got - a).max() <= 1e-12 * np.abs(a).max()
+    assert np.abs(got - a).max() <= 1e-15 * np.abs(a).max()

@@ -179,11 +179,12 @@ def test_harmonic_extension_maximum_principle(dom65, op65):
 
 
 def test_lbfgs_direction_base_operator_and_secant_condition(iso):
-    # with no pairs the direction is -H0 g, H0 = (2 h^2 L^2)^-1 the inverse
-    # bending Hessian; with pairs, H maps the newest y to the newest s
+    # with no pairs the direction is -H0 g, H0 = (2 h^2 M^2)^-1 the inverse
+    # bending Hessian, M = S / h^2 the matrix of L_h; with pairs, H maps the
+    # newest y to the newest s
     dom = build_domain(disk_shape(1.0), 17)
     op = assemble_operator(iso, dom)
-    dense = op.matrix.toarray()
+    dense = op.matrix.toarray() / dom.h ** 2
     hess = 2.0 * dom.h ** 2 * dense @ dense
     rng = np.random.default_rng(3)
     g = rng.standard_normal(dom.n_interior)
@@ -258,7 +259,7 @@ def test_bending_energy_consistent_with_v(small65, dom65):
 def test_energies_and_gradient_finite_on_a_tiny_disk(iso):
     # on disk(1e-100) L_h u reaches u0/h^2 ~ 1e201, so v.v and L_h^T v
     # would overflow; the energies sum (h v).(h v) and the gradient applies
-    # L_h^T to 2 h^2 v, which stay finite, with no overflow warning
+    # S = h^2 L_h^T to 2 v, which stay finite, with no overflow warning
     dom = build_domain(disk_shape(1e-100), 33)
     op = assemble_operator(iso, dom)
     trace = np.full(dom.n_boundary, SMALL_C)
@@ -451,17 +452,26 @@ def test_minimizer_is_scale_free_on_disks(iso):
     # under u_R(x) = R^2 u(x/R) the discrete problem on disk(R) is the unit
     # disk's: the settle test is relative to |E| and the width floor scales
     # with the domain, so every radius takes the same steps per stage to
-    # the same E/area
-    runs = []
-    for radius in (1e-8, 0.01, 1.0, 4.0):
-        dom = build_domain(disk_shape(radius), 65)
+    # the same E/area.  The solves see S = h^2 M, whose entries do not
+    # depend on R, so no intermediate of the nested solve underflows, down
+    # to disk(1e-100)
+    def run(radius, resolution):
+        dom = build_domain(disk_shape(radius), resolution)
         state = minimize(assemble_operator(iso, dom), SMALL_C * radius ** 2)
         assert state.converged
         steps = (np.bincount([row[0] for row in state.history]) - 1).tolist()
-        runs.append((steps, state.energy_sharp / (np.pi * radius ** 2)))
+        return steps, state.energy_sharp / (np.pi * radius ** 2)
+
+    runs = [run(radius, 65) for radius in (1e-8, 0.01, 1.0, 4.0)]
     for steps, per_area in runs[1:]:
         assert steps == runs[0][0]
         assert per_area == pytest.approx(runs[0][1], rel=1e-9)
+    unit = run(1.0, 33)
+    assert unit[0] == [9]
+    for radius in (1e-80, 1e-100):
+        steps, per_area = run(radius, 33)
+        assert steps == [9]
+        assert per_area == pytest.approx(unit[1], rel=1e-12)
 
 
 def test_minimize_solve_budget(monkeypatch, op65):

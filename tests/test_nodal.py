@@ -342,8 +342,16 @@ def test_measure_density_circle():
 
 
 def test_degenerate_gradient_guard():
+    # the guard is relative to max(u) / bbox_halfwidth: a regular field
+    # scaled down by 1e-12 passes, while one whose zero set is as flat but
+    # which rises to O(1) away from it (past r = 0.75, beyond every
+    # difference footprint of the r = 0.5 zero set) is degenerate
     dom = build_domain(rect_shape(2.0, 2.0), 33)
-    u = 1e-12 * (dom.X ** 2 + dom.Y ** 2 - 0.25)
+    r = np.hypot(dom.X, dom.Y)
+    u = 1e-12 * (r ** 2 - 0.25)
+    nod = extract_nodal(dom, u)
+    assert measure_density(dom, u, nod).total_mass() > 0.0
+    u = u + np.maximum(r - 0.75, 0.0) ** 2
     nod = extract_nodal(dom, u)
     with pytest.raises(RuntimeError) as err:
         measure_density(dom, u, nod)

@@ -710,6 +710,24 @@ def test_negative_column_fails_the_greens_check(tmp_path, monkeypatch):
     assert rep["symmetry_max_err"] is None
 
 
+@pytest.mark.parametrize("spec", ["diag(1e-40,1)", "diag(1e300,1)"])
+def test_underflowing_cross_values_fail_the_greens_check(tmp_path, spec):
+    # on these fields a pair of first-order columns can both read 0 at each
+    # other's source; equal cross values have reciprocity defect 0, not
+    # 0/0, so the run goes on to the check's own error, exits 1 and writes
+    # its report
+    text = ("[run]\nchecks = greens\n[grid]\nshape = disk(1)\n"
+            "resolution = 33\n[field]\nkind = %s\n"
+            "[boundary]\nu0 = 0.05\n" % spec)
+    out = tmp_path / "g"
+    assert main(["run", _write(tmp_path, "g.ini", text), "--out", str(out)]) == 1
+    with open(out / "report.json") as f:
+        rep = json.load(f)
+    assert rep["failures"] == ["greens"]
+    assert rep["greens"]["pass"] is False
+    assert rep["greens"]["error"].startswith("greens: ")
+
+
 def _plain_json(obj):
     """True when obj holds only dict (str keys), list, str, int, float,
     bool and None: the types json.dump writes without a default."""
