@@ -15,7 +15,7 @@ import numpy as np
 from anisoplate import (assemble_operator, build_domain, d1_quadrature,
                         disk_shape, greens_column_L, greens_column_L2,
                         log_bound_check, make_field, singular_split)
-from anisoplate.greens import gradient_sup, third_diff_sup
+from anisoplate.greens import gradient_sup, kernel_log_slope, third_diff_sup
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -28,14 +28,12 @@ def main():
     print("unit disk, resolution %d (h = %g)" % (res, dom.h))
 
     col = greens_column_L(op, dom.center_ij)
-    r = np.hypot(dom.X - col.source_xy[0], dom.Y - col.source_xy[1])
-    band = (dom.mask == 2) & (r >= 0.2) & (r <= 0.5)
-    design = np.vstack([-np.log(r[band]), np.ones(band.sum())]).T
-    coef, *_ = np.linalg.lstsq(design, col.values[band], rcond=None)
-    print("first-order column: min %.2e (nonnegativity), log slope %.6f "
-          "(exact %.6f)" % (col.values.min(), coef[0], INV_2PI))
-
     consts = d1_quadrature(fld, np.asarray(col.source_xy))
+    # the kernel slope regresses on -c1 log psi = -2 c1 log r here
+    slope = 2.0 * consts.c1 * kernel_log_slope(col, consts)
+    print("first-order column: min %.2e (nonnegativity), log slope %.6f "
+          "(exact %.6f)" % (col.values.min(), slope, INV_2PI))
+
     f1 = singular_split(col, consts)
     raw_sup = gradient_sup(col, col.values)
     tame_sup = gradient_sup(col, f1)

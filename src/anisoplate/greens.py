@@ -6,16 +6,19 @@ fourth-order S G2 = h^2 G, both traces zero).  The dissection subtracts
 the explicit logarithmic kernels built from the anisotropic squared
 distance; the Hessian-structure residual pairs the scalar log singularity
 with the inverse coefficient matrix and measures what is left on dyadic
-annuli.  Columns solve through linsolve.solve_spd, so all columns on one
-operator share the sparse LU factorization kept on its matrix; every
-column solve checks its true residual against solve_spd's one bound.  A
-column's order is its stage: a fourth-order column holds the first-order
-column it was solved from, and takes the grids of their source from it.
-Every grid is built once; the report builders only read the columns.
+annuli.  Every annulus metric is measured in units of the source's
+clearance c, its distance to the curve, so disk(R) reads as disk(1).
+Columns solve through linsolve.solve_spd, so all columns on one operator
+share the sparse LU factorization kept on its matrix; every column solve
+checks its true residual against solve_spd's one bound.  A column's
+order is its stage: a fourth-order column holds the first-order column
+it was solved from, and takes the grids of their source from it.  Every
+grid is built once; the report builders only read the columns.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, takewhile
 
 import numpy as np
 
@@ -25,9 +28,7 @@ from .linsolve import solve_spd
 
 _positivity_floor = -1e-12
 _metric_margin_cells = 2
-# split sups are taken within this radius of the source, and the innermost
-# dyadic annulus starts at least this many cells out
-_sup_radius = 0.5
+# the innermost dyadic annulus starts at least this many cells out
 _annulus_floor_cells = 4
 
 
@@ -81,6 +82,11 @@ class GreensColumn:
         ok &= ~grow(d.mask == EXTERIOR, _metric_margin_cells)
         return _read_only(ok), _read_only(r)
 
+    @property
+    def clearance(self):
+        """Distance from the source to the curve, the same as its stage's."""
+        return node_clearance(self.domain, self.source_ij)
+
     @cached_property
     def hessian(self):
         return _read_only(grid_hessian(self.domain, self.values))
@@ -95,7 +101,6 @@ class FrehseReport:
     sup_remainder: np.ndarray
     sup_singular: np.ndarray
     pairing: str
-    notes: tuple = ()
 
     def ratios(self):
         return self.sup_remainder / self.sup_singular
@@ -112,6 +117,11 @@ def node_near(domain, x, y):
     i = int(np.argmin(np.abs(domain.xs - x)))
     j = int(np.argmin(np.abs(domain.ys - y)))
     return i, j
+
+
+def node_clearance(domain, ij):
+    """Distance from the node (i, j) to the boundary curve."""
+    return -float(domain.shape.sdf((domain.xs[ij[0]], domain.ys[ij[1]])))
 
 
 def greens_column_L(op, source_ij):
@@ -195,10 +205,10 @@ def grid_third_diff(domain, values):
 
 
 def _admissible_sup(col, nodal):
-    """Max of |nodal| over the column's admissible nodes within _sup_radius,
-    or None when a coarse grid leaves none admissible."""
+    """Max of |nodal| over the column's admissible nodes with r < c/2, or
+    None when a coarse grid leaves none admissible."""
     ok, r = col.metric_mask
-    ok = ok & (r < _sup_radius)
+    ok = ok & (r < 0.5 * col.clearance)
     return float(np.abs(nodal[ok]).max()) if ok.any() else None
 
 
@@ -219,30 +229,23 @@ def third_diff_sup(col, values):
 # dyadic annulus protocol
 
 
-def dyadic_annuli(h):
-    """Inner radii 2^-k, k = 2..K, with the innermost at least
-    _annulus_floor_cells*h; each annulus spans [2^-k, 2^-k+1)."""
-    ks = []
-    k = 2
-    while 2.0 ** (-k) >= _annulus_floor_cells * h:
-        ks.append(k)
-        k += 1
-    return ks
+def dyadic_annuli(h, c):
+    """The k = 2..K of the inner radii c 2^-k, with the innermost at least
+    _annulus_floor_cells*h; each annulus spans [c 2^-k, c 2^-k+1)."""
+    return list(takewhile(lambda k: c * 2.0 ** (-k) >= _annulus_floor_cells * h,
+                          count(2)))
 
 
-def _annulus_sups(col, nodal_quantities, h):
-    """Max of each quantity over the valid nodes of every dyadic annulus."""
+def _annulus_sups(col, nodal_quantities):
+    """Inner radii and the max of each quantity over the admissible nodes
+    of every dyadic annulus.  None is empty: each is 4h wide, 4h from the
+    source and, as r < c/2, 8h inside the curve, or more."""
     ok, r = col.metric_mask
-    radii, sups, notes = [], [], []
-    for k in dyadic_annuli(h):
-        inner, outer = 2.0 ** (-k), 2.0 ** (-k + 1)
-        sel = ok & (r >= inner) & (r < outer)
-        if not np.any(sel):
-            notes.append("annulus k=%d has no admissible nodes, skipped" % k)
-            continue
-        radii.append(inner)
-        sups.append([float(np.max(q[sel])) for q in nodal_quantities])
-    return np.array(radii), np.array(sups), notes
+    c = col.clearance
+    radii = np.array([c * 2.0 ** (-k) for k in dyadic_annuli(col.domain.h, c)])
+    sels = (ok & (r >= inner) & (r < 2.0 * inner) for inner in radii)
+    sups = [[float(np.max(q[sel])) for q in nodal_quantities] for sel in sels]
+    return radii, np.array(sups)
 
 
 def _spectral_norm_sym2(mats):
@@ -253,10 +256,11 @@ def _spectral_norm_sym2(mats):
     return np.maximum(np.abs(half_tr + root), np.abs(half_tr - root))
 
 
-def coarse_grid_note(domain):
-    """Why the annulus metrics refuse a grid coarser than 1/64, else None."""
-    if domain.h > 1.0 / 64.0 + 1e-12:
-        return "grid too coarse for annulus metrics: h = %g > 1/64" % domain.h
+def coarse_grid_note(domain, c):
+    """Why the annulus metrics refuse h > c/64, c the clearance, else None."""
+    if domain.h > c / 64.0 * (1.0 + 1e-12):
+        return ("grid too coarse for annulus metrics: h/c = %g > 1/64"
+                % (domain.h / c))
     return None
 
 
@@ -273,7 +277,7 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     if col_l2.stage is None:
         raise ValueError("Hessian-structure residual needs a fourth-order column")
     d = col_l2.domain
-    note = coarse_grid_note(d)
+    note = coarse_grid_note(d, col_l2.clearance)
     if note:
         raise ValueError(note)
 
@@ -301,10 +305,8 @@ def frehse_residual(col_l2, *, pairing="inverse"):
     remainder_inf = np.max(np.abs(resid.reshape(resid.shape[:-2] + (4,))), axis=-1)
     singular = 0.5 * np.abs(div_grid) * _spectral_norm_sym2(pair_mat)
 
-    radii, sups, notes = _annulus_sups(col_l2, [remainder_inf, singular], d.h)
-    if radii.size == 0:
-        raise RuntimeError("no admissible annuli; grid too coarse")
-    rep = FrehseReport(radii, sups[:, 0], sups[:, 1], pairing, tuple(notes))
+    radii, sups = _annulus_sups(col_l2, [remainder_inf, singular])
+    rep = FrehseReport(radii, sups[:, 0], sups[:, 1], pairing)
     if not (np.all(np.isfinite(rep.sup_remainder)) and np.all(np.isfinite(rep.sup_singular))):
         raise RuntimeError("non-finite annulus sups")
     return rep
@@ -312,17 +314,32 @@ def frehse_residual(col_l2, *, pairing="inverse"):
 
 def log_bound_check(col):
     """Least-squares slope of per-annulus sup |second differences| against
-    |log r| + 1, plus the worst relative overshoot above the fitted line.
+    |log(r/c)| + 1, plus the worst relative overshoot above the fitted line.
 
     Meaningful for fourth-order columns; calling it on a second-order column
     is the standard negative control (the fit overshoots badly because the
     Hessian there grows like a power of 1/r, not a log)."""
     hess_inf = np.max(np.abs(col.hessian), axis=-1)
-    radii, sups, _ = _annulus_sups(col, [hess_inf], col.domain.h)
+    radii, sups = _annulus_sups(col, [hess_inf])
     if radii.size < 2:
         raise RuntimeError("need at least two annuli for the log fit")
     y = sups[:, 0]
-    x = np.abs(np.log(radii)) + 1.0
+    x = np.abs(np.log(radii / col.clearance)) + 1.0
     slope = float((x * y).sum() / (x * x).sum())
     overshoot = float(np.max((y - slope * x) / (slope * x)))
     return LogFitReport(slope, overshoot)
+
+
+def kernel_log_slope(col, consts):
+    """Regress a first-order column on -c1 log(psi) over the interior nodes
+    at 0.2c <= r <= 0.5c, c its clearance; 1.0 means the column tracks the
+    explicit kernel.  None below eight nodes."""
+    d = col.domain
+    r = col.metric_mask[1]
+    c = col.clearance
+    band = (d.mask == INTERIOR) & (r >= 0.2 * c) & (r <= 0.5 * c)
+    if band.sum() < 8:
+        return None
+    x = -consts.c1 * np.log(col.psi[band])
+    design = np.vstack([x, np.ones_like(x)]).T
+    return float(np.linalg.lstsq(design, col.values[band], rcond=None)[0][0])

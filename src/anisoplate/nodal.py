@@ -358,10 +358,11 @@ def _axis_push(bump, ax, ay):
     return fn
 
 
-def _curl_field(cx, cy, w):
-    def fn(x, y):
-        px = -bump_profile((x - cx) / w) * bump_profile_deriv((y - cy) / w) / w
-        py = bump_profile_deriv((x - cx) / w) * bump_profile((y - cy) / w) / w
+def _curl_field(cx, cy, w, half):
+    def fn(x, y):   # amplitude half/w, scale-free as the pushes are
+        bx, by = (x - cx) / w, (y - cy) / w
+        px = -bump_profile(bx) * bump_profile_deriv(by) / (w / half)
+        py = bump_profile_deriv(bx) * bump_profile(by) / (w / half)
         return px, py
     return fn
 
@@ -411,7 +412,7 @@ def bump_bank(domain, nodal):
     pushes = tuple(_axis_push(scalars[k % len(scalars)], ax, ay)
                    for k, (ax, ay) in enumerate(_push_patterns))
     return BumpBank(tuple(centers), tuple(widths), scalars, pushes,
-                    _curl_field(*centers[0], widths[0]))
+                    _curl_field(*centers[0], widths[0], half))
 
 
 def write_nodal_csv(nodal, path):

@@ -25,7 +25,8 @@ Checks and their pass rules, recorded per section in ``report.json``:
                and a split sup is null when no node is admissible for it
     frehse     remainder/singular ratio at the finest annulus at most
                half the coarsest one; assessed once four dyadic annuli
-               fit between 4h and 1/2 (coarser runs report the trend)
+               fit between 4h and c/2, c the centre source's distance to
+               the curve (coarser runs report the trend)
     minimize   converged, sharp energy <= 1.02 * area, max L_h u <= 1e-6,
                plus any builtin expectation (energy bound, constancy)
     nodal      resolved gradients on closed loops; builtin emptiness match
@@ -61,7 +62,9 @@ from .greens import (
     gradient_sup,
     greens_column_L,
     greens_column_L2,
+    kernel_log_slope,
     log_bound_check,
+    node_clearance,
     node_near,
     singular_split,
     third_diff_sup,
@@ -333,22 +336,6 @@ def load_config(path, checks=None, out_dir=None):
 # individual checks
 
 
-def _kernel_log_slope(col, consts):
-    """Regress the first-order column on -c1 * log(psi) over the mid
-    annulus; 1.0 means the column tracks the explicit kernel."""
-    d = col.domain
-    half = d.shape.bbox_halfwidth()
-    r = col.metric_mask[1]
-    band = (d.mask == INTERIOR) & (r >= 0.2 * half) & (r <= 0.5 * half)
-    if band.sum() < 8:
-        return None
-    x = -consts.c1 * np.log(col.psi[band])
-    y = col.values[band]
-    design = np.vstack([x, np.ones_like(x)]).T
-    slope = np.linalg.lstsq(design, y, rcond=None)[0][0]
-    return float(slope)
-
-
 def _check_greens(ctx, sec):
     dom, op = ctx["domain"], ctx["op"]
     half = dom.shape.bbox_halfwidth()
@@ -384,7 +371,7 @@ def _check_greens(ctx, sec):
         min_GL=min_gl,
         f1_grad_sup=gradient_sup(cols[0], f1),
         f2_third_diff_sup=third_diff_sup(col_l2, f2),
-        kernel_log_slope=_kernel_log_slope(cols[0], consts),
+        kernel_log_slope=kernel_log_slope(cols[0], consts),
         hessian_log_fit=log_fit,
         sources=[[float(c.source_xy[0]), float(c.source_xy[1])]
                  for c in cols],
@@ -400,14 +387,14 @@ def _check_greens(ctx, sec):
 
 
 def _check_frehse(ctx, sec):
-    note = coarse_grid_note(ctx["domain"])
+    centre = node_near(ctx["domain"], 0.0, 0.0)
+    note = coarse_grid_note(ctx["domain"], node_clearance(ctx["domain"], centre))
     if note:
         sec.update(assessed=False, note=note)
         return
     col_l2 = ctx.get("col_l2")
     if col_l2 is None:   # greens did not run, or failed before building it
-        col_l2 = greens_column_L2(
-            greens_column_L(ctx["op"], node_near(ctx["domain"], 0.0, 0.0)))
+        col_l2 = greens_column_L2(greens_column_L(ctx["op"], centre))
     rep = frehse_residual(col_l2)
     ratios = rep.ratios()
     sec.update(
@@ -416,7 +403,6 @@ def _check_frehse(ctx, sec):
         sup_remainder=[float(v) for v in rep.sup_remainder],
         ratios=[float(v) for v in ratios],
         pairing=rep.pairing,
-        notes=list(rep.notes),
     )
     # dichotomy: the remainder share must have collapsed by the finest ring.
     # The strict halving needs dynamic range (measured: three annuli land at

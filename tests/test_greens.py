@@ -2,6 +2,7 @@
 splitting, and the annulus metrics built on top of them."""
 
 import dataclasses
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from anisoplate.greens import (
     third_diff_sup,
 )
 from anisoplate.grid import EXTERIOR
+from anisoplate.runner import RunConfig, _execute
 
 _INV_2PI = 1.0 / (2.0 * np.pi)
 _INV_8PI = 1.0 / (8.0 * np.pi)
@@ -343,6 +345,55 @@ def test_columns_scale_with_the_disk(spec):
                 <= 1e-14 * np.abs(g2_1).max()
 
 
+@lru_cache(maxsize=None)
+def _greens_frehse_sections(spec, radius):
+    cfg = RunConfig(scenario="custom", shape_spec="disk(%r)" % radius,
+                    resolution=257, field_spec=spec, u0_spec="0.05",
+                    checks=("greens", "frehse"), out_dir="unused")
+    rep = _execute(cfg, write_outputs=False)
+    return rep["greens"], rep["frehse"]
+
+
+def _leaves(value, path=""):
+    """(path, value) of every scalar in a nest of report dicts and lists."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _leaves(v, "%s.%s" % (path, k))
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from _leaves(v, "%s[%d]" % (path, i))
+    else:
+        yield path, value
+
+
+@pytest.mark.parametrize("spec, radius", [("diag(2,1)", 0.01),
+                                          ("diag(2,1)", 4.0),
+                                          ("rot(0.7,2,1)", 0.01)])
+def test_greens_metrics_scale_with_the_disk(spec, radius):
+    # every annulus metric is measured in units of the centre source's
+    # clearance, so disk(R) at 257^2 reads disk(1)'s values: each
+    # dimensionless one as it is, the radii and sources over R, and the
+    # split sups (a gradient of an R^0 field, a third difference of an R^2
+    # one) times R; counts and flags exactly, floats to 1e-10 relative
+    greens, frehse = _greens_frehse_sections(spec, radius)
+    greens = dict(greens, f1_grad_sup=greens["f1_grad_sup"] * radius,
+                  f2_third_diff_sup=greens["f2_third_diff_sup"] * radius,
+                  sources=[[x / radius for x in xy]
+                           for xy in greens["sources"]])
+    frehse = dict(frehse, radii=[r / radius for r in frehse["radii"]])
+    got = dict(_leaves({"greens": greens, "frehse": frehse}))
+    want = dict(_leaves(dict(zip(("greens", "frehse"),
+                                 _greens_frehse_sections(spec, 1.0)))))
+    assert sum(k.startswith(".frehse.ratios[") for k in want) == 4
+    assert got.keys() == want.keys()
+    for path, y in want.items():
+        x = got[path]
+        if isinstance(y, float):
+            assert abs(x - y) <= 1e-10 * max(abs(x), abs(y)), (path, x, y)
+        else:
+            assert x == y, path
+
+
 def test_fourth_order_profile_matches_radial_oracle(disk129, center_col_L2):
     # centered isotropic column ~ r^2 log(r)/(8 pi) plus a smooth part that
     # a quadratic in r^2 absorbs; after removing the fit the residual is
@@ -499,9 +550,12 @@ def test_log_envelope_needs_two_annuli():
 
 
 def test_dyadic_annuli_track_grid_spacing():
-    assert dyadic_annuli(1.0 / 64.0) == [2, 3, 4]
-    assert dyadic_annuli(1.0 / 128.0) == [2, 3, 4, 5]
-    assert dyadic_annuli(1.0 / 256.0) == [2, 3, 4, 5, 6]
+    assert dyadic_annuli(1.0 / 64.0, 1.0) == [2, 3, 4]
+    assert dyadic_annuli(1.0 / 128.0, 1.0) == [2, 3, 4, 5]
+    assert dyadic_annuli(1.0 / 256.0, 1.0) == [2, 3, 4, 5, 6]
+    # the radii are in units of the clearance c, so only h/c counts
+    for c in (0.01, 1.0, 4.0):
+        assert dyadic_annuli(c / 64.0, c) == [2, 3, 4]
 
 
 def test_metric_mask_exclusions(disk129, center_col_L):

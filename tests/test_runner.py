@@ -501,29 +501,36 @@ def test_builtin_expectations_dropped_on_override(tmp_path, override):
 
 
 def test_coarse_disk2_run_reports_not_assessed(tmp_path):
-    # at h = 1/16 on disk(2) the Hessian log fit finds too few annuli and
-    # the zero set leaves no room for a test bump: both are reported
-    cfg = RunConfig(scenario="custom", shape_spec="disk(2)", resolution=65,
-                    field_spec="identity", u0_spec="0.05",
-                    checks=("greens", "frehse", "minimize", "nodal", "el"),
-                    out_dir=str(tmp_path / "d2"))
-    assert run(cfg) == 0
-    with open(tmp_path / "d2" / "report.json") as f:
-        rep = json.load(f)
-    assert rep["failures"] == []
-    assert rep["greens"]["pass"] is True
-    assert rep["greens"]["hessian_log_fit"]["assessed"] is False
-    assert "annuli" in rep["greens"]["hessian_log_fit"]["note"]
-    assert rep["el"]["assessed"] is False
-    assert "test-bump" in rep["el"]["note"]
+    # the annuli are measured in units of the source's clearance c = 2, so
+    # disk(2) at 33^2 (h = c/16) fits one, too few for the Hessian log fit,
+    # and at 65^2 two, as on the unit disk; there the zero set leaves no
+    # room for a test bump.  Both are reported, and nothing fails
+    reports = {}
+    for res in (33, 65):
+        cfg = RunConfig(scenario="custom", shape_spec="disk(2)",
+                        resolution=res, field_spec="identity", u0_spec="0.05",
+                        checks=("greens", "frehse", "minimize", "nodal", "el"),
+                        out_dir=str(tmp_path / str(res)))
+        assert run(cfg) == 0
+        with open(tmp_path / str(res) / "report.json") as f:
+            reports[res] = rep = json.load(f)
+        assert rep["failures"] == []
+        assert rep["greens"]["pass"] is True
+    assert reports[33]["greens"]["hessian_log_fit"]["assessed"] is False
+    assert "annuli" in reports[33]["greens"]["hessian_log_fit"]["note"]
+    assert "slope" in reports[65]["greens"]["hessian_log_fit"]
+    assert reports[65]["el"]["assessed"] is False
+    assert "test-bump" in reports[65]["el"]["note"]
 
 
-def test_scaled_builtin_on_disk2_passes_el(tmp_path):
-    # u_R(x) = R^2 u(x/R) maps the builtin onto disk(2) with u0 = 0.2; the
-    # test bumps on its zero set scale with the domain, so the identity
-    # holds as it does on the unit disk
-    cfg = RunConfig(scenario="custom", shape_spec="disk(2)", resolution=129,
-                    field_spec="identity", u0_spec="0.2",
+@pytest.mark.parametrize("shape, u0", [("disk(2)", "0.2"),
+                                       ("disk(1e-8)", "5e-18")])
+def test_scaled_builtin_on_disk2_passes_el(tmp_path, shape, u0):
+    # u_R(x) = R^2 u(x/R) maps the builtin onto disk(R) with u0 = 0.05 R^2;
+    # the test bumps on its zero set and the divergence-free control scale
+    # with the domain, so the identity holds as it does on the unit disk
+    cfg = RunConfig(scenario="custom", shape_spec=shape, resolution=129,
+                    field_spec="identity", u0_spec=u0,
                     checks=("minimize", "nodal", "el"),
                     out_dir=str(tmp_path / "d2"))
     assert run(cfg) == 0
@@ -827,7 +834,7 @@ def test_greens_frehse_run_assembles_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("checks, resolution, solves", [
     ("greens,frehse", 129, 4),
     ("frehse", 129, 2),
-    ("frehse", 65, 0),      # h > 1/64: not assessed, nothing solved
+    ("frehse", 65, 0),      # h > c/64: not assessed, nothing solved
 ])
 def test_greens_frehse_solve_and_factorization_counts(
         tmp_path, monkeypatch, checks, resolution, solves):
