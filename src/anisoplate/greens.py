@@ -9,7 +9,7 @@ with the inverse coefficient matrix and measures what is left on dyadic
 annuli.  Every annulus metric is measured in units of the source's
 clearance c, its distance to the curve, so disk(R) reads as disk(1).
 Columns solve through linsolve.solve_spd, so all columns on one operator
-share the sparse LU factorization kept on its matrix; every column solve
+share the sparse LU factorization kept on it; every column solve
 checks its true residual against solve_spd's one bound.  A column's
 order is its stage: a fourth-order column holds the first-order column
 it was solved from, and takes the grids of their source from it.  Every
@@ -132,7 +132,7 @@ def greens_column_L(op, source_ij):
         raise ValueError("source node %r is not interior" % (key,))
     rhs = np.zeros(d.n_interior)
     rhs[d.interior_map[key]] = 1.0   # h^2 times the unit-mass Dirac
-    g = solve_spd(op.matrix, rhs)[0]
+    g = solve_spd(op, rhs)[0]
     gmin = float(g.min())
     if gmin < _positivity_floor:
         raise RuntimeError("second-order Green's column went negative: min %.3e" % gmin)
@@ -146,7 +146,7 @@ def greens_column_L2(first):
     if first.stage is not None:
         raise ValueError("the L^2 column needs a first-order column")
     op, d = first.op, first.domain
-    g2, _ = solve_spd(op.matrix, d.h * d.h * first.values.take(d.flat_index[0]))
+    g2, _ = solve_spd(op, d.h * d.h * first.values.take(d.flat_index[0]))
     return GreensColumn(op, first.source_ij, first.source_xy, d.field(g2),
                         stage=first)
 

@@ -7,8 +7,9 @@ datum of their projection onto the curve: DiscreteDomain.trace) or
 exterior.  The operator L u = -div(A grad u) is assembled on the interior
 nodes as one weighted pair term per arm of the nine-point footprint, with
 weights w_e such that sum_e w_e e e^T = A, symmetric by construction, and
-kept dimensionless, as h^2 times the matrix of L_h; Dirichlet solves go
-through the sparse LU of linsolve, factored once per operator."""
+kept dimensionless, as h^2 times the matrix of L_h; every solve goes
+through the sparse LU of linsolve, factored once per operator and kept on
+it."""
 
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,6 +19,7 @@ import os
 import numpy as np
 import scipy.sparse as sparse
 
+from . import linsolve
 from .anisotropy import parse_spec
 from .linsolve import solve_spd
 
@@ -329,12 +331,19 @@ class SparseOperator:
 
     The one handle on a discretized problem: it carries the coefficient
     field it was assembled from and its domain, so nothing downstream
-    takes either separately.  S is symmetric (see assemble_operator)."""
+    takes either separately, and every solve with S takes the operator
+    (linsolve.solve_spd).  S is symmetric (see assemble_operator)."""
 
     field: object
     domain: DiscreteDomain
     matrix: sparse.csr_matrix
     coupling: sparse.csr_matrix
+
+    @cached_property
+    def factors(self):
+        """The sparse LU of S, built at the first nonzero solve and reused by
+        every later one; S must not be changed in place after that."""
+        return linsolve.splu(self.matrix)
 
     def apply(self, u_interior, u_boundary):
         h = self.domain.h
@@ -350,7 +359,7 @@ class SparseOperator:
         boundary values; raises above solve_spd's one residual bound."""
         h = self.domain.h
         rhs = h * h * np.asarray(rhs_interior, dtype=float)
-        return solve_spd(self.matrix, rhs - self.coupling @ boundary_values)[0]
+        return solve_spd(self, rhs - self.coupling @ boundary_values)[0]
 
 
 def _arm_weights(a):

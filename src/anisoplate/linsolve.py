@@ -1,12 +1,12 @@
 """Sparse direct solves of symmetric positive definite systems, with an
 honest residual report.
 
-The first nonzero solve on a matrix builds a SuperLU factorization and
-keeps it on the matrix object, so every later solve on that matrix (every
-solve on one SparseOperator) reuses it and it is freed with the matrix.
-Each solve recomputes its true relative residual from the matrix and
-raises when it is non-finite or above _residual_bound, one bound for
-every caller."""
+Every solve is on an operator: the first nonzero solve on a
+SparseOperator builds its SuperLU factorization (op.factors, kept on the
+operator), so every later solve on it reuses that and it is freed with the
+operator.  Each solve recomputes its true relative residual from
+op.matrix and raises when it is non-finite or above _residual_bound, one
+bound for every caller."""
 
 from dataclasses import dataclass
 
@@ -37,24 +37,13 @@ def splu(matrix):
                    options=dict(SymmetricMode=True))
 
 
-def _factors(matrix):
-    """The factorization of matrix, built on first use and kept in its
-    __dict__ when it has one (a scipy sparse matrix; not an ndarray)."""
-    cache = getattr(matrix, "__dict__", {})
-    lu = cache.get("_superlu")
-    if lu is None:
-        lu = cache["_superlu"] = splu(matrix)
-    return lu
+def solve_spd(op, rhs):
+    """Solve S x = rhs for the SPD matrix S = op.matrix by sparse LU.
 
-
-def solve_spd(matrix, rhs):
-    """Solve matrix @ x = rhs for SPD matrix by sparse LU.
-
-    input : matrix (n x n), rhs (n,).  The factorization is cached on the
-            matrix, which must not be changed in place after its first
-            solve.
+    input : op (a SparseOperator: its matrix and its factors), rhs (n,).
+            A zero rhs returns zero before anything is factored.
     output: (x, SolveReport).  Raises RuntimeError when the true relative
-            residual ||matrix x - rhs|| / ||rhs|| is non-finite or above
+            residual ||S x - rhs|| / ||rhs|| is non-finite or above
             _residual_bound (or SuperLU finds the matrix singular).  Both
             norms are taken of vectors divided by max|rhs| first, so
             neither under- nor overflows however large or small the
@@ -63,9 +52,9 @@ def solve_spd(matrix, rhs):
     rhs = np.asarray(rhs, dtype=float)
     if not rhs.any():
         return np.zeros(rhs.shape[0]), SolveReport(0, 0.0)
-    x = _factors(matrix).solve(rhs)
+    x = op.factors.solve(rhs)
     s = np.abs(rhs).max()
-    res = float(np.linalg.norm((matrix @ x - rhs) / s)
+    res = float(np.linalg.norm((op.matrix @ x - rhs) / s)
                 / np.linalg.norm(rhs / s))
     if not res <= _residual_bound:   # false for NaN as well
         raise RuntimeError("sparse LU solve left relative residual %.3e above %.1e"

@@ -174,7 +174,7 @@ def _lbfgs_direction(op, grad, pairs):
     for s, y, rho in reversed(pairs):
         alphas.append(rho * float(s @ q))
         q = q - alphas[-1] * y
-    r = 0.5 * op.domain.h ** 2 * solve_spd(op.matrix, solve_spd(op.matrix, q)[0])[0]
+    r = 0.5 * op.domain.h ** 2 * solve_spd(op, solve_spd(op, q)[0])[0]
     for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
         r += (alpha - rho * float(y @ r)) * s
     return -r
@@ -210,7 +210,7 @@ def minimize(op, u0):
     schedule = default_schedule(domain, u0_max)
 
     ui, ub = op.solve_dirichlet(0.0, trace), trace
-    bump = solve_spd(op.matrix, np.ones(domain.n_interior))[0]   # S b = 1
+    bump = solve_spd(op, np.ones(domain.n_interior))[0]   # S b = 1
     bump /= float(bump.max())
 
     history = []

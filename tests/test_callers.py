@@ -190,9 +190,10 @@ def _dict_writes(tree):
 def test_no_results_kept_in_another_objects_dict():
     # a per-call result cached in another object's __dict__ hides a data
     # flow the call sites should show (a fourth-order column holds its
-    # first-order stage instead); the one exception is the factorization
-    # kept on its matrix.  A class's own cached_property is not counted
-    allowed = {("linsolve.py", "_factors")}
+    # first-order stage instead; the operator owns its factorization as a
+    # cached_property).  A class's own cached_property is not counted, and
+    # nothing is excepted
+    allowed = set()
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for line, func in _dict_writes(ast.parse(path.read_text())):

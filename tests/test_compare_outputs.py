@@ -74,7 +74,7 @@ def test_report_differences_need_reports_on_both_sides():
 
 
 def test_outputs_match_the_golden_manifest():
-    # every artifact of the eight reference runs, and the printout of each
+    # every artifact of the nine reference runs, and the printout of each
     # of the five demos, keeps its committed hash; a change of Python,
     # numpy or scipy fails here too, naming both version sets, since it
     # alone can move solver roundoff

@@ -152,14 +152,14 @@ def test_columns_on_one_operator_share_one_factorization(monkeypatch):
 def test_fourth_order_column_holds_its_first_order_stage(monkeypatch):
     # the fourth-order column is solved from the first-order column it is
     # given, in one solve; it keeps that column as its stage and shares the
-    # grids of their common source, and nothing is left behind on the
-    # operator
+    # grids of their common source, and nothing but its factorization is
+    # left behind on the operator
     calls = []
     real = greens.solve_spd
 
-    def counting(matrix, rhs):
-        calls.append(matrix)
-        return real(matrix, rhs)
+    def counting(op, rhs):
+        calls.append(op)
+        return real(op, rhs)
 
     monkeypatch.setattr(greens, "solve_spd", counting)
     dom = build_domain(disk_shape(1.0), 33)
@@ -169,7 +169,7 @@ def test_fourth_order_column_holds_its_first_order_stage(monkeypatch):
     first = greens_column_L(op, dom.center_ij)
     assert len(calls) == 1 and first.stage is None
     col = greens_column_L2(first)
-    assert len(calls) == 2 and all(m is op.matrix for m in calls)
+    assert len(calls) == 2 and all(o is op for o in calls)
     assert col.stage is first and col.op is op
     assert col.source_ij == first.source_ij
     for name in ("inverse_coeff", "psi", "metric_mask"):
@@ -177,7 +177,8 @@ def test_fourth_order_column_holds_its_first_order_stage(monkeypatch):
     # each column's Hessian is its own
     assert np.array_equal(col.hessian, grid_hessian(dom, col.values))
     assert not np.array_equal(col.hessian, first.hessian)
-    assert set(vars(op)) == fields == {"field", "domain", "matrix", "coupling"}
+    assert fields == {"field", "domain", "matrix", "coupling"}
+    assert set(vars(op)) == fields | {"factors"}
     with pytest.raises(ValueError):
         greens_column_L2(col)
     # a fresh operator reproduces the column
@@ -316,8 +317,7 @@ def test_nested_intermediate_equals_first_order_column(disk129, iso129, center_c
     # reproduces the fourth-order column bit for bit
     d = disk129
     fi = d.flat_index[0]
-    g2, _ = linsolve.solve_spd(iso129.matrix,
-                               d.h * d.h * center_col_L.values.take(fi))
+    g2, _ = linsolve.solve_spd(iso129, d.h * d.h * center_col_L.values.take(fi))
     assert np.array_equal(g2, center_col_L2.values.take(fi))
 
 

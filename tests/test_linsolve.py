@@ -1,5 +1,5 @@
 """Sparse direct solver: exactness oracles, the factorization kept on the
-matrix, and failure reporting."""
+operator, and failure reporting."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,8 @@ import scipy.sparse as sparse
 from anisoplate import linsolve
 from anisoplate.anisotropy import CoefficientField, make_field
 from anisoplate.greens import greens_column_L, greens_column_L2
-from anisoplate.grid import assemble_operator, build_domain, disk_shape
+from anisoplate.grid import (SparseOperator, assemble_operator, build_domain,
+                             disk_shape)
 from anisoplate.linsolve import SolveReport, solve_spd
 from anisoplate.minimizer import _lbfgs_direction
 
@@ -31,15 +32,20 @@ def _thomas(lower, diag, upper, rhs):
     return x
 
 
+def _op(mat):
+    """An operator over a bare matrix: all that a solve reads of it."""
+    return SparseOperator(None, None, mat, None)
+
+
 def test_identity_converges_immediately():
     rhs = np.array([3.0, -1.0, 2.0])
-    x, rep = solve_spd(sparse.eye(3, format="csr"), rhs)
+    x, rep = solve_spd(_op(sparse.eye(3, format="csr")), rhs)
     assert np.allclose(x, rhs, atol=1e-14)
     assert rep.final_residual <= 1e-10 and rep.iterations <= 1
 
 
 def test_zero_rhs_short_circuits():
-    x, rep = solve_spd(sparse.eye(4, format="csr"), np.zeros(4))
+    x, rep = solve_spd(_op(sparse.eye(4, format="csr")), np.zeros(4))
     assert np.all(x == 0.0) and rep == SolveReport(0, 0.0)
 
 
@@ -51,7 +57,7 @@ def test_tridiagonal_matches_thomas():
     mat = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
     rhs = rng.standard_normal(n)
     want = _thomas(off, diag, off, rhs)
-    got, rep = solve_spd(mat, rhs)
+    got, rep = solve_spd(_op(mat), rhs)
     assert rep.final_residual <= 1e-12
     assert np.allclose(got, want, atol=1e-9)
 
@@ -67,8 +73,8 @@ def test_scaled_system_solves_like_the_unscaled_one(scale):
     off = -1.0 + 0.2 * rng.uniform(0, 1, n - 1)
     mat = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
     rhs = rng.standard_normal(n)
-    x, rep = solve_spd(mat, rhs)
-    xs, reps = solve_spd(scale * mat, scale * rhs)
+    x, rep = solve_spd(_op(mat), rhs)
+    xs, reps = solve_spd(_op(scale * mat), scale * rhs)
     assert rep.final_residual <= 1e-12 and reps.final_residual <= 1e-12
     assert np.abs(xs - x).max() <= 1e-14 * np.abs(x).max()
 
@@ -79,7 +85,7 @@ def test_true_residual_reported_relative():
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     mat = q @ np.diag(np.linspace(1, 100, n)) @ q.T
     rhs = rng.standard_normal(n)
-    x, rep = solve_spd(mat, rhs)
+    x, rep = solve_spd(_op(mat), rhs)
     want = float(np.linalg.norm(mat @ x - rhs) / np.linalg.norm(rhs))
     assert rep.final_residual == pytest.approx(want, rel=1e-12)
     assert rep.final_residual <= 1e-10
@@ -91,7 +97,7 @@ def test_poisson_seven_matches_thomas():
                        [-1, 0, 1], format="csr")
     rhs = np.ones(n)
     want = _thomas(np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0), rhs)
-    got, rep = solve_spd(mat, rhs)
+    got, rep = solve_spd(_op(mat), rhs)
     assert rep.final_residual <= 1e-10
     assert np.allclose(got, want, atol=1e-10)
 
@@ -104,7 +110,7 @@ def test_laplacian_31_squared_matches_dense_solve():
     eye = sparse.eye(n)
     mat = (sparse.kron(one, eye) + sparse.kron(eye, one)).tocsr()
     rhs = np.random.default_rng(11).standard_normal(n * n)
-    x, rep = solve_spd(mat, rhs)
+    x, rep = solve_spd(_op(mat), rhs)
     assert rep.final_residual <= 1e-10 and rep.iterations == 0
     want = np.linalg.solve(mat.toarray(), rhs)
     assert np.allclose(x, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
@@ -115,8 +121,9 @@ def test_round_trip_idempotence():
     mat = sparse.diags([np.full(n - 1, -1.0), np.full(n, 2.5), np.full(n - 1, -1.0)],
                        [-1, 0, 1], format="csr")
     rhs = np.cos(np.arange(n))
-    x, rep = solve_spd(mat, rhs)
-    x2, rep2 = solve_spd(mat, mat @ x)
+    op = _op(mat)
+    x, rep = solve_spd(op, rhs)
+    x2, rep2 = solve_spd(op, mat @ x)
     assert rep.final_residual <= 1e-12 and rep2.final_residual <= 1e-12
     assert np.allclose(x2, x, atol=1e-9)
 
@@ -141,7 +148,7 @@ def test_wrong_factors_raise(monkeypatch):
 
         monkeypatch.setattr(linsolve, "splu", lambda m: Off(real_splu(m)))
         with pytest.raises(RuntimeError, match="residual"):
-            solve_spd(mat.copy(), rhs)
+            solve_spd(_op(mat), rhs)
 
 
 _SOLVE_SITES = {
@@ -200,22 +207,29 @@ def test_indefinite_operator_raises():
             assemble_operator(CoefficientField("indefinite", fn), dom)
 
 
-def test_factorization_reused_per_matrix(monkeypatch):
-    # a second solve on the same matrix reuses its factorization
+def test_factorization_reused_per_operator(monkeypatch):
+    # a second solve on the same operator reuses its factorization, also
+    # when the operator holds a dense ndarray; an operator over a copy of
+    # the matrix gets its own, and a zero right-hand side factors nothing
     n = 30
-    mat = sparse.diags([np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0)],
+    csr = sparse.diags([np.full(n - 1, -1.0), np.full(n, 3.0), np.full(n - 1, -1.0)],
                        [-1, 0, 1], format="csr")
     calls = []
     real_splu = linsolve.splu
     monkeypatch.setattr(linsolve, "splu", lambda m: calls.append(1) or real_splu(m))
     want = np.sin(np.arange(n))
-    x, rep = solve_spd(mat, mat @ want)
-    x2, rep2 = solve_spd(mat, mat @ (2.0 * want))
-    assert len(calls) == 1
-    assert rep.final_residual <= 1e-10 and rep2.final_residual <= 1e-10
-    assert np.allclose(x, want) and np.allclose(x2, 2.0 * want)
-    solve_spd(mat.copy(), mat @ want)   # a new matrix gets its own
-    assert len(calls) == 2
+    for mat in (csr, csr.toarray()):
+        calls.clear()
+        op = _op(mat)
+        solve_spd(op, np.zeros(n))
+        assert calls == [] and "factors" not in vars(op)
+        x, rep = solve_spd(op, mat @ want)
+        x2, rep2 = solve_spd(op, mat @ (2.0 * want))
+        assert len(calls) == 1
+        assert rep.final_residual <= 1e-10 and rep2.final_residual <= 1e-10
+        assert np.allclose(x, want) and np.allclose(x2, 2.0 * want)
+        solve_spd(_op(mat.copy()), mat @ want)   # a new operator gets its own
+        assert len(calls) == 2
 
 
 def test_dense_spd_matches_dense_solve():
@@ -225,6 +239,6 @@ def test_dense_spd_matches_dense_solve():
     a = rng.standard_normal((n, n))
     mat = a @ a.T + n * np.eye(n)
     rhs = rng.standard_normal(n)
-    x, rep = solve_spd(mat, rhs)
+    x, rep = solve_spd(_op(mat), rhs)
     assert rep.final_residual <= 1e-9 and rep.iterations == 0
     assert np.allclose(x, np.linalg.solve(mat, rhs), rtol=1e-10, atol=1e-12)

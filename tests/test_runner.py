@@ -917,23 +917,26 @@ def _leaves(value, path=""):
 
 
 @pytest.mark.parametrize("a, b", [
-    (("disk(1)", "diag(2,1)"), ("disk(1)", "diag(1,2)")),
-    (("rect(2,1.5)", "diag(2,1)"), ("rect(1.5,2)", "diag(1,2)")),
-    (("disk(1)", "rot(0.7,2,1)"), ("disk(1)", "rot(-0.7,2,1)")),
-], ids=["transpose-disk", "transpose-rect", "reflect-rot"])
+    (("disk(1)", "diag(2,1)", "0.05"), ("disk(1)", "diag(1,2)", "0.05")),
+    (("rect(2,1.5)", "diag(2,1)", "0.05"), ("rect(1.5,2)", "diag(1,2)", "0.05")),
+    (("disk(1)", "rot(0.7,2,1)", "0.05"), ("disk(1)", "rot(-0.7,2,1)", "0.05")),
+    (("disk(1)", "poly(1)", "0.05 + 0.01*x1"),
+     ("disk(1)", "poly(1)", "0.05 - 0.01*x1")),
+], ids=["transpose-disk", "transpose-rect", "reflect-rot", "reflect-poly"])
 def test_reports_agree_across_exact_symmetries(a, b):
     # transposing the plane (swapping the shape's and the field's axes) or
-    # reflecting it (x1 -> -x1 turns rot(t,a,b) into rot(-t,a,b)) maps one
-    # discrete problem exactly onto the other, so every minimize, nodal and
-    # frehse value, and every greens value of the centre source, agrees:
+    # reflecting it (x1 -> -x1 turns rot(t,a,b) into rot(-t,a,b), leaves
+    # poly(alpha) as it is and turns u0 = p(x1, x2) into p(-x1, x2)) maps
+    # one discrete problem exactly onto the other, so every minimize, nodal
+    # and frehse value, and every greens value of the centre source, agrees:
     # counts and flags exactly, floats to 1e-10 relative.  Not compared:
     # el and failures (the bank takes loop vertices by index in marching
     # order), and min_GL and symmetry_max_err (the off-centre sources sit
     # at fixed fractions of the box and are not mapped)
     leaves = []
-    for shape, field in (a, b):
+    for shape, field, u0 in (a, b):
         cfg = RunConfig(scenario="custom", shape_spec=shape, resolution=129,
-                        field_spec=field, u0_spec="0.05",
+                        field_spec=field, u0_spec=u0,
                         checks=("greens", "frehse", "minimize", "nodal", "el"),
                         out_dir="unused")
         rep = _execute(cfg, write_outputs=False)

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash every artifact of eight reference runs and the printout of the five
+"""Hash every artifact of nine reference runs and the printout of the five
 demos: "same outputs" as one command.
 
     python3 tools/compare_outputs.py [--save MANIFEST] [--against MANIFEST]
@@ -15,6 +15,7 @@ The runs, each in a fresh temporary directory:
     rect_poly_65       rect(2,1.5), diag(2,1), polynomial u0, all checks,
                        at 65^2
     rect_offnode_65    rect(1.3,0.7), rot(0.7,2,1), all checks, at 65^2
+    rect_greens_129    rect(2,1.5), diag(2,1) greens and frehse at 129^2
 
 rot_small_65 and poly_greens_129 pin arm weights that are not multiples
 of the identity's: rot_small_65 the diagonal arms' constant a12/2 (NE)
@@ -22,7 +23,9 @@ and -a12/2 (SE), poly_greens_129 the E arm's a11, which varies along x.
 rect_poly_65 pins the rectangle's projection and a boundary trace that
 varies along the curve.  rect_offnode_65 pins a rectangle whose edges
 are not at multiples of a power-of-two h: its long sides lie on nodes
-only because the coordinates are exact at +-halfwidth.
+only because the coordinates are exact at +-halfwidth.  rect_greens_129
+pins the Hessian log fit on a rectangle, over the annuli of its centre
+source's clearance.
 
 The two benchmark runs read their configs from `benchmarks/configs/`.
 Each script in `demos/` then runs in this process with no arguments, and
@@ -82,6 +85,9 @@ RUNS = (
      "[boundary]\nu0 = 0.04 + 0.01*x1^2 - 0.005*x1*x2\n", None),
     ("rect_offnode_65", "[grid]\nshape = rect(1.3,0.7)\nresolution = 65\n"
      "[field]\nkind = rot(0.7,2,1)\n[boundary]\nu0 = 0.05\n", None),
+    ("rect_greens_129", "[run]\nchecks = greens, frehse\n"
+     "[grid]\nshape = rect(2,1.5)\nresolution = 129\n"
+     "[field]\nkind = diag(2,1)\n[boundary]\nu0 = 0.05\n", None),
 )
 
 
